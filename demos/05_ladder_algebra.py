@@ -11,8 +11,6 @@ f^2 - h f' evaluates to the constant 1 (not 0), for any value of a.  The
 companion constraint h c' - f c does vanish identically.
 """
 
-import dataclasses
-
 import numpy as np
 
 from natpdm import algebra
@@ -44,8 +42,3 @@ print()
 print(f"first constraint f^2 - h f'  : mean {np.mean(res_a):+.12f}, "
       f"std {np.std(res_a):.2e}   <- constant 1, not 0")
 print(f"second constraint h c' - f c : max |.| {np.max(np.abs(res_b)):.2e}")
-
-scaled = dataclasses.replace(realization, sigma=3.0)
-same = algebra.commutator_residual(scaled, labels, psi) == (res1, res2)
-print()
-print(f"residuals independent of the similarity scale sigma: {same}")

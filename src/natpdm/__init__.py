@@ -6,9 +6,10 @@ the su(1,1) ladder realization with its residual checks (`algebra`), the
 energy-linear potential construction (`natanzon`), its two-parameter
 specialization (`ginocchio`), and a finite-difference von Roos
 eigensolver (`pdmsolver`) that adjudicates every closed form numerically.
+The seeded property suites behind `natpdm verify` live in `verify`.
 """
 
-from . import algebra, cli, conformal, ginocchio, masses, natanzon, numerics, pdmsolver
+from . import algebra, conformal, ginocchio, masses, natanzon, numerics, pdmsolver
 from .algebra import (
     GroupLabels,
     SectorFunction,

@@ -32,7 +32,6 @@ __all__ = [
     "NegativeDiscriminant",
     "SmoothMap",
     "tanh_map",
-    "scaled_tanh_map",
     "Su11Realization",
     "GroupLabels",
     "labels_from_j",
@@ -98,31 +97,18 @@ def tanh_map() -> SmoothMap:
     )
 
 
-def scaled_tanh_map(scale: float) -> SmoothMap:
-    """xi(x) = tanh(scale * x)."""
-    s = float(scale)
-    return SmoothMap(
-        value=lambda x: np.tanh(s * x),
-        deriv=lambda x: s / np.cosh(s * x) ** 2,
-        deriv2=lambda x: -2.0 * s * s * np.tanh(s * x) / np.cosh(s * x) ** 2,
-    )
-
-
 @dataclass(frozen=True)
 class Su11Realization:
     """The data fixing one differential realization.
 
     h_choice is the multiplier in front of d/dx; None selects the
-    canonical xi/xi'.  sigma is the arbitrary nonzero scale of the
-    similarity weight; no residual below depends on it, and tests assert
-    exactly that.
+    canonical xi/xi'.
     """
 
     xi: SmoothMap
     a: float = 1.0
     delta: float = 0.0
     h_choice: Callable | None = None
-    sigma: float = 1.0
 
     def h_at(self, x):
         if self.h_choice is not None:

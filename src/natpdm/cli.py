@@ -10,7 +10,6 @@ digits, and JSON output is strict (no NaN tokens; missing values are null).
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import io
 import json
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import algebra, conformal, ginocchio, natanzon, numerics, pdmsolver
+from . import conformal, ginocchio, natanzon, numerics, pdmsolver, verify
 from .ginocchio import ASSEMBLY_VARIANTS, GinocchioSpec
 from .masses import parse_mass
 from .natanzon import OrderingParams
@@ -32,13 +31,8 @@ EXIT_CONFIG_ERROR = 2
 EXIT_INVERSION_FAILURE = 3
 EXIT_SOLVER_FAILURE = 4
 
-VERIFY_MODULES = ("conformal", "algebra", "natanzon", "ginocchio", "pdmsolver")
-
 DEFAULT_TOLERANCES = {
     "quad": 1e-10,
-    "root": 1e-12,
-    "eig": 1e-10,
-    "map_residual": 1e-8,
     "spectrum_gate": 5e-3,
     "eq27_vs_eq34_gate": 1e-9,
     "mass_independence_gate": 2e-3,
@@ -58,13 +52,10 @@ class RunConfig:
     grid: Grid = field(default_factory=lambda: Grid(-12.0, 12.0, 1201))
     assembly: str = "v_plus_um"
     fmt: str | None = None
-    tolerances: dict = field(default_factory=dict)
+    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     only: str | None = None
     seed: int = 0
     output: str | None = None
-
-    def tol(self, name: str) -> float:
-        return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
 
     def mass_profile(self):
         return parse_mass(self.mass)
@@ -76,6 +67,8 @@ def _parse_ordering(text: str) -> OrderingParams:
         values = [float(p) for p in parts]
     except ValueError as exc:
         raise ConfigError(f"ordering must be numeric 'eta,epsilon[,rho]': {exc}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"ordering parameters must be finite, got {text!r}")
     if len(values) == 2:
         return OrderingParams(eta=values[0], epsilon=values[1])
     if len(values) == 3:
@@ -94,6 +87,8 @@ def _parse_grid(text: str) -> Grid:
         raise ConfigError("grid takes 'xmin,xmax,N'")
     try:
         x_min, x_max, n = float(parts[0]), float(parts[1]), int(parts[2])
+        if not (math.isfinite(x_min) and math.isfinite(x_max)):
+            raise ValueError("grid ends must be finite")
         return Grid(x_min, x_max, n)
     except ValueError as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
@@ -113,6 +108,8 @@ def _parse_tols(items) -> dict:
             out[name] = float(value)
         except ValueError as exc:
             raise ConfigError(f"invalid tolerance value in {item!r}: {exc}") from exc
+        if not 0.0 < out[name] < math.inf:
+            raise ConfigError(f"tolerance {name} must be positive and finite, got {value!r}")
     return out
 
 
@@ -141,10 +138,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         cfg.j = float(pick("j", cfg.j))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"gamma and j must be numeric: {exc}") from exc
-    if cfg.gamma <= 0.0:
-        raise ConfigError(f"gamma must be positive, got {cfg.gamma}")
-    if cfg.j < 0.0:
-        raise ConfigError(f"j must be non-negative, got {cfg.j}")
+    if not 0.0 < cfg.gamma < math.inf:
+        raise ConfigError(f"gamma must be positive and finite, got {cfg.gamma}")
+    if not 0.0 <= cfg.j < math.inf:
+        raise ConfigError(f"j must be non-negative and finite, got {cfg.j}")
 
     ordering = pick("ordering", None)
     if ordering is not None:
@@ -157,6 +154,14 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     grid = pick("grid", None)
     if grid is not None:
         cfg.grid = _parse_grid(str(grid))
+    if args.command in ("potential", "spectrum") \
+            and not cfg.grid.x_min <= 0.0 <= cfg.grid.x_max:
+        raise ConfigError(f"grid [{cfg.grid.x_min}, {cfg.grid.x_max}] must contain "
+                          f"the anchor x = 0")
+    # spectrum solves for floor(j) + 2 levels on the interior nodes
+    if args.command == "spectrum" and cfg.grid.n_points - 2 < math.floor(cfg.j) + 2:
+        raise ConfigError(f"grid has {cfg.grid.n_points - 2} interior nodes; spectrum "
+                          f"at j = {cfg.j} needs at least {math.floor(cfg.j) + 2}")
     cfg.assembly = str(pick("assembly", cfg.assembly))
     if cfg.assembly not in ASSEMBLY_VARIANTS:
         raise ConfigError(f"assembly must be one of {ASSEMBLY_VARIANTS}, got {cfg.assembly!r}")
@@ -169,11 +174,12 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     file_tols = file_values.get("tol", {})
     if isinstance(file_tols, dict):
         file_tols = [f"{k}={v}" for k, v in file_tols.items()]
-    cfg.tolerances = {**_parse_tols(file_tols), **_parse_tols(tol_items)}
+    cfg.tolerances.update({**_parse_tols(file_tols), **_parse_tols(tol_items)})
     only = pick("only", None)
     if only is not None:
-        if only not in VERIFY_MODULES:
-            raise ConfigError(f"--only must name one of {VERIFY_MODULES}, got {only!r}")
+        suites = tuple(verify.SUITES)
+        if only not in suites:
+            raise ConfigError(f"--only must name one of {suites}, got {only!r}")
         cfg.only = only
     try:
         cfg.seed = int(pick("seed", cfg.seed))
@@ -241,7 +247,7 @@ def cmd_potential(cfg: RunConfig) -> int:
     try:
         table = ginocchio.potential_on_x_grid(
             cfg.gamma, cfg.j, cfg.mass_profile(), cfg.ordering, cfg.grid,
-            assembly=cfg.assembly, tol=cfg.tol("quad"),
+            assembly=cfg.assembly, tol=cfg.tolerances["quad"],
         )
     except (numerics.MaxIterations, numerics.ToleranceNotMet) as exc:
         sys.stderr.write(f"coordinate inversion failed: {exc}\n")
@@ -272,23 +278,24 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     try:
         report = pdmsolver.verify_spectrum(
             spec, cfg.mass_profile(), cfg.ordering, cfg.assembly, cfg.grid,
-            quad_tol=cfg.tol("quad"),
+            quad_tol=cfg.tolerances["quad"],
         )
     except (numerics.MaxIterations, numerics.ToleranceNotMet,
             natanzon.StiffBlowup, pdmsolver.NonpositiveMass) as exc:
         sys.stderr.write(f"solver failure: {exc}\n")
         return EXIT_SOLVER_FAILURE
 
+    tol = cfg.tolerances
     gates = []
     fit = report.best_fit_index_map
     if fit.get("status") == "MATCHED":
-        gates.append(("index_map_mismatch", fit["max_mismatch"], cfg.tol("spectrum_gate")))
+        gates.append(("index_map_mismatch", fit["max_mismatch"], tol["spectrum_gate"]))
     finite_qc = [r for r in report.quant_vs_closed if r is not None and math.isfinite(r)]
     if finite_qc:
-        gates.append(("eq27_vs_eq34", max(finite_qc), cfg.tol("eq27_vs_eq34_gate")))
+        gates.append(("eq27_vs_eq34", max(finite_qc), tol["eq27_vs_eq34_gate"]))
     mi = report.mass_independence.get("max_diff")
     if mi is not None:
-        gates.append(("mass_independence", mi, cfg.tol("mass_independence_gate")))
+        gates.append(("mass_independence", mi, tol["mass_independence_gate"]))
 
     payload = report.to_dict()
     payload["seed"] = cfg.seed
@@ -304,306 +311,16 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify suites
-
-
-def _check(name, measured, threshold=None, kind="hard", passed=None):
-    if passed is None and threshold is not None:
-        passed = bool(measured <= threshold)
-    return {"name": name, "kind": kind, "measured": measured,
-            "threshold": threshold, "passed": passed}
-
-
-def _verify_conformal(cfg: RunConfig, rng) -> list:
-    checks = []
-    half = conformal.BAND_HALF_WIDTH
-
-    pts = rng.uniform(-half, half, 1000) + 1j * rng.uniform(-2.0, 2.0, 1000)
-    tan_err = max(abs(conformal.strip_to_disk(z) - cmath.tan(z)) for z in pts)
-    checks.append(_check("strip_to_disk_equals_tan", float(tan_err), 1e-12))
-
-    anchor_err = max(
-        abs(conformal.halfplane_to_disk(1j) - 1.0),
-        abs(conformal.halfplane_to_disk(-1j) - (-1.0)),
-        abs(conformal.halfplane_to_disk(0.0) - 1j),
-    )
-    checks.append(_check("halfplane_anchor_points", float(anchor_err), 1e-15))
-
-    zs = np.linspace(0.0, 1.0, 201)
-    xi_err = max(abs(abs(conformal.xi_of_z(z)) - 1.0) for z in zs)
-    checks.append(_check("xi_unit_modulus_on_segment", float(xi_err), 1e-12))
-
-    r = np.sqrt(rng.uniform(0.0, 1.0, 100)) * 0.999
-    th = rng.uniform(0.0, 2.0 * math.pi, 100)
-    ws = r * np.exp(1j * th)
-    rt_err = max(abs(conformal.halfplane_to_disk(conformal.disk_to_halfplane(w)) - w)
-                 for w in ws)
-    checks.append(_check("disk_halfplane_round_trip", float(rt_err), 1e-12))
-
-    # pinned probes at h = 1e-4; random band points take a smaller step
-    # because the truncation error scales with the local third derivative
-    cr_pts = rng.uniform(-half * 0.9, half * 0.9, 20) + 1j * rng.uniform(-1.5, 1.5, 20)
-    cr_err = max(conformal.conformality_residual(conformal.strip_to_disk, z, 2e-5)
-                 for z in cr_pts)
-    cr_err = max(cr_err, conformal.conformality_residual(cmath.exp, 0.3 + 0.2j, 1e-4))
-    cr_err = max(cr_err, conformal.conformality_residual(conformal.strip_to_disk,
-                                                         0.1 + 0.5j, 1e-4))
-    checks.append(_check("cauchy_riemann_residual", float(cr_err), 1e-8))
-
-    zt = (2.0 + 1j, -1.0 + 2j, 0.5 - 1.5j)
-    wt = (0.0, 1.0 + 1j, 3.0 - 1j)
-    mob = conformal.mobius_from_three_points(*zt, *wt)
-    probes = rng.uniform(-2, 2, 50) + 1j * rng.uniform(-2, 2, 50)
-    cross_err = max(
-        abs(conformal.cross_ratio(mob(z), *(mob(p) for p in zt))
-            - conformal.cross_ratio(z, *zt))
-        for z in probes
-    )
-    checks.append(_check("mobius_preserves_cross_ratio", float(cross_err), 1e-10))
-
-    xs = np.linspace(-half, half, 101)
-    seg = [conformal.strip_to_disk(complex(x, 0.0)) for x in xs]
-    seg_err = max(max(abs(w.imag), abs(w.real) - 1.0) for w in seg)
-    checks.append(_check("real_segment_to_real_diameter", float(seg_err), 1e-10))
-
-    ys = np.linspace(-2.0, 2.0, 81)
-    edge = [conformal.strip_to_disk(complex(s * half, y)) for s in (-1.0, 1.0) for y in ys]
-    edge_err = max(abs(abs(w) - 1.0) for w in edge)
-    checks.append(_check("band_boundary_to_unit_circle", float(edge_err), 1e-10))
-    return checks
-
-
-def _algebra_setup():
-    grid = Grid(-3.0, 3.0, 2401)
-    realization = algebra.Su11Realization(xi=algebra.tanh_map(), a=1.0, delta=1.5)
-    labels = algebra.labels_from_j(j=1.0, n=0, delta=1.5)
-    psi = algebra.gaussian_sector_function(grid, sector=labels.j0)
-    return grid, realization, labels, psi
-
-
-def _verify_algebra(cfg: RunConfig, rng) -> list:
-    checks = []
-    grid, realization, labels, psi = _algebra_setup()
-
-    res1, res2 = algebra.commutator_residual(realization, labels, psi)
-    checks.append(_check("commutator_plus_minus", res1, 1e-6))
-    checks.append(_check("commutator_j0_ladder", res2, 1e-6))
-
-    cas = algebra.casimir_residual(realization, labels, psi)
-    checks.append(_check("casimir_closed_vs_composed", cas, 1e-6))
-
-    from .masses import exponential_well_mass
-    cas_m = algebra.casimir_residual(realization, labels, psi,
-                                     mass=exponential_well_mass(0.5))
-    checks.append(_check("casimir_with_varying_mass", cas_m, 1e-6))
-
-    cgrid = Grid(-1.5, 1.5, 1501)
-    res_a, res_b = algebra.constraint_residuals(realization, cgrid)
-    checks.append(_check("constraint_b_vanishes", float(np.max(np.abs(res_b))), 1e-8))
-    checks.append(_check("constraint_a_is_constant", float(np.std(res_a)), 1e-8))
-    checks.append(_check("constraint_a_constant_value", float(np.mean(res_a)),
-                         kind="info", passed=True))
-
-    import dataclasses as _dc
-    scaled = _dc.replace(realization, sigma=3.0)
-    res1_s, res2_s = algebra.commutator_residual(scaled, labels, psi)
-    sigma_err = max(abs(res1 - res1_s), abs(res2 - res2_s),
-                    abs(cas - algebra.casimir_residual(scaled, labels, psi)))
-    checks.append(_check("sigma_invariance", sigma_err, 0.0, passed=sigma_err == 0.0))
-
-    no_delta = algebra.Su11Realization(xi=algebra.tanh_map(), a=1.0, delta=0.0)
-    _, res_b0 = algebra.constraint_residuals(no_delta, cgrid)
-    checks.append(_check("constraint_b_delta_zero", float(np.max(np.abs(res_b0))), 1e-12))
-    return checks
-
-
-def _verify_natanzon(cfg: RunConfig, rng) -> list:
-    checks = []
-    params = ginocchio.params_for(0.8, 2.0)
-
-    e1, e2, alpha = -3.0, -0.5, 0.3
-    mixed = natanzon.coeffs_at_energy(params, alpha * e1 + (1 - alpha) * e2)
-    c1 = natanzon.coeffs_at_energy(params, e1)
-    c2 = natanzon.coeffs_at_energy(params, e2)
-    lin_err = max(
-        abs(mixed.c - (alpha * c1.c + (1 - alpha) * c2.c)),
-        abs(mixed.p - (alpha * c1.p + (1 - alpha) * c2.p)),
-        abs(mixed.q - (alpha * c1.q + (1 - alpha) * c2.q)),
-    )
-    checks.append(_check("energy_linearity", float(lin_err), 1e-12))
-
-    import dataclasses as _dc
-    shifted = _dc.replace(params, a_c=params.a_c + 5.0, a_p=params.a_p - 2.0)
-    checks.append(_check("discriminant_shift_invariance",
-                         abs(params.discriminant - shifted.discriminant), 0.0,
-                         passed=params.discriminant == shifted.discriminant))
-
-    u = np.concatenate([np.linspace(-3.0, -0.05, 120), np.linspace(0.05, 3.0, 120)])
-    eq_err = 0.0
-    for gamma in (0.8, 1.0, 1.5):
-        p = ginocchio.params_for(gamma, 2.0)
-        v_nat = natanzon.natanzon_potential(p, np.tanh(u) ** 2)
-        v_hyp = ginocchio.v_hyperbolic(gamma, 2.0, u)
-        eq_err = max(eq_err, float(np.max(np.abs(v_nat - v_hyp))))
-    checks.append(_check("closed_potential_matches_hyperbolic", eq_err, 1e-10))
-
-    from .masses import constant_mass
-    cmap = natanzon.solve_coordinate_map(ginocchio.params_for(1.0, 2.0), constant_mass(),
-                                         x0=0.0, z0=math.tanh(0.5) ** 2,
-                                         grid=Grid(-2.0, 2.0, 801))
-    xs = np.linspace(-0.2, 1.9, 40)
-    ident_err = float(np.max(np.abs(
-        numerics.derivative(cmap.z, xs, order=1, h=1e-4) ** 2
-        - 2.0 * natanzon.generating_function(cmap.params, cmap.z(xs)))))
-    checks.append(_check("generating_identity_residual", ident_err, 1e-8))
-    closed_err = float(np.max(np.abs(cmap.z(xs) - np.tanh(math.sqrt(2.0) * xs + 0.5) ** 2)))
-    checks.append(_check("map_matches_closed_form", closed_err, 1e-8))
-
-    gparams = ginocchio.params_for(1.0, 2.0)
-    lbl = natanzon.labels_for_level(gparams, -4.0, 0)
-    co = natanzon.coeffs_at_energy(gparams, -4.0)
-    book_err = max(
-        abs((lbl.delta - 2 * lbl.j0) ** 2 / 4.0 - 1.0 - co.p),
-        abs((lbl.delta + 2 * lbl.j0) ** 2 / 4.0 - 2.0 - co.q),
-        abs(lbl.j0 - (lbl.n + 0.5 + math.sqrt(co.c + 0.25))),
-    )
-    checks.append(_check("discrete_series_bookkeeping", float(book_err), 1e-12))
-
-    verbatim = natanzon.quantization_residual(gparams, -4.0, 0, form="verbatim")
-    checks.append(_check("verbatim_identity_at_branch_root", float(verbatim),
-                         kind="info", passed=True))
-    return checks
-
-
-def _verify_ginocchio(cfg: RunConfig, rng) -> list:
-    checks = []
-    gammas = (0.5, 0.8, 1.0, 1.5, 2.0)
-    zs = np.linspace(0.1, 0.9, 9)
-
-    quad_err = 0.0
-    for g in gammas:
-        for z in zs:
-            closed = ginocchio.mu_closed_form(g, math.atanh(math.sqrt(z)))
-            quad_err = max(quad_err, abs(closed - ginocchio.mass_integral(g, float(z))))
-    checks.append(_check("mass_integral_vs_closed_form", quad_err, 1e-8))
-
-    rt_err = max(abs(ginocchio.invert_mu(g, ginocchio.mu_closed_form(g, u0)) - u0)
-                 for g in gammas for u0 in (-2.0, -0.8, 0.8, 2.0))
-    checks.append(_check("mu_inversion_round_trip", rt_err, 1e-10))
-
-    us = np.linspace(-5.0, 5.0, 201)
-    mono_ok = all(np.all(np.diff(ginocchio.mu_closed_form(g, us)) > 0.0) for g in gammas)
-    odd_err = max(float(np.max(np.abs(ginocchio.mu_closed_form(g, us)
-                                      + ginocchio.mu_closed_form(g, -us))))
-                  for g in gammas)
-    checks.append(_check("mu_monotone_increasing", 0.0 if mono_ok else 1.0, 0.5,
-                         passed=mono_ok))
-    checks.append(_check("mu_odd_in_u", odd_err, 1e-12))
-
-    uu = np.linspace(-4.0, 4.0, 161)
-    form_resid = {g: float(np.max(np.abs(
-        ginocchio.v_hyperbolic(g, 2.0, uu)
-        - ginocchio.v_polynomial(g, 2.0, ginocchio.y_of_u(g, uu))))) for g in gammas}
-    checks.append(_check("hyperbolic_vs_polynomial_gamma1", form_resid[1.0], 1e-12))
-    checks.append(_check("hyperbolic_vs_polynomial_table", max(form_resid.values()),
-                         kind="info", passed=True))
-
-    pt_err = max(abs(ginocchio.spectrum_closed_form(1.0, 2.0, n) + (2.0 - 2.0 * n) ** 2)
-                 for n in (0, 1, 2))
-    checks.append(_check("closed_spectrum_gamma1_collapse", pt_err, 1e-12))
-    neg_ok = ginocchio.spectrum_closed_form(1.0, 2.0, 0) < 0.0
-    checks.append(_check("closed_spectrum_negative_below_half_j",
-                         0.0 if neg_ok else 1.0, 0.5, passed=neg_ok))
-    return checks
-
-
-def _verify_pdmsolver(cfg: RunConfig, rng) -> list:
-    from .masses import constant_mass, rational_mass
-
-    checks = []
-    unit = constant_mass()
-    bdd = natanzon.BEN_DANIEL_DUKE
-
-    box = Grid(0.0, 1.0, 501)
-    h_list = []
-    for g in (box, box.refined(), box.refined().refined()):
-        v = np.zeros(g.n_points)
-        h_list.append((g, pdmsolver.assemble_hamiltonian(unit, v, bdd, g)))
-    eigs = [numerics.lowest_eigenvalues(hm, 4) for _, hm in h_list]
-    exact_box = np.array([(k * math.pi) ** 2 / 2.0 for k in range(1, 5)])
-    extrap = (4.0 * eigs[1] - eigs[0]) / 3.0
-    checks.append(_check("box_oracle_extrapolated",
-                         float(np.max(np.abs(extrap - exact_box))), 1e-4))
-    ratios = (eigs[0] - eigs[1]) / (eigs[1] - eigs[2])
-    order = float(np.log2(np.min(np.abs(ratios))))
-    order_hi = float(np.log2(np.max(np.abs(ratios))))
-    checks.append(_check("convergence_order_low", order, None, kind="hard",
-                         passed=1.8 <= order <= 2.2))
-    checks.append(_check("convergence_order_high", order_hi, None, kind="hard",
-                         passed=1.8 <= order_hi <= 2.2))
-
-    osc = Grid(-10.0, 10.0, 1001)
-    v_osc = 0.5 * osc.points ** 2
-    h_osc = pdmsolver.assemble_hamiltonian(unit, v_osc, bdd, osc)
-    osc_f = osc.refined()
-    h_osc_f = pdmsolver.assemble_hamiltonian(unit, 0.5 * osc_f.points ** 2, bdd, osc_f)
-    res_osc = pdmsolver.solve_bound_states(h_osc, 4, osc, refined=h_osc_f)
-    osc_err = float(np.max(np.abs(res_osc.energies - (np.arange(4) + 0.5))))
-    checks.append(_check("harmonic_oracle_extrapolated", osc_err, 1e-4))
-
-    rat = rational_mass(2.0)
-    gr = Grid(-8.0, 8.0, 801)
-    hm = pdmsolver.assemble_hamiltonian(rat, np.zeros(gr.n_points), bdd, gr)
-    rowsum = hm.diagonal[1:-1] + hm.offdiagonal[:-1] + hm.offdiagonal[1:]
-    checks.append(_check("flux_row_sums_vanish", float(np.max(np.abs(rowsum))),
-                         1e-9 * float(np.max(np.abs(hm.diagonal)))))
-
-    h_eta = pdmsolver.assemble_hamiltonian(unit, v_osc, OrderingParams(0.0, 0.0), osc)
-    same = np.array_equal(h_eta.diagonal, h_osc.diagonal) and \
-        np.array_equal(h_eta.offdiagonal, h_osc.offdiagonal)
-    checks.append(_check("ordering_immaterial_for_constant_mass",
-                         0.0 if same else 1.0, 0.5, passed=same))
-
-    spec = GinocchioSpec(1.0, 2.0)
-    report = pdmsolver.verify_spectrum(spec, unit, bdd, "v_plus_um",
-                                       Grid(-10.0, 10.0, 801), quad_tol=cfg.tol("quad"))
-    num = report.energies_numeric
-    pt_err = max(abs(num[0] + 4.0), abs(num[1] + 1.0)) if len(num) >= 2 else math.inf
-    checks.append(_check("poschl_teller_levels", float(pt_err), 1e-3))
-    fit = report.best_fit_index_map
-    checks.append(_check("index_map_doubling",
-                         fit.get("alpha"), None, kind="info",
-                         passed=fit.get("status") == "MATCHED" and fit.get("alpha") == 2))
-    mi = report.mass_independence.get("max_diff")
-    checks.append(_check("mass_independence", mi if mi is not None else math.inf,
-                         cfg.tol("mass_independence_gate")))
-    checks.append(_check("closed_form_levels_verbatim", report.energies_closed_form,
-                         kind="info", passed=True))
-
-    shift = 0.5
-    box_t = Grid(box.x_min + shift, box.x_max + shift, box.n_points)
-    hm_t = pdmsolver.assemble_hamiltonian(unit, np.zeros(box_t.n_points), bdd, box_t)
-    trans_err = float(np.max(np.abs(numerics.lowest_eigenvalues(hm_t, 4) - eigs[0])))
-    checks.append(_check("translation_covariance", trans_err, 1e-9 * exact_box[-1]))
-    return checks
-
-
-_SUITES = {
-    "conformal": _verify_conformal,
-    "algebra": _verify_algebra,
-    "natanzon": _verify_natanzon,
-    "ginocchio": _verify_ginocchio,
-    "pdmsolver": _verify_pdmsolver,
-}
+# verify
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    modules = (cfg.only,) if cfg.only else VERIFY_MODULES
+    modules = (cfg.only,) if cfg.only else verify.SUITES
     report = {"seed": cfg.seed, "modules": {}}
     all_hard = True
     for name in modules:
         rng = np.random.default_rng(cfg.seed)
-        checks = _SUITES[name](cfg, rng)
+        checks = verify.SUITES[name](cfg.tolerances, rng)
         hard_ok = all(c["passed"] for c in checks if c["kind"] == "hard")
         all_hard = all_hard and hard_ok
         report["modules"][name] = {"checks": checks, "hard_passed": hard_ok}

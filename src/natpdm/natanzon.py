@@ -313,9 +313,8 @@ def labels_for_level(params: NatanzonParams, energy: float, n: int) -> GroupLabe
 class CoordinateMap:
     """Monotone coordinate map z(x) in [0, 1] built by ODE integration.
 
-    Between the stored nodes z is a cubic Hermite interpolant; z' is the
-    generating-function right-hand side evaluated on the interpolated z,
-    and z'' follows from differentiating z'^2 = 2 m S(z) once:
+    Between the stored nodes z is a cubic Hermite interpolant; z''
+    follows from differentiating z'^2 = 2 m S(z) once:
     z'' = m' sqrt(S/(2m)) + m dS/dz.
     """
 
@@ -324,18 +323,6 @@ class CoordinateMap:
     xs: np.ndarray
     zs: np.ndarray
     dzs: np.ndarray
-
-    @property
-    def x_lo(self) -> float:
-        return float(self.xs[0])
-
-    @property
-    def x_hi(self) -> float:
-        return float(self.xs[-1])
-
-    @property
-    def z_range(self) -> tuple:
-        return float(np.min(self.zs)), float(np.max(self.zs))
 
     def _hermite(self, x):
         x = np.asarray(x, dtype=float)
@@ -353,9 +340,6 @@ class CoordinateMap:
 
     def z(self, x):
         return np.clip(self._hermite(x), 0.0, 1.0)
-
-    def z_prime(self, x):
-        return _map_rhs(self.params, self.mass, x, self.z(x))
 
     def z_double_prime(self, x):
         zv = self.z(x)

@@ -16,12 +16,11 @@ every closed-form spectrum claim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import ginocchio
-from .ginocchio import GinocchioSpec, potential_on_x_grid, spectrum_closed_form
+from .ginocchio import GinocchioSpec, params_for, potential_on_x_grid, spectrum_closed_form
 from .masses import MassProfile, NonpositiveMass, constant_mass, rational_mass
 from .natanzon import OrderingParams, solve_spectrum
 from .numerics import Grid, TridiagonalSymmetric, lowest_eigenvalues
@@ -80,36 +79,27 @@ class BoundStateResult:
     """
 
     energies: np.ndarray
-    grid: Grid
-    ordering: OrderingParams | None = None
-    convergence_estimate: np.ndarray = field(default_factory=lambda: np.array([]))
+    convergence_estimate: np.ndarray
 
     def bound_below(self, threshold: float) -> np.ndarray:
         return self.energies[self.energies < threshold]
 
 
-def solve_bound_states(h_matrix: TridiagonalSymmetric, k: int, grid: Grid,
-                       ordering: OrderingParams | None = None,
-                       refined: TridiagonalSymmetric | None = None,
-                       atol: float = 1e-10) -> BoundStateResult:
+def solve_bound_states(h_matrix: TridiagonalSymmetric, k: int,
+                       refined: TridiagonalSymmetric | None = None) -> BoundStateResult:
     """k lowest eigenvalues, optionally Richardson extrapolated.
 
-    refined must be the matrix assembled on grid.refined() (exactly half
-    the spacing); second-order convergence then cancels the leading
-    error term as (4 E_fine - E_coarse)/3.
+    refined must be assembled on Grid.refined() of the grid h_matrix was
+    assembled on (exactly half the spacing); second-order convergence
+    then cancels the leading error term as (4 E_fine - E_coarse)/3.
     """
-    coarse = lowest_eigenvalues(h_matrix, k, atol=atol)
+    coarse = lowest_eigenvalues(h_matrix, k)
     if refined is None:
-        return BoundStateResult(
-            energies=coarse, grid=grid, ordering=ordering,
-            convergence_estimate=np.full(k, np.nan),
-        )
-    fine = lowest_eigenvalues(refined, k, atol=atol)
+        return BoundStateResult(energies=coarse, convergence_estimate=np.full(k, np.nan))
+    fine = lowest_eigenvalues(refined, k)
     extrapolated = (4.0 * fine - coarse) / 3.0
-    return BoundStateResult(
-        energies=np.sort(extrapolated), grid=grid, ordering=ordering,
-        convergence_estimate=np.abs(fine - coarse),
-    )
+    return BoundStateResult(energies=np.sort(extrapolated),
+                            convergence_estimate=np.abs(fine - coarse))
 
 
 @dataclass(frozen=True)
@@ -197,15 +187,14 @@ def _best_fit_index_map(numeric: np.ndarray, closed: list) -> dict:
 
 
 def _numeric_bound_energies(spec, mass, ordering, assembly_variant, grid, k, quad_tol):
-    table = potential_on_x_grid(spec.gamma, spec.j, mass, ordering, grid,
-                                assembly=assembly_variant, tol=quad_tol)
     fine_grid = grid.refined()
-    table_fine = potential_on_x_grid(spec.gamma, spec.j, mass, ordering, fine_grid,
-                                     assembly=assembly_variant, tol=quad_tol)
-    h_coarse = assemble_hamiltonian(mass, table.v_total, ordering, grid)
-    h_fine = assemble_hamiltonian(mass, table_fine.v_total, ordering, fine_grid)
-    result = solve_bound_states(h_coarse, k, grid, ordering=ordering, refined=h_fine)
-    threshold = float(min(table.v_total[0], table.v_total[-1]))
+    v_fine = potential_on_x_grid(spec.gamma, spec.j, mass, ordering, fine_grid,
+                                 assembly=assembly_variant, tol=quad_tol).v_total
+    # refined() nests its nodes, so every other fine node is a coarse node
+    h_coarse = assemble_hamiltonian(mass, v_fine[::2], ordering, grid)
+    h_fine = assemble_hamiltonian(mass, v_fine, ordering, fine_grid)
+    result = solve_bound_states(h_coarse, k, refined=h_fine)
+    threshold = float(min(v_fine[0], v_fine[-1]))
     return result, threshold
 
 
@@ -232,7 +221,7 @@ def verify_spectrum(spec: GinocchioSpec, mass: MassProfile, ordering: OrderingPa
             closed.append(spectrum_closed_form(spec.gamma, spec.j, n))
         except ValueError:
             closed.append(float("nan"))
-    quant = solve_spectrum(params_for_spec(spec), n_top)
+    quant = solve_spectrum(params_for(spec.gamma, spec.j), n_top)
 
     residual_matrix = [[abs(float(e_num) - e_cl) if math.isfinite(e_cl) else float("nan")
                         for e_cl in closed] for e_num in numeric_bound]
@@ -270,7 +259,3 @@ def verify_spectrum(spec: GinocchioSpec, mass: MassProfile, ordering: OrderingPa
         convergence_estimates=[float(c) for c in result.convergence_estimate],
         bound_threshold=threshold,
     )
-
-
-def params_for_spec(spec: GinocchioSpec):
-    return ginocchio.params_for(spec.gamma, spec.j)

@@ -195,7 +195,7 @@ def test_criterion_8_discretization_quality():
     osc_f = osc.refined()
     hm_f = pdmsolver.assemble_hamiltonian(unit, 0.5 * osc_f.points ** 2,
                                           BEN_DANIEL_DUKE, osc_f)
-    res = pdmsolver.solve_bound_states(hm, 4, osc, refined=hm_f)
+    res = pdmsolver.solve_bound_states(hm, 4, refined=hm_f)
     osc_err = float(np.max(np.abs(res.energies - (np.arange(4) + 0.5))))
     assert osc_err <= 1e-4
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -203,15 +202,6 @@ class TestCasimir:
         real = Su11Realization(xi=tanh_map(), a=0.5, delta=1.5)
         with pytest.raises(ValueError):
             casimir_residual(real, labels, packet)
-
-
-class TestSigmaInvariance:
-    def test_residuals_identical(self, tanh_realization, labels, packet):
-        scaled = dataclasses.replace(tanh_realization, sigma=3.0)
-        assert commutator_residual(tanh_realization, labels, packet) \
-            == commutator_residual(scaled, labels, packet)
-        assert casimir_residual(tanh_realization, labels, packet) \
-            == casimir_residual(scaled, labels, packet)
 
 
 class TestAllowedJ0:

@@ -123,6 +123,17 @@ class TestConfigErrors:
         ["spectrum", "--tol", "quad"],
         ["verify", "--only", "nosuch"],
         ["spectrum", "--j", "-2"],
+        ["potential", "--gamma", "nan"],
+        ["potential", "--gamma", "inf"],
+        ["spectrum", "--j", "inf"],
+        ["potential", "--j", "nan"],
+        ["spectrum", "--tol", "quad=-1"],
+        ["spectrum", "--tol", "eig=1e-3"],
+        ["spectrum", "--grid=1,12,201"],
+        ["spectrum", "--grid=-12,12,4"],
+        ["spectrum", "--j", "1e6"],
+        ["potential", "--grid=-inf,12,11"],
+        ["spectrum", "--ordering", "nan,0"],
     ])
     def test_exit_code_two(self, args, capsys):
         code, _, err = run_cli(args, capsys)

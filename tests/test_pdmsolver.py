@@ -103,7 +103,7 @@ class TestBoundStates:
         fine = grid.refined()
         hm_f = assemble_hamiltonian(constant_mass(), np.zeros(fine.n_points),
                                     BEN_DANIEL_DUKE, fine)
-        res = solve_bound_states(hm, 4, grid, refined=hm_f)
+        res = solve_bound_states(hm, 4, refined=hm_f)
         exact = np.array([(k * math.pi) ** 2 / 2.0 for k in range(1, 5)])
         assert np.max(np.abs(res.energies - exact)) < 1e-4
         assert np.all(res.convergence_estimate < 1e-2)
@@ -115,7 +115,7 @@ class TestBoundStates:
         fine = grid.refined()
         hm_f = assemble_hamiltonian(constant_mass(), 0.5 * fine.points ** 2,
                                     BEN_DANIEL_DUKE, fine)
-        res = solve_bound_states(hm, 4, grid, refined=hm_f)
+        res = solve_bound_states(hm, 4, refined=hm_f)
         assert np.max(np.abs(res.energies - (np.arange(4) + 0.5))) < 1e-4
 
     def test_poschl_teller_ground_state(self):
@@ -130,7 +130,7 @@ class TestBoundStates:
         grid = Grid(-8.0, 8.0, 401)
         v = np.exp(-grid.points ** 2)
         hm = assemble_hamiltonian(constant_mass(), v, BEN_DANIEL_DUKE, grid)
-        res = solve_bound_states(hm, 3, grid)
+        res = solve_bound_states(hm, 3)
         assert res.bound_below(0.0).size == 0
 
     def test_translation_covariance(self):
@@ -193,6 +193,20 @@ class TestVerifySpectrum:
         payload = json.dumps(report.to_dict(), sort_keys=True)
         assert "energies_eq34" in payload
         assert "NaN" not in payload
+
+    def test_tabulates_each_mass_once_on_the_refined_grid(self, monkeypatch):
+        tabulated = []
+        original = pdmsolver.potential_on_x_grid
+
+        def counting(gamma, j, mass, ordering, grid, **kwargs):
+            tabulated.append(grid)
+            return original(gamma, j, mass, ordering, grid, **kwargs)
+
+        monkeypatch.setattr(pdmsolver, "potential_on_x_grid", counting)
+        grid = Grid(-10.0, 10.0, 201)
+        verify_spectrum(GinocchioSpec(1.0, 2.0), constant_mass(), BEN_DANIEL_DUKE,
+                        "v_plus_um", grid)
+        assert tabulated == [grid.refined(), grid.refined()]
 
     def test_structural_mass_independence_of_quantization(self):
         # the identity never sees the mass profile: no mass argument exists
