@@ -22,7 +22,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import numerics
 from .masses import MassProfile, constant_mass
 from .numerics import Grid, grid_derivative
 
@@ -47,6 +46,8 @@ __all__ = [
 ]
 
 _SINGULAR_TOL = 1e-13
+#: stencil-margin nodes dropped at each end before a residual's sup-norm
+_TRIM = 10
 
 
 class SingularPoint(ZeroDivisionError):
@@ -63,29 +64,14 @@ class NegativeDiscriminant(ValueError):
 
 @dataclass(frozen=True)
 class SmoothMap:
-    """Scalar map with optional analytic derivatives.
-
-    Callables must be vectorised; missing derivatives fall back to
-    Richardson finite differences with step fd_step.
-    """
+    """Scalar map with its first two derivatives; all three callables vectorised."""
 
     value: Callable
-    deriv: Callable | None = None
-    deriv2: Callable | None = None
-    fd_step: float = 1e-3
+    deriv: Callable
+    deriv2: Callable
 
     def __call__(self, x):
         return self.value(x)
-
-    def d1(self, x):
-        if self.deriv is not None:
-            return self.deriv(x)
-        return numerics.derivative(self.value, x, order=1, h=self.fd_step)
-
-    def d2(self, x):
-        if self.deriv2 is not None:
-            return self.deriv2(x)
-        return numerics.derivative(self.value, x, order=2, h=self.fd_step)
 
 
 def tanh_map() -> SmoothMap:
@@ -101,19 +87,15 @@ def tanh_map() -> SmoothMap:
 class Su11Realization:
     """The data fixing one differential realization.
 
-    h_choice is the multiplier in front of d/dx; None selects the
-    canonical xi/xi'.
+    The multiplier in front of d/dx is the canonical h = xi/xi'.
     """
 
     xi: SmoothMap
     a: float = 1.0
     delta: float = 0.0
-    h_choice: Callable | None = None
 
     def h_at(self, x):
-        if self.h_choice is not None:
-            return self.h_choice(x)
-        xp = self.xi.d1(x)
+        xp = self.xi.deriv(x)
         if np.any(np.asarray(np.abs(xp)) < _SINGULAR_TOL):
             raise SingularPoint("xi'(x) = 0: canonical multiplier xi/xi' undefined")
         return self.xi(x) / xp
@@ -158,15 +140,13 @@ class SectorFunction:
         return float(np.max(np.abs(self.values)))
 
 
-def gaussian_sector_function(grid: Grid, sector: float, center: float = 0.0,
-                             width: float = 0.35, poly=(1.0,)) -> SectorFunction:
-    """Gaussian times polynomial test function, supported away from the edges.
+def gaussian_sector_function(grid: Grid, sector: float) -> SectorFunction:
+    """Gaussian test function exp(-x^2/(2 w^2)), w = 0.35, supported away from the edges.
 
-    The default width keeps the support inside |tanh x| <= 0.9, clear of
-    the 1 - xi^2 poles of the closed forms.
+    The width keeps the support inside |tanh x| <= 0.9, clear of the
+    1 - xi^2 poles of the closed forms.
     """
-    x = grid.points
-    u = np.polyval(list(poly), x - center) * np.exp(-0.5 * ((x - center) / width) ** 2)
+    u = np.exp(-0.5 * (grid.points / 0.35) ** 2)
     return SectorFunction(grid=grid, sector=float(sector), values=u)
 
 
@@ -202,8 +182,8 @@ def constraint_residuals(realization: Su11Realization, grid: Grid):
 def g_weight(realization: Su11Realization, mass: MassProfile, x):
     """The first-order weight (2 - xi^2)/(1 - xi^2) - 3 xi xi''/(2 xi'^2) + m' xi/(2 m xi')."""
     xi = realization.xi(x)
-    xp = realization.xi.d1(x)
-    xpp = realization.xi.d2(x)
+    xp = realization.xi.deriv(x)
+    xpp = realization.xi.deriv2(x)
     one_minus = 1.0 - xi * xi
     if np.any(np.asarray(np.abs(one_minus)) < _SINGULAR_TOL):
         raise SingularPoint("xi^2 = 1 on the requested points")
@@ -247,15 +227,14 @@ def ladder_apply(realization: Su11Realization, labels: GroupLabels, which: str,
     return SectorFunction(psi.grid, m_sector - 1.0, -h * up - g * u + common)
 
 
-def _interior(values: np.ndarray, trim: int) -> np.ndarray:
-    if trim <= 0 or values.size <= 2 * trim:
+def _interior(values: np.ndarray) -> np.ndarray:
+    if values.size <= 2 * _TRIM:
         return values
-    return values[trim:-trim]
+    return values[_TRIM:-_TRIM]
 
 
 def commutator_residual(realization: Su11Realization, labels: GroupLabels,
-                        psi: SectorFunction, mass: MassProfile | None = None,
-                        trim: int = 10):
+                        psi: SectorFunction, mass: MassProfile | None = None):
     """Sup-norm residuals of the two commutation relations, relative to ||psi||.
 
     res1 checks [J+, J-] + 2 J0, res2 the worse of [J0, J+/-] -/+ J+/-.
@@ -270,7 +249,7 @@ def commutator_residual(realization: Su11Realization, labels: GroupLabels,
     jpjm = ladder_apply(realization, labels, "J+", jm, mass)
     jmjp = ladder_apply(realization, labels, "J-", jp, mass)
     comm = jpjm.values - jmjp.values + 2.0 * psi.sector * psi.values
-    res1 = float(np.max(np.abs(_interior(comm, trim)))) / scale
+    res1 = float(np.max(np.abs(_interior(comm)))) / scale
 
     j0psi = ladder_apply(realization, labels, "J0", psi, mass)
     res2 = 0.0
@@ -279,13 +258,12 @@ def commutator_residual(realization: Su11Realization, labels: GroupLabels,
         j0_after = (psi.sector + shift) * jpm.values
         after_j0 = ladder_apply(realization, labels, which, j0psi, mass).values
         resid = j0_after - after_j0 - sign * jpm.values
-        res2 = max(res2, float(np.max(np.abs(_interior(resid, trim)))) / scale)
+        res2 = max(res2, float(np.max(np.abs(_interior(resid)))) / scale)
     return res1, res2
 
 
 def casimir_residual(realization: Su11Realization, labels: GroupLabels,
-                     psi: SectorFunction, mass: MassProfile | None = None,
-                     trim: int = 10) -> float:
+                     psi: SectorFunction, mass: MassProfile | None = None) -> float:
     """Sup-norm mismatch between the composed and the closed-form invariant.
 
     The composition J0^2 - J0 - J+J- is applied through the sampled
@@ -312,8 +290,8 @@ def casimir_residual(realization: Su11Realization, labels: GroupLabels,
     composed = j0 * j0 * u - j0 * u - jpjm.values
 
     xi = realization.xi(x)
-    xp = realization.xi.d1(x)
-    xpp = realization.xi.d2(x)
+    xp = realization.xi.deriv(x)
+    xpp = realization.xi.deriv2(x)
     g = g_weight(realization, mass, x)
     gp = grid_derivative(g, dx, order=1)
     up = grid_derivative(u, dx, order=1)
@@ -325,4 +303,4 @@ def casimir_residual(realization: Su11Realization, labels: GroupLabels,
            - xi * (delta + 2.0 * j0 * xi) * (2.0 * j0 + delta * xi) / one_minus ** 2) * u
 
     diff = composed - closed
-    return float(np.max(np.abs(_interior(diff, trim)))) / psi.sup_norm()
+    return float(np.max(np.abs(_interior(diff)))) / psi.sup_norm()

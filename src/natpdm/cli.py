@@ -172,8 +172,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         cfg.fmt = fmt
     tol_items = list(getattr(args, "tol", None) or [])
     file_tols = file_values.get("tol", {})
-    if isinstance(file_tols, dict):
-        file_tols = [f"{k}={v}" for k, v in file_tols.items()]
+    if not isinstance(file_tols, dict):
+        raise ConfigError(f"config file tol must be a JSON object of name: value, "
+                          f"got {file_tols!r}")
+    file_tols = [f"{k}={v}" for k, v in file_tols.items()]
     cfg.tolerances.update({**_parse_tols(file_tols), **_parse_tols(tol_items)})
     only = pick("only", None)
     if only is not None:

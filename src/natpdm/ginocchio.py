@@ -5,7 +5,7 @@ p0 = (1 - gamma^2)/gamma^4, a_p = (j + 1/2)^2 - 1, q0 = 0, a_q = -7/4.
 The coordinate map is known only implicitly: the dimensionless travel
 coordinate mu = integral sqrt(2 m) dx has a closed form in the auxiliary
 variable u (where the construction variable is z = tanh^2 u), and u(mu)
-is recovered numerically by monotone bracketing.
+is recovered numerically by bisection on the closed form.
 
 Note on symbols: the hyperbolic closed forms reuse one letter for the
 integration variable; here it is always called u, keeping z for the
@@ -79,21 +79,18 @@ def params_for(gamma: float, j: float) -> NatanzonParams:
     )
 
 
-def _mu_scalar(gamma: float, u: float) -> float:
-    g2 = gamma * gamma
-    s = math.sinh(u)
-    d = math.sqrt(g2 + s * s)
-    # arctanh(s/d) written as sign(s) ln((d + |s|)/gamma): s/d rounds to 1
-    # once sinh^2 u dwarfs gamma^2, but (d - |s|)(d + |s|) = gamma^2 exactly
-    out = math.copysign(math.log((d + abs(s)) / gamma), s) / g2
-    if gamma > 1.0:
-        k = math.sqrt(g2 - 1.0)
-        out += k / g2 * math.atan(k * s / d)
-    elif gamma < 1.0:
-        # real continuation of the gamma > 1 arctan term via atan(ix) = i atanh(x)
-        k = math.sqrt(1.0 - g2)
-        out -= k / g2 * math.atanh(k * s / d)
-    return out
+def _bounded_terms(gamma: float, u):
+    """(|u|, e, w, q) with e = exp(-|u|), w = 1 - e^2 and q = sqrt(w^2 + 4 gamma^2 e^2).
+
+    With D = sqrt(gamma^2 + sinh^2 u) these give |sinh u|/D = w/q and
+    1/D = 2 e/q.  Every factor lies in a bounded range, so the closed
+    forms built on them stay finite for every finite u, where sinh^2 u
+    itself overflows past |u| ~ 355.
+    """
+    a = np.abs(u)
+    e = np.exp(-a)
+    w = -np.expm1(-2.0 * a)
+    return a, e, w, np.sqrt(w * w + 4.0 * gamma * gamma * e * e)
 
 
 def mu_closed_form(gamma: float, u):
@@ -105,23 +102,21 @@ def mu_closed_form(gamma: float, u):
     coefficients, and at gamma = 1 it vanishes so mu = u.  Odd and
     strictly increasing in u for every gamma > 0.
     """
-    if np.ndim(u) == 0:
-        return _mu_scalar(gamma, float(u))
-    u = np.asarray(u, dtype=float)
     g2 = gamma * gamma
-    s = np.sinh(u)
-    d = np.sqrt(g2 + s * s)
-    out = np.copysign(np.log((d + np.abs(s)) / gamma), s) / g2
+    a, _, w, q = _bounded_terms(gamma, u)
+    # arctanh(|sinh u|/D) = ln((D + |sinh u|)/gamma) = |u| + ln((q + w)/(2 gamma))
+    out = (a + np.log((q + w) / (2.0 * gamma))) / g2
     if gamma > 1.0:
         k = math.sqrt(g2 - 1.0)
-        out = out + k / g2 * np.arctan(k * s / d)
+        out = out + k / g2 * np.arctan(k * w / q)
     elif gamma < 1.0:
+        # real continuation of the gamma > 1 arctan term via atan(ix) = i atanh(x)
         k = math.sqrt(1.0 - g2)
-        out = out - k / g2 * np.arctanh(k * s / d)
-    return out
+        out = out - k / g2 * np.arctanh(k * w / q)
+    return np.copysign(out, u)
 
 
-def mass_integral(gamma: float, z: float, tol: float = 1e-10) -> float:
+def mass_integral(gamma: float, z: float) -> float:
     """Travel coordinate as the quadrature (1/2 gamma^2) int_0^z ds sqrt(1 - g^2 + g^2/s)/(1-s).
 
     The integrand carries an s^(-1/2) endpoint singularity at s = 0, so
@@ -137,49 +132,59 @@ def mass_integral(gamma: float, z: float, tol: float = 1e-10) -> float:
     def integrand(s):
         return math.sqrt(1.0 - g2 + g2 / s) / (1.0 - s)
 
-    return numerics.integrate(integrand, 0.0, z, tol, sqrt_singularity="lower") / (2.0 * g2)
+    return numerics.integrate(integrand, 0.0, z, 1e-10, sqrt_singularity="lower") / (2.0 * g2)
 
 
-def invert_mu(gamma: float, mu: float, tol: float = 1e-12) -> float:
-    """u with mu_closed_form(gamma, u) = mu, by monotone bracketing.
+def invert_mu(gamma: float, mu):
+    """u with mu_closed_form(gamma, u) = mu, elementwise, by bisection.
 
     mu is odd in u, so only |mu| is bracketed and the sign restored.
+    mu' lies between 1/gamma and 1/gamma^2, so u lies in
+    [0, |mu| max(1, gamma^2)]; an upper end that rounding leaves short of
+    its target is doubled.  All brackets are then halved together until
+    their two ends are adjacent floats.  A scalar mu gives a float; a mu
+    with no finite u, such as a non-finite one, raises ValueError.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    mu = np.asarray(mu, dtype=float)
     if gamma == 1.0:
-        return float(mu)  # mu(u) = u exactly at gamma = 1
-    target = abs(float(mu))
-    if target == 0.0:
-        return 0.0
-    hi = 1.0
-    for _ in range(200):
-        if _mu_scalar(gamma, hi) >= target:
-            break
-        hi *= 2.0
-    else:  # pragma: no cover - mu grows without bound
-        raise numerics.MaxIterations("bracket expansion failed")
-    u = numerics.find_root(lambda v: _mu_scalar(gamma, v) - target, (0.0, hi), tol)
-    return math.copysign(u, mu)
+        u = mu  # mu(u) = u exactly at gamma = 1
+    else:
+        target = np.abs(mu)
+        lo = np.zeros_like(target)
+        hi = target * max(1.0, gamma * gamma)
+        while np.any(short := mu_closed_form(gamma, hi) < target):
+            hi = np.where(short, 2.0 * hi, hi)
+        # mu(lo) < target <= mu(hi) holds throughout, so a bracket already
+        # down to adjacent floats is left unchanged by one more step
+        while np.any((lo < (mid := 0.5 * (lo + hi))) & (mid < hi)):
+            below = mu_closed_form(gamma, mid) < target
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        u = np.copysign(hi, mu)
+    if not np.all(np.isfinite(u)):
+        raise ValueError("no finite u solves mu_closed_form(gamma, u) = mu")
+    return float(u) if np.ndim(u) == 0 else u
 
 
 def v_hyperbolic(gamma: float, j: float, u):
     """Hyperbolic form of the potential in the u variable.
 
     All gamma-deformation terms carry (gamma^2 - 1) factors, so at
-    gamma = 1 the potential collapses to -j(j+1)/cosh^2 u.
+    gamma = 1 the potential collapses to -j(j+1)/cosh^2 u.  Evaluated
+    through r = 1/(gamma^2 + sinh^2 u), which lies in [0, 1/gamma^2].
     """
     g2 = gamma * gamma
-    d2 = g2 + np.sinh(u) ** 2
-    return -g2 * g2 * (j * (j + 1.0) - g2 + 1.0) / d2 \
-        - 0.75 * g2 * g2 * (3.0 * g2 - 1.0) * (g2 - 1.0) / d2 ** 2 \
-        + 1.25 * g2 ** 3 * (g2 - 1.0) ** 2 / d2 ** 3
+    _, e, _, q = _bounded_terms(gamma, u)
+    r = (2.0 * e / q) ** 2
+    return -g2 * g2 * (j * (j + 1.0) - g2 + 1.0) * r \
+        - 0.75 * g2 * g2 * (3.0 * g2 - 1.0) * (g2 - 1.0) * r ** 2 \
+        + 1.25 * g2 ** 3 * (g2 - 1.0) ** 2 * r ** 3
 
 
 def y_of_u(gamma: float, u):
     """y = sinh u / sqrt(gamma^2 + sinh^2 u), odd, with range (-1, 1)."""
-    s = np.sinh(u)
-    return s / np.sqrt(gamma * gamma + s * s)
+    _, _, w, q = _bounded_terms(gamma, u)
+    return np.copysign(w / q, u)
 
 
 def v_polynomial(gamma: float, j: float, y):
@@ -230,19 +235,19 @@ class PotentialTable:
 
 def potential_on_x_grid(gamma: float, j: float, mass: MassProfile,
                         ordering: OrderingParams, grid: Grid,
-                        assembly: str = "v_plus_um", x0: float = 0.0,
-                        tol: float = 1e-10) -> PotentialTable:
+                        assembly: str = "v_plus_um", tol: float = 1e-10) -> PotentialTable:
     """Tabulate the full position-dependent-mass potential on a grid.
 
-    Per grid point: mu by cumulative quadrature of sqrt(2 m) anchored at
-    x0, u from the monotone inversion, then the hyperbolic form plus the
-    selected combination of mass-correction terms.  The default assembly
-    v_hyp + Um is the one whose spectra stay mass independent.
+    mu by cumulative per-cell quadrature of sqrt(2 m) to tolerance tol,
+    anchored at x = 0; u from one inversion of the whole mu column; then
+    the hyperbolic form plus the selected combination of mass-correction
+    terms.  The default assembly v_hyp + Um is the one whose spectra stay
+    mass independent.
     """
     if assembly not in ASSEMBLY_VARIANTS:
         raise ValueError(f"assembly must be one of {ASSEMBLY_VARIANTS}, got {assembly!r}")
-    if not grid.x_min <= x0 <= grid.x_max:
-        raise ValueError(f"anchor x0={x0} outside grid [{grid.x_min}, {grid.x_max}]")
+    if not grid.x_min <= 0.0 <= grid.x_max:
+        raise ValueError(f"anchor x = 0 outside grid [{grid.x_min}, {grid.x_max}]")
     pts = grid.points
     mass.require_positive(pts)
 
@@ -254,9 +259,9 @@ def potential_on_x_grid(gamma: float, j: float, mass: MassProfile,
     for i in range(1, grid.n_points):
         cell[i] = numerics.integrate(speed, pts[i - 1], pts[i], tol)
     mu = np.cumsum(cell)
-    mu -= mu[0] + numerics.integrate(speed, pts[0], x0, tol)
+    mu -= mu[0] + numerics.integrate(speed, pts[0], 0.0, tol)
 
-    u = np.array([invert_mu(gamma, m_i, tol=min(tol, 1e-12)) for m_i in mu])
+    u = invert_mu(gamma, mu)
     # tanh^2 rounds to 1.0 for |u| beyond ~19; the exact value is < 1,
     # so round toward the open interval instead
     z = np.minimum(np.tanh(u) ** 2, np.nextafter(1.0, 0.0))

@@ -7,6 +7,7 @@ coordinate mu(x) = integral of sqrt(2 m) a bijection of the real line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -102,12 +103,12 @@ def exponential_well_mass(b: float = 0.5) -> MassProfile:
     return MassProfile(m, m_prime, m_double_prime, label=f"exponential-well:{b}")
 
 
-def mass_from_callable(m: Callable, label: str = "custom", fd_step: float = 1e-3) -> MassProfile:
-    """Wrap a bare m(x) callable; derivatives come from finite differences."""
+def mass_from_callable(m: Callable, label: str = "custom") -> MassProfile:
+    """Wrap a bare m(x) callable; derivatives come from finite differences with step 1e-3."""
     return MassProfile(
         m=m,
-        m_prime=lambda x: numerics.derivative(m, x, order=1, h=fd_step),
-        m_double_prime=lambda x: numerics.derivative(m, x, order=2, h=fd_step),
+        m_prime=lambda x: numerics.derivative(m, x, order=1, h=1e-3),
+        m_double_prime=lambda x: numerics.derivative(m, x, order=2, h=1e-3),
         label=label,
     )
 
@@ -127,6 +128,9 @@ def parse_mass(text: str) -> MassProfile:
         known = ", ".join(sorted(MASS_REGISTRY))
         raise ValueError(f"unknown mass profile {name!r} (known: {known})")
     factory = MASS_REGISTRY[name]
-    if param:
-        return factory(float(param))
-    return factory()
+    if not param:
+        return factory()
+    value = float(param)
+    if not math.isfinite(value):
+        raise ValueError(f"mass parameter must be finite, got {param!r}")
+    return factory(value)

@@ -43,6 +43,10 @@ __all__ = [
 ]
 
 
+#: root tolerance of the quantization solve, and the gap kept below E = 0
+_ROOT_TOL = 1e-12
+
+
 class RZero(ZeroDivisionError):
     """R(z) vanished where the construction needs it positive."""
 
@@ -218,10 +222,10 @@ def quantization_residual(params: NatanzonParams, energy: float, n: int,
     return sq - sp - sc - (2.0 * n + 1.0)
 
 
-def default_energy_bracket(params: NatanzonParams, tol: float = 1e-12) -> tuple:
+def default_energy_bracket(params: NatanzonParams) -> tuple:
     """Bound-state search window: negative energies bounded by the p-scale."""
     span = (math.sqrt(max(params.a_p + 1.0, 0.0)) + 1.0) ** 2
-    return (-span, -tol)
+    return (-span, -_ROOT_TOL)
 
 
 def _feasible_bracket(params: NatanzonParams, bracket) -> tuple | None:
@@ -242,38 +246,34 @@ def _feasible_bracket(params: NatanzonParams, bracket) -> tuple | None:
     return lo + pad, hi - pad
 
 
-def solve_spectrum(params: NatanzonParams, n_max: int, e_bracket=None,
-                   subdivisions: int = 64, tol: float = 1e-12,
-                   form: str = "branch_rule") -> np.ndarray:
-    """Roots E_n of the quantization identity for n = 0..n_max.
+def solve_spectrum(params: NatanzonParams, n_max: int) -> np.ndarray:
+    """Roots E_n of the branch-rule quantization identity for n = 0..n_max.
 
-    The bracket is scanned on a uniform subdivision for sign changes and
-    each change is polished by the bracketed root finder.  Levels with
-    no root inside the bracket are reported as NaN; the identity itself
-    contains no mass profile, so neither does this function.
+    The default bracket is scanned on a uniform 64-cell subdivision for
+    sign changes and each change is polished by the bracketed root
+    finder.  Levels with no root inside the bracket are reported as NaN;
+    the identity itself contains no mass profile, so neither does this
+    function.
     """
-    if e_bracket is None:
-        e_bracket = default_energy_bracket(params, tol)
     energies = np.full(n_max + 1, np.nan)
-    feasible = _feasible_bracket(params, e_bracket)
+    feasible = _feasible_bracket(params, default_energy_bracket(params))
     if feasible is None:
         return energies
-    lo, hi = feasible
-    grid = np.linspace(lo, hi, subdivisions + 1)
+    grid = np.linspace(*feasible, 65)
     for n in range(n_max + 1):
         try:
-            energies[n] = _root_for_level(params, n, grid, tol, form)
+            energies[n] = _root_for_level(params, n, grid)
         except NoRoot:
             pass
     return energies
 
 
-def _root_for_level(params, n, grid, tol, form) -> float:
+def _root_for_level(params, n, grid) -> float:
     def resid(energy):
-        return quantization_residual(params, energy, n, form)
+        return quantization_residual(params, energy, n)
 
     vals = np.array([resid(e) for e in grid])
-    hit = np.nonzero(np.abs(vals) <= tol)[0]
+    hit = np.nonzero(np.abs(vals) <= _ROOT_TOL)[0]
     if hit.size:
         return float(grid[hit[0]])
     sign_change = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
@@ -281,7 +281,7 @@ def _root_for_level(params, n, grid, tol, form) -> float:
         raise NoRoot(f"no sign change for level n={n}")
     i = int(sign_change[0])
     try:
-        return find_root(resid, (grid[i], grid[i + 1]), tol)
+        return find_root(resid, (grid[i], grid[i + 1]), _ROOT_TOL)
     except (NoSignChange, MaxIterations) as exc:  # pragma: no cover - defensive
         raise NoRoot(f"root polish failed for level n={n}: {exc}") from exc
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from natpdm import cli
+from natpdm import cli, ginocchio
 
 
 def run_cli(args, capsys):
@@ -68,6 +68,19 @@ class TestPotential:
         payload = json.loads(out)
         assert set(payload) >= {"x", "V_total", "gamma", "j"}
         assert len(payload["x"]) == 21
+
+    def test_large_u_round_trip(self, capsys):
+        # gamma = 6 drives |u| past 355 on the default box, where sinh^2 u
+        # overflows; the tabulated u must still map back onto mu
+        code, out, err = run_cli(
+            ["potential", "--gamma=6", "--grid=-12,12,101", "--format=json"], capsys)
+        assert code == 0
+        assert err == ""
+        payload = json.loads(out)
+        u, mu = np.array(payload["u"]), np.array(payload["mu"])
+        assert np.max(np.abs(u)) > 355.0
+        assert np.max(np.abs(ginocchio.mu_closed_form(6.0, u) - mu)) < 1e-10
+        assert np.max(np.abs(np.array(payload["V_hyp"]) - np.array(payload["V_poly"]))) < 1e-10
 
 
 class TestSpectrum:
@@ -134,6 +147,9 @@ class TestConfigErrors:
         ["spectrum", "--j", "1e6"],
         ["potential", "--grid=-inf,12,11"],
         ["spectrum", "--ordering", "nan,0"],
+        ["potential", "--mass=rational:nan"],
+        ["potential", "--mass=rational:inf"],
+        ["potential", "--mass=exponential-well:inf"],
     ])
     def test_exit_code_two(self, args, capsys):
         code, _, err = run_cli(args, capsys)
@@ -152,9 +168,11 @@ class TestConfigErrors:
         mid = len(cols["x"]) // 2
         assert cols["V_total"][mid] == pytest.approx(-6.0, abs=1e-10)
 
-    def test_bad_config_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", ["{not json", '{"tol": 5}'],
+                             ids=["not-json", "tol-not-object"])
+    def test_bad_config_file(self, tmp_path, capsys, text):
         cfg = tmp_path / "broken.json"
-        cfg.write_text("{not json")
+        cfg.write_text(text)
         code, _, err = run_cli(["potential", "--config", str(cfg)], capsys)
         assert code == 2
 

@@ -78,7 +78,8 @@ class TestMuClosedForm:
 
     def test_large_argument_stable(self):
         for g in GAMMAS:
-            assert math.isfinite(mu_closed_form(g, 30.0))
+            for u0 in (30.0, -400.0, 400.0, -800.0, 800.0):
+                assert math.isfinite(mu_closed_form(g, u0))
 
 
 class TestMassIntegral:
@@ -112,8 +113,25 @@ class TestInvertMu:
 
     def test_round_trip(self):
         for g in GAMMAS:
-            for u0 in (-2.0, -0.8, 0.8, 2.0):
+            for u0 in (-800.0, -400.0, -2.0, -0.8, 0.8, 2.0, 400.0, 800.0):
                 assert abs(invert_mu(g, mu_closed_form(g, u0)) - u0) < 1e-10
+
+    def test_array_matches_scalar(self):
+        u0 = np.array([-3.0, -0.5, 0.0, 1e-9, 0.7, 4.0])
+        for g in GAMMAS:
+            mu = mu_closed_form(g, u0)
+            whole = invert_mu(g, mu)
+            assert whole.shape == u0.shape
+            assert isinstance(invert_mu(g, float(mu[4])), float)
+            assert list(whole) == [invert_mu(g, float(m)) for m in mu]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises(self, bad):
+        for g in (0.8, 1.0, 2.0):
+            with pytest.raises(ValueError):
+                invert_mu(g, bad)
+            with pytest.raises(ValueError):
+                invert_mu(g, np.array([0.5, bad]))
 
 
 class TestPotentialForms:
@@ -213,6 +231,19 @@ class TestPotentialTable:
         grid = Grid(-8.0, 8.0, 161)
         table = potential_on_x_grid(1.4, 2.0, rational_mass(2.0), BEN_DANIEL_DUKE, grid)
         assert np.all(table.z >= 0.0) and np.all(table.z < 1.0)
+
+    def test_inverts_the_whole_column_at_once(self, monkeypatch):
+        calls = []
+        original = ginocchio.invert_mu
+
+        def counting(gamma, mu):
+            calls.append(np.shape(mu))
+            return original(gamma, mu)
+
+        monkeypatch.setattr(ginocchio, "invert_mu", counting)
+        grid = Grid(-4.0, 4.0, 161)
+        potential_on_x_grid(0.8, 2.0, rational_mass(2.0), BEN_DANIEL_DUKE, grid)
+        assert calls == [(161,)]
 
     def test_assembly_variants(self):
         grid = Grid(-3.0, 3.0, 121)
