@@ -31,12 +31,23 @@ EXIT_CONFIG_ERROR = 2
 EXIT_INVERSION_FAILURE = 3
 EXIT_SOLVER_FAILURE = 4
 
+# potential tables stay finite for gamma in this range; beyond it the
+# closed forms overflow (gamma^2 mu, gamma^6) or lose every digit
+GAMMA_MIN = 1e-8
+GAMMA_MAX = 1e6
+
 DEFAULT_TOLERANCES = {
     "quad": 1e-10,
     "spectrum_gate": 5e-3,
     "eq27_vs_eq34_gate": 1e-9,
     "mass_independence_gate": 2e-3,
 }
+
+
+# library exceptions that mean a solver failed (exit 4) in spectrum and verify
+_SOLVER_FAILURES = (numerics.MaxIterations, numerics.ToleranceNotMet,
+                   numerics.EigensolverFailure, natanzon.StiffBlowup,
+                   pdmsolver.NonpositiveMass)
 
 
 class ConfigError(ValueError):
@@ -138,8 +149,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         cfg.j = float(pick("j", cfg.j))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"gamma and j must be numeric: {exc}") from exc
-    if not 0.0 < cfg.gamma < math.inf:
-        raise ConfigError(f"gamma must be positive and finite, got {cfg.gamma}")
+    if not GAMMA_MIN <= cfg.gamma <= GAMMA_MAX:
+        raise ConfigError(f"gamma must lie in [{GAMMA_MIN:g}, {GAMMA_MAX:g}], got {cfg.gamma}")
     if not 0.0 <= cfg.j < math.inf:
         raise ConfigError(f"j must be non-negative and finite, got {cfg.j}")
 
@@ -282,8 +293,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
             spec, cfg.mass_profile(), cfg.ordering, cfg.assembly, cfg.grid,
             quad_tol=cfg.tolerances["quad"],
         )
-    except (numerics.MaxIterations, numerics.ToleranceNotMet,
-            natanzon.StiffBlowup, pdmsolver.NonpositiveMass) as exc:
+    except _SOLVER_FAILURES as exc:
         sys.stderr.write(f"solver failure: {exc}\n")
         return EXIT_SOLVER_FAILURE
 
@@ -322,7 +332,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     all_hard = True
     for name in modules:
         rng = np.random.default_rng(cfg.seed)
-        checks = verify.SUITES[name](cfg.tolerances, rng)
+        try:
+            checks = verify.SUITES[name](cfg.tolerances, rng)
+        except _SOLVER_FAILURES as exc:
+            sys.stderr.write(f"solver failure in the {name} suite: {exc}\n")
+            return EXIT_SOLVER_FAILURE
         hard_ok = all(c["passed"] for c in checks if c["kind"] == "hard")
         all_hard = all_hard and hard_ok
         report["modules"][name] = {"checks": checks, "hard_passed": hard_ok}
@@ -337,7 +351,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gamma", type=float, default=None,
-                        help="deformation parameter gamma > 0")
+                        help=f"deformation parameter gamma in [{GAMMA_MIN:g}, {GAMMA_MAX:g}]")
     parser.add_argument("--j", type=float, default=None,
                         help="potential-strength label j >= 0")
     parser.add_argument("--ordering", default=None,

@@ -3,15 +3,19 @@
 Provides a bracketed Brent-style root finder, adaptive Simpson quadrature
 (with an optional s = t**2 substitution for inverse-square-root endpoint
 singularities), Richardson-extrapolated central differences, fourth-order
-grid stencils, and a Sturm-bisection eigensolver for real symmetric
-tridiagonal matrices.
+grid stencils, and an eigensolver for real symmetric tridiagonal
+matrices: LAPACK bisection (dstebz, reached through ctypes in the LAPACK
+that numpy.linalg already links, so no extra dependency) whose levels are
+certified by one vectorised Sturm sign count.
 
-All operations are pure: no module state, inputs are never mutated, so
-concurrent callers are safe.
+All operations are pure: inputs are never mutated and the only module
+state is two caches of constants (stencil weights and the resolved LAPACK
+routine), so concurrent callers are safe.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,6 +30,7 @@ __all__ = [
     "MaxIterations",
     "ToleranceNotMet",
     "DimensionMismatch",
+    "EigensolverFailure",
     "find_root",
     "integrate",
     "derivative",
@@ -56,6 +61,10 @@ class ToleranceNotMet(RuntimeError):
 
 class DimensionMismatch(ValueError):
     """Array lengths inconsistent with the requested operation."""
+
+
+class EigensolverFailure(RuntimeError):
+    """LAPACK bisection failed, or a level failed its Sturm certificate."""
 
 
 @dataclass(frozen=True)
@@ -357,42 +366,83 @@ def sturm_count(matrix: TridiagonalSymmetric, lam):
     # zero pivots count as negative, consistent with the -pivmin replacement
     q = d[0] - lam_arr
     count = (q <= 0.0).astype(np.int64)
-    for i in range(1, d.size):
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(1, d.size):
+            q = np.where(np.abs(q) < pivmin, -pivmin, q)
             q = d[i] - lam_arr - e2[i - 1] / q
-        count += q <= 0.0
+            count += q <= 0.0
     if np.isscalar(lam) or np.asarray(lam).ndim == 0:
         return int(count[0])
     return count
 
 
-def lowest_eigenvalues(matrix: TridiagonalSymmetric, k: int, atol: float = 1e-10) -> np.ndarray:
-    """k smallest eigenvalues by Sturm-count bisection, ascending.
+@lru_cache(maxsize=None)
+def _dstebz():
+    """LAPACKE dstebz from the ILP64 LAPACK that numpy.linalg already links.
 
-    Bisection certifies each eigenvalue inside a shrinking bracket, so
-    only the eigenvalues that are actually requested are paid for.
+    Resolved on the first eigensolve, so importing natpdm loads nothing.
+    """
+    from numpy.linalg import _umath_linalg
+
+    # numpy wheels bundle scipy-openblas, which exports LAPACKE with a
+    # scipy_ prefix and, being ILP64, a 64_ suffix and 64-bit integers
+    try:
+        fn = ctypes.CDLL(_umath_linalg.__file__).scipy_LAPACKE_dstebz64_
+    except (OSError, AttributeError) as exc:
+        raise EigensolverFailure(f"LAPACK dstebz not found in numpy's linked LAPACK: {exc}") \
+            from exc
+    lint = ctypes.c_int64
+    vec = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+    ivec = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+    # range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock, isplit
+    fn.argtypes = [ctypes.c_char, ctypes.c_char, lint, ctypes.c_double, ctypes.c_double,
+                   lint, lint, ctypes.c_double, vec, vec, ivec, ivec, vec, ivec, ivec]
+    fn.restype = lint
+    return fn
+
+
+def lowest_eigenvalues(matrix: TridiagonalSymmetric, k: int, atol: float = 1e-10) -> np.ndarray:
+    """k smallest eigenvalues, ascending, by LAPACK bisection (dstebz).
+
+    Each level is located to within atol and then certified by one
+    vectorised Sturm sweep: level i (1-based) passes only if
+    count(E_i - delta) <= i - 1 and count(E_i + delta) >= i, with
+    delta = max(atol, 8 eps ||T||) and ||T|| the Gershgorin bound, so
+    the margin grows with the rounding of the count itself.  Degenerate
+    levels pass.  Raises EigensolverFailure when LAPACK reports an error
+    (non-finite entries included), finds fewer than k levels, the
+    certificate rejects a level, or the routine cannot be found.
     """
     n = matrix.size
     if not 1 <= k <= n:
         raise DimensionMismatch(f"k={k} outside 1..{n}")
-    d = matrix.diagonal
-    e = np.abs(matrix.offdiagonal)
-    radius = np.zeros(n)
+    d = np.ascontiguousarray(matrix.diagonal)
+    e = np.ascontiguousarray(matrix.offdiagonal)
+    found = np.zeros(1, dtype=np.int64)
+    nsplit = np.zeros(1, dtype=np.int64)
+    w = np.empty(n)
+    iblock = np.empty(n, dtype=np.int64)
+    isplit = np.empty(n, dtype=np.int64)
+    info = _dstebz()(b"I", b"E", n, 0.0, 0.0, 1, k, atol, d, e,
+                     found, nsplit, w, iblock, isplit)
+    if info != 0:
+        raise EigensolverFailure(f"LAPACK dstebz returned info={info} (n={n}, k={k})")
+    if found[0] < k:
+        raise EigensolverFailure(f"LAPACK dstebz found {found[0]} of {k} levels (n={n})")
+    levels = w[:k].copy()
+
+    radius = np.abs(d)
     if n > 1:
-        radius[:-1] += e
-        radius[1:] += e
-    lo = np.full(k, float(np.min(d - radius)))
-    hi = np.full(k, float(np.max(d + radius)))
-    targets = np.arange(1, k + 1)
-    for _ in range(200):
-        if np.max(hi - lo) <= atol:
-            break
-        mid = 0.5 * (lo + hi)
-        if np.any(mid == lo) or np.any(mid == hi):
-            break  # spacing limited by floating point
-        cnt = sturm_count(matrix, mid)
-        above = cnt >= targets
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    return np.sort(0.5 * (lo + hi))
+        ae = np.abs(e)
+        radius[:-1] += ae
+        radius[1:] += ae
+    delta = max(atol, 8.0 * _EPS * float(radius.max()))
+    counts = sturm_count(matrix, np.concatenate([levels - delta, levels + delta]))
+    index = np.arange(1, k + 1)
+    bad = (counts[:k] > index - 1) | (counts[k:] < index)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise EigensolverFailure(
+            f"Sturm certificate rejects level {i + 1} of {k} at {levels[i]!r} (n={n}): "
+            f"{counts[i]} below E - {delta:.3g}, {counts[k + i]} below E + {delta:.3g}")
+    return levels

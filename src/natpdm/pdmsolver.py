@@ -9,8 +9,9 @@ for an arbitrary mass profile, ordering choice and sampled potential.
 The kinetic part is discretized in its exactly equivalent flux form
 -(1/2) d/dx (1/m) d/dx with midpoint mass averages, which keeps the
 matrix symmetric (real eigenvalues guaranteed) and is second order in
-the spacing.  Bound-state energies from Sturm bisection then adjudicate
-every closed-form spectrum claim.
+the spacing.  Bound-state energies from LAPACK bisection (dstebz), each
+certified by a Sturm sign count (numerics.lowest_eigenvalues), then
+adjudicate every closed-form spectrum claim.
 """
 
 from __future__ import annotations

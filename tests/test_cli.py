@@ -2,10 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import natpdm
 from natpdm import cli, ginocchio
 
 
@@ -125,6 +130,32 @@ class TestVerify:
             1.0, abs=1e-8)
 
 
+class TestSolverFailures:
+    @pytest.mark.parametrize("kind", ["nonfinite", "certificate", "missing"])
+    @pytest.mark.parametrize("args", [
+        ["spectrum", "--grid=-12,12,201"],
+        ["verify", "--only", "pdmsolver"],
+    ], ids=["spectrum", "verify"])
+    def test_exit_code_four(self, args, kind, break_dstebz, capsys):
+        break_dstebz(kind)
+        code, _, err = run_cli(args, capsys)
+        assert code == 4
+        assert err.startswith("solver failure")
+        assert "Traceback" not in err
+
+    def test_spectrum_does_not_load_scipy(self):
+        # importing scipy.linalg would nearly double the peak RSS of a run
+        script = ("import contextlib, io, sys\n"
+                  "from natpdm import cli\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    code = cli.main(['spectrum', '--grid=-12,12,201'])\n"
+                  "print(code, 'scipy' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(natpdm.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, check=True, env=env).stdout
+        assert out.split() == ["0", "False"]
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("args", [
         ["potential", "--gamma", "-1"],
@@ -150,6 +181,9 @@ class TestConfigErrors:
         ["potential", "--mass=rational:nan"],
         ["potential", "--mass=rational:inf"],
         ["potential", "--mass=exponential-well:inf"],
+        ["potential", "--gamma=1e100", "--grid=-12,12,11"],
+        ["potential", "--gamma=1e200", "--grid=-12,12,11"],
+        ["potential", "--gamma=1e-100", "--grid=-12,12,11"],
     ])
     def test_exit_code_two(self, args, capsys):
         code, _, err = run_cli(args, capsys)

@@ -6,6 +6,7 @@ import pytest
 from natpdm import numerics
 from natpdm.numerics import (
     DimensionMismatch,
+    EigensolverFailure,
     Grid,
     NoSignChange,
     ToleranceNotMet,
@@ -224,3 +225,45 @@ class TestEigensolver:
         exact = math.pi ** 2
         ratio = (lam[0] - exact) / (lam[1] - exact)
         assert 3.8 <= abs(ratio) <= 4.2
+
+    def test_nan_diagonal_raises(self):
+        t = TridiagonalSymmetric(np.array([0.0, np.nan, 1.0]), np.array([1.0, 1.0]))
+        with pytest.raises(EigensolverFailure, match="info=-9"):
+            lowest_eigenvalues(t, 2)
+
+    def test_degenerate_pair_passes_certificate(self):
+        # two identical blocks joined by a zero off-diagonal: every level is double
+        rng = np.random.default_rng(5)
+        d, e = rng.normal(size=20), rng.normal(size=19)
+        t = TridiagonalSymmetric(np.concatenate([d, d]), np.concatenate([e, [0.0], e]))
+        got = lowest_eigenvalues(t, 6)
+        dense = np.linalg.eigvalsh(t.to_dense())[:6]
+        assert np.max(np.abs(got - dense)) < 1e-10
+        assert got[0] == pytest.approx(got[1], abs=1e-10)
+
+    def test_large_norm_matches_dense(self):
+        # the certificate margin scales with ||T||: a flat 1e-10 would be
+        # below the rounding of the Sturm count at ||T|| ~ 1e7
+        rng = np.random.default_rng(17)
+        n = 300
+        t = TridiagonalSymmetric(1e7 * rng.normal(size=n), 1e7 * rng.normal(size=n - 1))
+        got = lowest_eigenvalues(t, 8)
+        dense = np.linalg.eigvalsh(t.to_dense())[:8]
+        assert np.max(np.abs(got - dense)) < 1e-6
+
+    def test_one_sturm_sweep_per_solve(self, monkeypatch):
+        calls = []
+
+        def counted(matrix, lam):
+            calls.append(np.size(lam))
+            return sturm_count(matrix, lam)
+
+        monkeypatch.setattr(numerics, "sturm_count", counted)
+        lowest_eigenvalues(dirichlet_laplacian(200, 0.01), 4)
+        assert calls == [8]
+
+    @pytest.mark.parametrize("kind", ["certificate", "missing"])
+    def test_lapack_faults_raise(self, kind, break_dstebz):
+        break_dstebz(kind)
+        with pytest.raises(EigensolverFailure):
+            lowest_eigenvalues(dirichlet_laplacian(50, 0.1), 3)
