@@ -77,7 +77,7 @@ from .numerics import (
     Grid,
     TridiagonalSymmetric,
     derivative,
-    find_root,
+    bisect,
     grid_derivative,
     integrate,
     lowest_eigenvalues,

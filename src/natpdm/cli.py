@@ -21,7 +21,7 @@ import numpy as np
 
 from . import conformal, ginocchio, natanzon, numerics, pdmsolver, verify
 from .ginocchio import ASSEMBLY_VARIANTS, GinocchioSpec
-from .masses import parse_mass
+from .masses import MASS_REGISTRY, parse_mass
 from .natanzon import OrderingParams
 from .numerics import Grid
 
@@ -44,10 +44,26 @@ DEFAULT_TOLERANCES = {
 }
 
 
-# library exceptions that mean a solver failed (exit 4) in spectrum and verify
-_SOLVER_FAILURES = (numerics.MaxIterations, numerics.ToleranceNotMet,
-                   numerics.EigensolverFailure, natanzon.StiffBlowup,
-                   pdmsolver.NonpositiveMass)
+# library exceptions that end potential, spectrum and verify: 3 when the
+# x -> mu -> u coordinate map fails (mu quadrature or its inversion),
+# 4 when a solver fails
+_FAILURE_EXITS = {
+    numerics.ToleranceNotMet: EXIT_INVERSION_FAILURE,
+    ginocchio.InversionFailure: EXIT_INVERSION_FAILURE,
+    numerics.EigensolverFailure: EXIT_SOLVER_FAILURE,
+    natanzon.StiffBlowup: EXIT_SOLVER_FAILURE,
+    pdmsolver.NonpositiveMass: EXIT_SOLVER_FAILURE,
+}
+_FAILURES = tuple(_FAILURE_EXITS)
+_FAILURE_NAMES = {EXIT_INVERSION_FAILURE: "coordinate inversion failed",
+                  EXIT_SOLVER_FAILURE: "solver failure"}
+
+
+def _failure_exit(exc: Exception, where: str = "") -> int:
+    """Report a library failure on stderr in one line and return its exit code."""
+    code = next(c for kind, c in _FAILURE_EXITS.items() if isinstance(exc, kind))
+    sys.stderr.write(f"{_FAILURE_NAMES[code]}{where}: {exc}\n")
+    return code
 
 
 class ConfigError(ValueError):
@@ -97,10 +113,7 @@ def _parse_grid(text: str) -> Grid:
     if len(parts) != 3:
         raise ConfigError("grid takes 'xmin,xmax,N'")
     try:
-        x_min, x_max, n = float(parts[0]), float(parts[1]), int(parts[2])
-        if not (math.isfinite(x_min) and math.isfinite(x_max)):
-            raise ValueError("grid ends must be finite")
-        return Grid(x_min, x_max, n)
+        return Grid(float(parts[0]), float(parts[1]), int(parts[2]))
     except ValueError as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
@@ -262,9 +275,8 @@ def cmd_potential(cfg: RunConfig) -> int:
             cfg.gamma, cfg.j, cfg.mass_profile(), cfg.ordering, cfg.grid,
             assembly=cfg.assembly, tol=cfg.tolerances["quad"],
         )
-    except (numerics.MaxIterations, numerics.ToleranceNotMet) as exc:
-        sys.stderr.write(f"coordinate inversion failed: {exc}\n")
-        return EXIT_INVERSION_FAILURE
+    except _FAILURES as exc:
+        return _failure_exit(exc)
     header = ("x", "m", "mu", "u", "z", "V_hyp", "V_poly", "Um", "V_total")
     columns = (table.x, table.m, table.mu, table.u, table.z,
                table.v_hyp, table.v_poly, table.um, table.v_total)
@@ -293,14 +305,14 @@ def cmd_spectrum(cfg: RunConfig) -> int:
             spec, cfg.mass_profile(), cfg.ordering, cfg.assembly, cfg.grid,
             quad_tol=cfg.tolerances["quad"],
         )
-    except _SOLVER_FAILURES as exc:
-        sys.stderr.write(f"solver failure: {exc}\n")
-        return EXIT_SOLVER_FAILURE
+    except _FAILURES as exc:
+        return _failure_exit(exc)
 
     tol = cfg.tolerances
-    gates = []
     fit = report.best_fit_index_map
-    if fit.get("status") == "MATCHED":
+    matched = fit["pairs"] if fit.get("status") == "MATCHED" else []
+    gates = []
+    if matched:
         gates.append(("index_map_mismatch", fit["max_mismatch"], tol["spectrum_gate"]))
     finite_qc = [r for r in report.quant_vs_closed if r is not None and math.isfinite(r)]
     if finite_qc:
@@ -311,7 +323,10 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
     payload = report.to_dict()
     payload["seed"] = cfg.seed
-    payload["gates"] = [
+    # coverage is the one lower bound: a run that compares no analytic
+    # level with a numeric one fails instead of passing on no evidence
+    payload["gates"] = [{"name": "coverage", "measured": len(matched), "threshold": 1,
+                         "passed": bool(matched)}] + [
         {"name": name, "measured": measured, "threshold": threshold,
          "passed": bool(measured <= threshold)}
         for name, measured, threshold in gates
@@ -334,9 +349,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         rng = np.random.default_rng(cfg.seed)
         try:
             checks = verify.SUITES[name](cfg.tolerances, rng)
-        except _SOLVER_FAILURES as exc:
-            sys.stderr.write(f"solver failure in the {name} suite: {exc}\n")
-            return EXIT_SOLVER_FAILURE
+        except _FAILURES as exc:
+            return _failure_exit(exc, f" in the {name} suite")
         hard_ok = all(c["passed"] for c in checks if c["kind"] == "hard")
         all_hard = all_hard and hard_ok
         report["modules"][name] = {"checks": checks, "hard_passed": hard_ok}
@@ -358,8 +372,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="von Roos parameters 'eta,epsilon' (rho derived) or "
                              "'eta,epsilon,rho' with sum -1")
     parser.add_argument("--mass", default=None,
-                        help="mass profile 'name' or 'name:param' "
-                             "(constant, rational, exponential-well)")
+                        help="mass profile 'name' or 'name:param' with the param in "
+                             + ", ".join(f"[{lo:g}, {hi:g}] for {name}" for name, (_, (lo, hi))
+                                         in MASS_REGISTRY.items()))
     parser.add_argument("--grid", default=None, help="grid 'xmin,xmax,N'")
     parser.add_argument("--assembly", default=None,
                         help=f"potential assembly variant, one of {ASSEMBLY_VARIANTS}")

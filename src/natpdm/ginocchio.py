@@ -5,7 +5,9 @@ p0 = (1 - gamma^2)/gamma^4, a_p = (j + 1/2)^2 - 1, q0 = 0, a_q = -7/4.
 The coordinate map is known only implicitly: the dimensionless travel
 coordinate mu = integral sqrt(2 m) dx has a closed form in the auxiliary
 variable u (where the construction variable is z = tanh^2 u), and u(mu)
-is recovered numerically by bisection on the closed form.
+is recovered numerically by bisection on the closed form.  A table
+integrates sqrt(2 m) over all its grid cells in one quadrature call and
+inverts its whole mu column in one bisection.
 
 Note on symbols: the hyperbolic closed forms reuse one letter for the
 integration variable; here it is always called u, keeping z for the
@@ -26,6 +28,7 @@ from .numerics import Grid
 
 __all__ = [
     "IndexOutOfRange",
+    "InversionFailure",
     "GinocchioSpec",
     "ASSEMBLY_VARIANTS",
     "params_for",
@@ -47,6 +50,10 @@ ASSEMBLY_VARIANTS = ("v_plus_um", "v_minus_um", "v_plus_um_vm", "v_only")
 
 class IndexOutOfRange(ValueError):
     """Level index outside 0..floor(j)."""
+
+
+class InversionFailure(ValueError):
+    """No finite u solves mu_closed_form(gamma, u) = mu."""
 
 
 @dataclass(frozen=True)
@@ -116,23 +123,25 @@ def mu_closed_form(gamma: float, u):
     return np.copysign(out, u)
 
 
-def mass_integral(gamma: float, z: float) -> float:
+def mass_integral(gamma: float, z):
     """Travel coordinate as the quadrature (1/2 gamma^2) int_0^z ds sqrt(1 - g^2 + g^2/s)/(1-s).
 
-    The integrand carries an s^(-1/2) endpoint singularity at s = 0, so
-    the quadrature runs under the s = t^2 substitution.  Agrees with the
-    closed form through mu_closed_form(gamma, arctanh(sqrt(z))).
+    The integrand carries an s^(-1/2) endpoint singularity at s = 0,
+    which the substitution s = t^2 removes: the quadrature runs over
+    [0, sqrt z] on the bounded 2 sqrt(g^2 + (1 - g^2) t^2)/(1 - t^2).
+    Elementwise in z, all in one quadrature call; a scalar z gives a
+    float.  Agrees with the closed form through mu_closed_form(gamma,
+    arctanh(sqrt(z))).
     """
-    if not 0.0 <= z < 1.0:
+    z = np.asarray(z, dtype=float)
+    if not np.all((0.0 <= z) & (z < 1.0)):
         raise ValueError(f"z must lie in [0, 1), got {z}")
-    if z == 0.0:
-        return 0.0
     g2 = gamma * gamma
 
-    def integrand(s):
-        return math.sqrt(1.0 - g2 + g2 / s) / (1.0 - s)
+    def integrand(t):
+        return 2.0 * np.sqrt(g2 + (1.0 - g2) * t * t) / (1.0 - t * t)
 
-    return numerics.integrate(integrand, 0.0, z, 1e-10, sqrt_singularity="lower") / (2.0 * g2)
+    return numerics.integrate(integrand, 0.0, np.sqrt(z), 1e-10) / (2.0 * g2)
 
 
 def invert_mu(gamma: float, mu):
@@ -141,28 +150,28 @@ def invert_mu(gamma: float, mu):
     mu is odd in u, so only |mu| is bracketed and the sign restored.
     mu' lies between 1/gamma and 1/gamma^2, so u lies in
     [0, |mu| max(1, gamma^2)]; an upper end that rounding leaves short of
-    its target is doubled.  All brackets are then halved together until
-    their two ends are adjacent floats.  A scalar mu gives a float; a mu
-    with no finite u, such as a non-finite one, raises ValueError.
+    its target is doubled.  All brackets then go to one numerics.bisect
+    call, which halves them together until their two ends are adjacent
+    floats.  A scalar mu gives a float; a mu with no finite u, such as a
+    non-finite one or one whose bracket overflows, raises
+    InversionFailure.
     """
     mu = np.asarray(mu, dtype=float)
+    if not np.all(np.isfinite(mu)):
+        raise InversionFailure("no finite u solves mu_closed_form(gamma, u) = mu")
     if gamma == 1.0:
         u = mu  # mu(u) = u exactly at gamma = 1
     else:
         target = np.abs(mu)
-        lo = np.zeros_like(target)
-        hi = target * max(1.0, gamma * gamma)
-        while np.any(short := mu_closed_form(gamma, hi) < target):
-            hi = np.where(short, 2.0 * hi, hi)
-        # mu(lo) < target <= mu(hi) holds throughout, so a bracket already
-        # down to adjacent floats is left unchanged by one more step
-        while np.any((lo < (mid := 0.5 * (lo + hi))) & (mid < hi)):
-            below = mu_closed_form(gamma, mid) < target
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        u = np.copysign(hi, mu)
+        # a bracket end that overflows leaves u = inf, rejected below
+        with np.errstate(over="ignore"):
+            hi = target * max(1.0, gamma * gamma)
+            while np.any(short := mu_closed_form(gamma, hi) < target):
+                hi = np.where(short, 2.0 * hi, hi)
+        u = np.copysign(numerics.bisect(lambda v: mu_closed_form(gamma, v) - target,
+                                        np.zeros_like(target), hi), mu)
     if not np.all(np.isfinite(u)):
-        raise ValueError("no finite u solves mu_closed_form(gamma, u) = mu")
+        raise InversionFailure("no finite u solves mu_closed_form(gamma, u) = mu")
     return float(u) if np.ndim(u) == 0 else u
 
 
@@ -238,8 +247,9 @@ def potential_on_x_grid(gamma: float, j: float, mass: MassProfile,
                         assembly: str = "v_plus_um", tol: float = 1e-10) -> PotentialTable:
     """Tabulate the full position-dependent-mass potential on a grid.
 
-    mu by cumulative per-cell quadrature of sqrt(2 m) to tolerance tol,
-    anchored at x = 0; u from one inversion of the whole mu column; then
+    mu by cumulative sum of the integrals of sqrt(2 m) over the grid
+    cells, anchored at x = 0, all from one quadrature call to tolerance
+    tol; u from one inversion of the whole mu column; then
     the hyperbolic form plus the selected combination of mass-correction
     terms.  The default assembly v_hyp + Um is the one whose spectra stay
     mass independent.
@@ -251,15 +261,11 @@ def potential_on_x_grid(gamma: float, j: float, mass: MassProfile,
     pts = grid.points
     mass.require_positive(pts)
 
-    def speed(x):
-        return math.sqrt(2.0 * float(mass.m(x)))
-
-    cell = np.empty(grid.n_points)
-    cell[0] = 0.0
-    for i in range(1, grid.n_points):
-        cell[i] = numerics.integrate(speed, pts[i - 1], pts[i], tol)
-    mu = np.cumsum(cell)
-    mu -= mu[0] + numerics.integrate(speed, pts[0], 0.0, tol)
+    # the last interval runs from the first node to the anchor x = 0
+    cells = numerics.integrate(lambda x: np.sqrt(2.0 * mass.m(x)),
+                               np.append(pts[:-1], pts[0]), np.append(pts[1:], 0.0), tol)
+    mu = np.cumsum(np.concatenate(([0.0], cells[:-1])))
+    mu -= cells[-1]
 
     u = invert_mu(gamma, mu)
     # tanh^2 rounds to 1.0 for |u| beyond ~19; the exact value is < 1,

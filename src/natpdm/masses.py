@@ -7,7 +7,6 @@ coordinate mu(x) = integral of sqrt(2 m) a bijection of the real line.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -113,24 +112,33 @@ def mass_from_callable(m: Callable, label: str = "custom") -> MassProfile:
     )
 
 
+#: name -> (factory, closed range of its parameter).  At both ends of
+#: each range the potential and spectrum output stays finite and free of
+#: floating-point warnings (m >= 1e-6, m' and m'' up to about 1e6); a
+#: parameter near 1e-300 or 1e300 under- or overflows m^3 in the
+#: mass-correction terms.
 MASS_REGISTRY = {
-    "constant": constant_mass,
-    "rational": rational_mass,
-    "exponential-well": exponential_well_mass,
+    "constant": (constant_mass, (1e-6, 1e6)),
+    "rational": (rational_mass, (1e-6, 1e6)),
+    "exponential-well": (exponential_well_mass, (-0.999999, 1e6)),
 }
 
 
 def parse_mass(text: str) -> MassProfile:
-    """Build a registry profile from 'name' or 'name:param' syntax."""
+    """Build a registry profile from 'name' or 'name:param' syntax.
+
+    Raises ValueError for an unknown name or a parameter outside the
+    name's registry range (non-finite parameters included).
+    """
     name, _, param = text.partition(":")
     name = name.strip()
     if name not in MASS_REGISTRY:
         known = ", ".join(sorted(MASS_REGISTRY))
         raise ValueError(f"unknown mass profile {name!r} (known: {known})")
-    factory = MASS_REGISTRY[name]
+    factory, (lo, hi) = MASS_REGISTRY[name]
     if not param:
         return factory()
     value = float(param)
-    if not math.isfinite(value):
-        raise ValueError(f"mass parameter must be finite, got {param!r}")
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} mass parameter must lie in [{lo:g}, {hi:g}], got {param!r}")
     return factory(value)

@@ -6,7 +6,8 @@ quadratic R(z) = p0 z^2 + (4 c0 - p0 - q0) z + q0, the generating function
 S(z) = 4 z^2 (1-z)^2 / R(z) that pins the coordinate map through
 z'(x)^2 = 2 m(x) S(z(x)), the closed-form potential on z in [0, 1], the
 von Roos ordering corrections, and the quantization identity whose roots
-in E are the bound-state energies.
+in E are the bound-state energies: every level is scanned in one array
+and polished in one bisection call.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ import numpy as np
 
 from .algebra import GroupLabels
 from .masses import MassProfile
-from .numerics import Grid, find_root, MaxIterations, NoSignChange
+from .numerics import Grid, bisect
 
 __all__ = [
     "RZero",
     "BranchViolation",
-    "NoRoot",
     "StiffBlowup",
     "NatanzonParams",
     "EnergyCoeffs",
@@ -43,7 +43,8 @@ __all__ = [
 ]
 
 
-#: root tolerance of the quantization solve, and the gap kept below E = 0
+#: |residual| that counts as an exact root at a scan node, and the gap
+#: kept below E = 0
 _ROOT_TOL = 1e-12
 
 
@@ -53,10 +54,6 @@ class RZero(ZeroDivisionError):
 
 class BranchViolation(ValueError):
     """A radicand of the quantization identity is negative at this energy."""
-
-
-class NoRoot(RuntimeError):
-    """No quantization root for the requested level inside the bracket."""
 
 
 class StiffBlowup(RuntimeError):
@@ -199,24 +196,25 @@ def _radicands(params: NatanzonParams, energy: float):
     return co.q + 2.0, co.p + 1.0, 4.0 * co.c + 1.0
 
 
-def quantization_residual(params: NatanzonParams, energy: float, n: int,
-                          form: str = "branch_rule") -> float:
-    """Residual of the quantization identity at one (E, n).
+def quantization_residual(params: NatanzonParams, energy, n,
+                          form: str = "branch_rule"):
+    """Residual of the quantization identity at (E, n), elementwise.
 
     form='branch_rule' evaluates sqrt(p+1) + sqrt(q+2) - sqrt(4c+1)
     - (2n+1), the sign assignment under which the identity is monotone
     in E and reproduces the closed-form spectrum.  form='verbatim'
     evaluates sqrt(q+2) - sqrt(p+1) - sqrt(4c+1) - (2n+1), kept for
     transparency; each square root is taken nonnegative either way.
+    energy and n may be arrays that broadcast against each other.
     """
     if form not in ("branch_rule", "verbatim"):
         raise ValueError(f"unknown form {form!r}")
     rad_q, rad_p, rad_c = _radicands(params, energy)
-    if rad_q < 0.0 or rad_p < 0.0 or rad_c < 0.0:
+    if np.any((rad_q < 0.0) | (rad_p < 0.0) | (rad_c < 0.0)):
         raise BranchViolation(
             f"negative radicand at E={energy}: q+2={rad_q}, p+1={rad_p}, 4c+1={rad_c}"
         )
-    sq, sp, sc = math.sqrt(rad_q), math.sqrt(rad_p), math.sqrt(rad_c)
+    sq, sp, sc = np.sqrt(rad_q), np.sqrt(rad_p), np.sqrt(rad_c)
     if form == "branch_rule":
         return sp + sq - sc - (2.0 * n + 1.0)
     return sq - sp - sc - (2.0 * n + 1.0)
@@ -249,10 +247,12 @@ def _feasible_bracket(params: NatanzonParams, bracket) -> tuple | None:
 def solve_spectrum(params: NatanzonParams, n_max: int) -> np.ndarray:
     """Roots E_n of the branch-rule quantization identity for n = 0..n_max.
 
-    The default bracket is scanned on a uniform 64-cell subdivision for
-    sign changes and each change is polished by the bracketed root
-    finder.  Levels with no root inside the bracket are reported as NaN;
-    the identity itself contains no mass profile, so neither does this
+    The default bracket is scanned on a uniform 64-cell subdivision, all
+    levels in one array.  A level takes the first scan node where its
+    residual is within _ROOT_TOL of zero; failing that, its lowest sign
+    change is polished by one bisection call shared by all levels.
+    Levels with no root inside the bracket are reported as NaN; the
+    identity itself contains no mass profile, so neither does this
     function.
     """
     energies = np.full(n_max + 1, np.nan)
@@ -260,30 +260,17 @@ def solve_spectrum(params: NatanzonParams, n_max: int) -> np.ndarray:
     if feasible is None:
         return energies
     grid = np.linspace(*feasible, 65)
-    for n in range(n_max + 1):
-        try:
-            energies[n] = _root_for_level(params, n, grid)
-        except NoRoot:
-            pass
+    levels = np.arange(n_max + 1)
+    vals = quantization_residual(params, grid, levels[:, None])
+    hit = np.abs(vals) <= _ROOT_TOL
+    change = vals[:, :-1] * vals[:, 1:] < 0.0
+    exact = hit.any(axis=1)
+    energies[exact] = grid[hit.argmax(axis=1)[exact]]
+    polish = ~exact & change.any(axis=1)
+    cell = change.argmax(axis=1)[polish]
+    energies[polish] = bisect(lambda e: quantization_residual(params, e, levels[polish]),
+                              grid[cell], grid[cell + 1])
     return energies
-
-
-def _root_for_level(params, n, grid) -> float:
-    def resid(energy):
-        return quantization_residual(params, energy, n)
-
-    vals = np.array([resid(e) for e in grid])
-    hit = np.nonzero(np.abs(vals) <= _ROOT_TOL)[0]
-    if hit.size:
-        return float(grid[hit[0]])
-    sign_change = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
-    if not sign_change.size:
-        raise NoRoot(f"no sign change for level n={n}")
-    i = int(sign_change[0])
-    try:
-        return find_root(resid, (grid[i], grid[i + 1]), _ROOT_TOL)
-    except (NoSignChange, MaxIterations) as exc:  # pragma: no cover - defensive
-        raise NoRoot(f"root polish failed for level n={n}: {exc}") from exc
 
 
 def labels_for_level(params: NatanzonParams, energy: float, n: int) -> GroupLabels:

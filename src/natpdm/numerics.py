@@ -1,11 +1,11 @@
 """Self-contained numerical kernel used by every other module.
 
-Provides a bracketed Brent-style root finder, adaptive Simpson quadrature
-(with an optional s = t**2 substitution for inverse-square-root endpoint
-singularities), Richardson-extrapolated central differences, fourth-order
-grid stencils, and an eigensolver for real symmetric tridiagonal
-matrices: LAPACK bisection (dstebz, reached through ctypes in the LAPACK
-that numpy.linalg already links, so no extra dependency) whose levels are
+Provides bisection and adaptive Simpson quadrature, both over arrays of
+brackets or intervals with one call of a vectorised function per step,
+Richardson-extrapolated central differences, fourth-order grid stencils,
+and an eigensolver for real symmetric tridiagonal matrices: LAPACK
+bisection (dstebz, reached through ctypes in the LAPACK that
+numpy.linalg already links, so no extra dependency) whose levels are
 certified by one vectorised Sturm sign count.
 
 All operations are pure: inputs are never mutated and the only module
@@ -26,37 +26,31 @@ import numpy as np
 __all__ = [
     "Grid",
     "TridiagonalSymmetric",
-    "NoSignChange",
-    "MaxIterations",
     "ToleranceNotMet",
     "DimensionMismatch",
     "EigensolverFailure",
-    "find_root",
+    "bisect",
     "integrate",
     "derivative",
     "grid_derivative",
     "sturm_count",
     "lowest_eigenvalues",
-    "ROOT_MAX_ITER",
     "QUAD_MAX_DEPTH",
+    "QUAD_MAX_PANELS",
 ]
 
-ROOT_MAX_ITER = 200
 QUAD_MAX_DEPTH = 40
+# panels one refinement level may hold, unless the intervals themselves
+# are more: at about 200 bytes a panel it bounds the memory of a rule
+# that cannot converge (a non-finite integrand, or a tol below double
+# rounding) near 13 MB
+QUAD_MAX_PANELS = 2 ** 16
 
 _EPS = float(np.finfo(float).eps)
 
 
-class NoSignChange(ValueError):
-    """The root bracket endpoints do not straddle a sign change."""
-
-
-class MaxIterations(RuntimeError):
-    """Iteration cap reached before the requested tolerance."""
-
-
 class ToleranceNotMet(RuntimeError):
-    """Adaptive refinement exhausted its depth budget."""
+    """Adaptive refinement exhausted its depth or panel budget."""
 
 
 class DimensionMismatch(ValueError):
@@ -80,6 +74,9 @@ class Grid:
             raise ValueError(f"x_min must be below x_max, got [{self.x_min}, {self.x_max}]")
         if self.n_points < 3:
             raise ValueError(f"need at least 3 points, got {self.n_points}")
+        # a width that overflows, or a spacing that underflows, leaves no grid
+        if not 0.0 < self.spacing < math.inf:
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
 
     @property
     def spacing(self) -> float:
@@ -136,153 +133,104 @@ class TridiagonalSymmetric:
         return a
 
 
-def find_root(f: Callable[[float], float], bracket, tol: float) -> float:
-    """Find a root of f inside a sign-change bracket.
+def bisect(f: Callable, lo, hi):
+    """Root of a vectorised f in every bracket [lo, hi], by bisection.
 
-    Brent-style: inverse-quadratic / secant steps with a guaranteed
-    bisection fallback, so every iterate stays inside the current
-    bracket.  Terminates when the bracket width or |f| drops below
-    ``tol``.
+    f(lo) and f(hi) must not share a sign.  Every bracket is halved
+    together, keeping at its lo end the sign f has at lo, until its two
+    ends are adjacent floats; the hi end, where f first leaves that sign,
+    is returned, so rising and falling f are treated alike and a root at
+    either end is returned exactly.  Scalar ends give a float.
 
-    Raises NoSignChange if f(a) and f(b) have the same (nonzero) sign,
-    MaxIterations if the iteration cap is hit first.
+    Raises ValueError if the ends of a bracket share a sign.
+    """
+    # own copies of the ends, updated in place
+    lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
+    side = np.sign(f(lo))
+    if np.any(side * np.sign(f(hi)) > 0.0):
+        raise ValueError("f has the same sign at both ends of a bracket")
+    np.copyto(hi, lo, where=side == 0.0)
+    # f(lo) keeps the sign `side` and f(hi) does not, so a bracket already
+    # down to adjacent floats is left unchanged by one more step
+    while np.any((lo < (mid := 0.5 * (lo + hi))) & (mid < hi)):
+        keep = np.sign(f(mid)) == side
+        np.copyto(lo, mid, where=keep)
+        np.copyto(hi, mid, where=~keep)
+    return float(hi) if hi.ndim == 0 else hi
+
+
+def integrate(f: Callable, a, b, tol: float):
+    """Adaptive Simpson quadrature of a vectorised f over every interval [a, b].
+
+    Each interval is refined on its own: a panel is accepted when
+    |err| <= 15 tol, with tol * (1 + |whole|) for the whole interval
+    halved at each level, or when it is narrower than 1e-10 of the
+    interval and its error is finite.  The panels of all intervals that
+    have not converged are split together, one depth level at a time,
+    with one call of f per level, and the accepted panels are summed back
+    up the same binary tree, so each interval gets the value a recursive
+    rule would give.  Simpson's rule makes polynomials up to cubics exact
+    at the first level; a reversed interval integrates to minus its
+    mirror.  Scalar ends give a float.
+
+    Raises ToleranceNotMet when refinement exhausts its budget: depth
+    QUAD_MAX_DEPTH, or more than max(QUAD_MAX_PANELS, number of
+    intervals) panels at one level.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    a, b = float(bracket[0]), float(bracket[1])
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise NoSignChange(f"f({a})={fa} and f({b})={fb} have the same sign")
-
-    c, fc = a, fa
-    e = d = b - a
-    for _ in range(ROOT_MAX_ITER):
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol_b = 2.0 * _EPS * abs(b) + 0.5 * tol
-        m = 0.5 * (c - b)
-        if abs(m) <= tol_b or fb == 0.0 or abs(fb) <= tol:
-            return b
-        if abs(e) < tol_b or abs(fa) <= abs(fb):
-            e = d = m
-        else:
-            s = fb / fa
-            if a == c:
-                p = 2.0 * m * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            s = e
-            e = d
-            if 2.0 * p < 3.0 * m * q - abs(tol_b * q) and p < abs(0.5 * s * q):
-                d = p / q
-            else:
-                e = d = m
-        a, fa = b, fb
-        if abs(d) > tol_b:
-            b += d
-        elif m > 0.0:
-            b += tol_b
-        else:
-            b -= tol_b
-        fb = f(b)
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            e = d = b - a
-    raise MaxIterations(f"no convergence in {ROOT_MAX_ITER} iterations")
-
-
-def _adaptive_simpson(g, a, fa, m, fm, b, fb, whole, tol, wfloor, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = g(lm), g(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    if abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    # a panel this narrow is dominated by rounding noise of the integrand;
-    # further halving cannot improve a double-precision evaluation
-    if b - a <= wfloor and math.isfinite(err):
-        return left + right + err / 15.0
-    if depth >= QUAD_MAX_DEPTH:
-        raise ToleranceNotMet(
-            f"adaptive quadrature exceeded depth {QUAD_MAX_DEPTH} on [{a}, {b}]"
-        )
-    half = 0.5 * tol
-    return _adaptive_simpson(g, a, fa, lm, flm, m, fm, left, half, wfloor, depth + 1) \
-        + _adaptive_simpson(g, m, fm, rm, frm, b, fb, right, half, wfloor, depth + 1)
-
-
-def integrate(f: Callable[[float], float], a: float, b: float, tol: float,
-              sqrt_singularity: str | None = None) -> float:
-    """Adaptive Simpson quadrature of f over [a, b].
-
-    The result satisfies |result - integral| <= tol * (1 + |result|) for
-    smooth integrands; Simpson's rule makes polynomials up to cubics
-    exact at the first level.
-
-    sqrt_singularity declares an integrable s**(-1/2) endpoint
-    singularity at ``'lower'`` or ``'upper'``; the integral is then
-    rewritten with s = t**2 before refinement, which makes the
-    transformed integrand bounded.
-
-    Raises ToleranceNotMet when refinement exhausts the depth budget.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if sqrt_singularity not in (None, "lower", "upper"):
-        raise ValueError(f"unknown sqrt_singularity flag {sqrt_singularity!r}")
-    a = float(a)
-    b = float(b)
-    if a == b:
-        return 0.0
-    if b < a:
-        flipped = {None: None, "lower": "upper", "upper": "lower"}[sqrt_singularity]
-        return -integrate(f, b, a, tol, sqrt_singularity=flipped)
-
-    if sqrt_singularity is None:
-        g = f
-        lo, hi = a, b
-    else:
-        width = b - a
-        anchor = a if sqrt_singularity == "lower" else b
-        # evaluations are floored at t0 so the endpoint arithmetic never
-        # collapses onto the singular point: anchor -+ t0^2 must be
-        # representable away from anchor.  the floor turns [0, t0] into a
-        # constant plateau whose contribution is O(t0) relative.
-        if anchor == 0.0:
-            t0 = 1e-150
-        else:
-            t0 = 1e-5 * max(1.0, math.sqrt(abs(anchor)))
-        if sqrt_singularity == "lower":
-            def g(t, _f=f, _a=a, _t0=t0):
-                tt = max(t, _t0)
-                return _f(_a + tt * tt) * (2.0 * tt)
-        else:
-            def g(t, _f=f, _b=b, _t0=t0):
-                tt = max(t, _t0)
-                return _f(_b - tt * tt) * (2.0 * tt)
-        lo, hi = 0.0, math.sqrt(width)
-
-    mid = 0.5 * (lo + hi)
-    flo, fmid, fhi = g(lo), g(mid), g(hi)
-    whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-    tol_abs = tol * (1.0 + abs(whole))
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
+    out = np.zeros(lo.size)
+    todo = np.flatnonzero(lo < hi)
+    lo, hi = lo[todo], hi[todo]
+    budget = max(QUAD_MAX_PANELS, todo.size)
+    m = 0.5 * (lo + hi)
+    flo, fm, fhi = np.split(np.asarray(f(np.concatenate([lo, m, hi])), dtype=float), 3)
+    with np.errstate(invalid="ignore", over="ignore"):
+        whole = (hi - lo) / 6.0 * (flo + 4.0 * fm + fhi)
+        tol_abs = tol * (1.0 + np.abs(whole))
     wfloor = 1e-10 * (hi - lo)
-    return _adaptive_simpson(g, lo, flo, mid, fmid, hi, fhi, whole, tol_abs, wfloor, 0)
+
+    # children of split panel k sit at 2k (left half) and 2k + 1 (right half)
+    def halves(x, y):
+        return np.stack([x[split], y[split]], axis=1).ravel()
+
+    levels = []  # per depth: (panel values, mask of the panels split further)
+    for depth in range(QUAD_MAX_DEPTH + 1):
+        lm, rm = 0.5 * (lo + m), 0.5 * (m + hi)
+        flm, frm = np.split(np.asarray(f(np.concatenate([lm, rm])), dtype=float), 2)
+        with np.errstate(invalid="ignore", over="ignore"):
+            left = (m - lo) / 6.0 * (flo + 4.0 * flm + fm)
+            right = (hi - m) / 6.0 * (fm + 4.0 * frm + fhi)
+            err = left + right - whole
+            value = left + right + err / 15.0
+            # a panel this narrow is dominated by rounding noise of the
+            # integrand; further halving cannot improve a double evaluation
+            done = (np.abs(err) <= 15.0 * tol_abs) | ((hi - lo <= wfloor) & np.isfinite(err))
+        split = ~done
+        levels.append((value, split))
+        n_split = int(split.sum())
+        if not n_split:
+            break
+        if depth == QUAD_MAX_DEPTH or 2 * n_split > budget:
+            i = int(np.argmax(split))
+            raise ToleranceNotMet(
+                f"adaptive quadrature exceeded its budget of depth {QUAD_MAX_DEPTH} or "
+                f"{budget} panels, at depth {depth} on [{lo[i]}, {hi[i]}]")
+        lo, m, hi, flo, fm, fhi, whole = (
+            halves(lo, m), halves(lm, rm), halves(m, hi), halves(flo, fm),
+            halves(flm, frm), halves(fm, fhi), halves(left, right))
+        tol_abs = np.repeat(0.5 * tol_abs[split], 2)
+        wfloor = np.repeat(wfloor[split], 2)
+    total = levels.pop()[0]
+    while levels:
+        value, split = levels.pop()
+        value[split] = total[0::2] + total[1::2]
+        total = value
+    out[todo] = total
+    out = np.where(b < a, -out.reshape(a.shape), out.reshape(a.shape))
+    return float(out) if out.ndim == 0 else out
 
 
 def derivative(f: Callable, x, order: int = 1, h: float = 1e-2):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import natpdm
-from natpdm import cli, ginocchio
+from natpdm import cli, ginocchio, numerics
+from natpdm.masses import MASS_REGISTRY
 
 
 def run_cli(args, capsys):
@@ -102,6 +103,22 @@ class TestSpectrum:
         assert nums[1] == pytest.approx(-1.0, abs=1e-3)
         assert payload["energies_eq34"][0] == -4.0
         assert payload["best_fit_index_map"]["alpha"] == 2
+        gates = {g["name"]: g for g in payload["gates"]}
+        assert gates["coverage"]["passed"] and gates["coverage"]["measured"] >= 1
+
+    @pytest.mark.parametrize("args", [
+        ["spectrum", "--gamma=1e-8", "--grid=-12,12,201"],
+        ["spectrum", "--gamma=0.05", "--j=2"],
+    ])
+    def test_no_level_compared_fails_coverage(self, args, capsys):
+        # no numeric level is matched to an analytic one, so no other gate
+        # judges a level: the run must fail, not pass on no evidence
+        code, out, _ = run_cli(args, capsys)
+        assert code == 1
+        coverage = json.loads(out)["gates"][0]
+        assert coverage["name"] == "coverage"
+        assert coverage["measured"] == 0
+        assert coverage["passed"] is False
 
     def test_invalid_ordering_sum(self, capsys):
         code, _, err = run_cli(["spectrum", "--ordering", "1,1,1"], capsys)
@@ -130,6 +147,46 @@ class TestVerify:
             1.0, abs=1e-8)
 
 
+class TestMassRange:
+    @pytest.mark.parametrize("mass", [f"{name}:{end!r}" for name, (_, ends) in
+                                      MASS_REGISTRY.items() for end in ends])
+    def test_range_ends_give_finite_output(self, mass, capsys):
+        # a RuntimeWarning fails the suite, so this also checks that none is raised
+        code, out, err = run_cli(["potential", f"--mass={mass}", "--format=json"], capsys)
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        for name in ("m", "mu", "u", "z", "V_hyp", "V_poly", "Um", "V_total"):
+            assert np.all(np.isfinite(np.array(payload[name], dtype=float))), name
+        code, out, err = run_cli(["spectrum", f"--mass={mass}"], capsys)
+        assert code in (0, 1) and err == ""
+        report = json.loads(out)
+        assert all(math.isfinite(e) for e in report["energies_numeric"])
+
+
+class TestInversionFailures:
+    @pytest.mark.parametrize("command", ["potential", "spectrum"])
+    def test_no_finite_u_exits_three(self, command, capsys):
+        # gamma^2 mu overflows the bracket for u: no finite u exists
+        code, _, err = run_cli([command, "--gamma=1e6", "--grid=-1e300,1e300,11"], capsys)
+        assert code == 3
+        assert err.startswith("coordinate inversion failed")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("args", [
+        ["potential", "--grid=-2,2,11"],
+        ["spectrum", "--grid=-2,2,41"],
+        ["verify", "--only", "ginocchio"],
+    ], ids=["potential", "spectrum", "verify"])
+    def test_quadrature_failure_exits_three(self, args, monkeypatch, capsys):
+        def fail(*args):
+            raise numerics.ToleranceNotMet("budget exhausted")
+
+        monkeypatch.setattr(numerics, "integrate", fail)
+        code, _, err = run_cli(args, capsys)
+        assert code == 3
+        assert err.startswith("coordinate inversion failed")
+
+
 class TestSolverFailures:
     @pytest.mark.parametrize("kind", ["nonfinite", "certificate", "missing"])
     @pytest.mark.parametrize("args", [
@@ -144,16 +201,17 @@ class TestSolverFailures:
         assert "Traceback" not in err
 
     def test_spectrum_does_not_load_scipy(self):
-        # importing scipy.linalg would nearly double the peak RSS of a run
+        # importing scipy.linalg would nearly double the peak RSS of a run,
+        # and numpy.polynomial adds about 1.2 MB to it
         script = ("import contextlib, io, sys\n"
                   "from natpdm import cli\n"
                   "with contextlib.redirect_stdout(io.StringIO()):\n"
                   "    code = cli.main(['spectrum', '--grid=-12,12,201'])\n"
-                  "print(code, 'scipy' in sys.modules)\n")
+                  "print(code, 'scipy' in sys.modules, 'numpy.polynomial' in sys.modules)\n")
         env = dict(os.environ, PYTHONPATH=str(Path(natpdm.__file__).parents[1]))
         out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                              text=True, check=True, env=env).stdout
-        assert out.split() == ["0", "False"]
+        assert out.split() == ["0", "False", "False"]
 
 
 class TestConfigErrors:
@@ -184,6 +242,10 @@ class TestConfigErrors:
         ["potential", "--gamma=1e100", "--grid=-12,12,11"],
         ["potential", "--gamma=1e200", "--grid=-12,12,11"],
         ["potential", "--gamma=1e-100", "--grid=-12,12,11"],
+        ["potential", "--mass=rational:1e-300", "--grid=-2,2,11"],
+        ["potential", "--mass=constant:1e-300", "--grid=-2,2,11"],
+        ["spectrum", "--mass=rational:1e300", "--grid=-2,2,41"],
+        ["potential", "--grid=-1e308,1e308,11"],
     ])
     def test_exit_code_two(self, args, capsys):
         code, _, err = run_cli(args, capsys)

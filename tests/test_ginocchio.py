@@ -67,7 +67,7 @@ class TestMuClosedForm:
         for g in (0.5, 2.0):
             u0 = 1.0
             quad = numerics.integrate(
-                lambda t: math.sqrt(g * g + math.sinh(t) ** 2) / math.cosh(t),
+                lambda t: np.sqrt(g * g + np.sinh(t) ** 2) / np.cosh(t),
                 0.0, u0, 1e-12) / (g * g)
             assert mu_closed_form(g, u0) == pytest.approx(quad, abs=1e-8)
 
@@ -94,10 +94,14 @@ class TestMassIntegral:
     def test_consistency_with_closed_form(self):
         # the central cross-check: quadrature of the z-variable integrand
         # against the closed form at u = arctanh(sqrt(z))
+        zs = np.linspace(0.1, 0.9, 9)
         for g in GAMMAS:
-            for z in np.linspace(0.1, 0.9, 9):
+            together = mass_integral(g, zs)
+            for z, quad in zip(zs, together):
                 closed = mu_closed_form(g, math.atanh(math.sqrt(z)))
                 assert abs(mass_integral(g, float(z)) - closed) < 1e-8
+                # one call over all z gives each z what a call of its own gives
+                assert quad == mass_integral(g, float(z))
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -115,6 +119,20 @@ class TestInvertMu:
         for g in GAMMAS:
             for u0 in (-800.0, -400.0, -2.0, -0.8, 0.8, 2.0, 400.0, 800.0):
                 assert abs(invert_mu(g, mu_closed_form(g, u0)) - u0) < 1e-10
+
+    def test_one_bisection_for_the_whole_array(self, monkeypatch):
+        calls = []
+        original = numerics.bisect
+
+        def counting(f, lo, hi):
+            calls.append(np.shape(lo))
+            return original(f, lo, hi)
+
+        monkeypatch.setattr(numerics, "bisect", counting)
+        mu = np.linspace(-30.0, 30.0, 41)
+        u = invert_mu(0.8, mu)
+        assert calls == [(41,)]
+        assert np.max(np.abs(mu_closed_form(0.8, u) - mu)) < 1e-13
 
     def test_array_matches_scalar(self):
         u0 = np.array([-3.0, -0.5, 0.0, 1e-9, 0.7, 4.0])
@@ -244,6 +262,21 @@ class TestPotentialTable:
         grid = Grid(-4.0, 4.0, 161)
         potential_on_x_grid(0.8, 2.0, rational_mass(2.0), BEN_DANIEL_DUKE, grid)
         assert calls == [(161,)]
+
+    def test_integrates_the_whole_table_at_once(self, monkeypatch):
+        calls = []
+        original = numerics.integrate
+
+        def counting(f, a, b, tol):
+            calls.append((np.shape(a), np.shape(b)))
+            return original(f, a, b, tol)
+
+        monkeypatch.setattr(numerics, "integrate", counting)
+        grid = Grid(-4.0, 4.0, 161)
+        table = potential_on_x_grid(0.8, 2.0, rational_mass(2.0), BEN_DANIEL_DUKE, grid)
+        # 160 cells plus the interval from the first node to the anchor x = 0
+        assert calls == [((161,), (161,))]
+        assert abs(table.mu[80]) < 1e-12
 
     def test_assembly_variants(self):
         grid = Grid(-3.0, 3.0, 121)

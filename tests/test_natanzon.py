@@ -218,6 +218,28 @@ class TestSolveSpectrum:
             assert root == pytest.approx(
                 ginocchio.spectrum_closed_form(gamma, 2.0, 0), abs=1e-9)
 
+    def test_all_levels_polished_in_one_bisection(self, monkeypatch):
+        calls = []
+        original = natanzon.bisect
+
+        def counting(f, lo, hi):
+            calls.append(np.shape(lo))
+            return original(f, lo, hi)
+
+        monkeypatch.setattr(natanzon, "bisect", counting)
+        # the 5.25 case holds the largest levels of a gamma-j sweep, the
+        # 0.05 case the smallest, ~1e-6 in size
+        found = []
+        for gamma, j in ((1.669, 5.25), (0.05, 2.5)):
+            roots = solve_spectrum(ginocchio.params_for(gamma, j), int(j))
+            found.append((np.count_nonzero(~np.isnan(roots)),))
+            for n in np.flatnonzero(~np.isnan(roots)):
+                closed = ginocchio.spectrum_closed_form(gamma, j, int(n))
+                assert roots[n] == pytest.approx(closed, rel=1e-11)
+        # no level hits a scan node exactly, so each solve polishes all of
+        # its levels in one call
+        assert calls == found
+
     def test_default_bracket_is_negative(self):
         lo, hi = default_energy_bracket(GINOCCHIO_12)
         assert lo < hi < 0.0

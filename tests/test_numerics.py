@@ -8,11 +8,10 @@ from natpdm.numerics import (
     DimensionMismatch,
     EigensolverFailure,
     Grid,
-    NoSignChange,
     ToleranceNotMet,
     TridiagonalSymmetric,
+    bisect,
     derivative,
-    find_root,
     grid_derivative,
     integrate,
     lowest_eigenvalues,
@@ -39,38 +38,82 @@ class TestGrid:
 
 
 class TestFindRoot:
+    """numerics.bisect on the inputs the scalar root finder was checked with."""
+
     def test_exact_quadratic(self):
-        assert find_root(lambda x: x * x - 4.0, (0.0, 3.0), 1e-12) == pytest.approx(2.0, abs=1e-11)
+        assert bisect(lambda x: x * x - 4.0, 0.0, 3.0) == pytest.approx(2.0, abs=1e-15)
 
     def test_tanh_shift(self):
         # oracle: closed-form inverse
         expected = math.atanh(0.5)
-        root = find_root(lambda x: math.tanh(x) - 0.5, (0.0, 2.0), 1e-12)
-        assert root == pytest.approx(expected, abs=1e-11)
+        root = bisect(lambda x: np.tanh(x) - 0.5, 0.0, 2.0)
+        assert root == pytest.approx(expected, abs=1e-15)
 
     def test_odd_function(self):
-        assert abs(find_root(lambda x: x, (-1.0, 1.0), 1e-12)) <= 1e-12
+        assert abs(bisect(lambda x: x, -1.0, 1.0)) <= 1e-300
 
     def test_no_sign_change(self):
-        with pytest.raises(NoSignChange):
-            find_root(lambda x: x * x + 1.0, (-1.0, 1.0), 1e-10)
+        with pytest.raises(ValueError):
+            bisect(lambda x: x * x + 1.0, -1.0, 1.0)
 
     def test_root_stays_in_bracket(self):
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            r = rng.uniform(-2.0, 2.0)
-            scale = rng.uniform(0.2, 3.0)
+        r = rng.uniform(-2.0, 2.0, 50)
+        scale = rng.uniform(0.2, 3.0, 50)
+        lo, hi = r - rng.uniform(0.1, 2.0, 50), r + rng.uniform(0.1, 2.0, 50)
 
-            def f(x, r=r, scale=scale):
-                return scale * (x - r) * (1.0 + 0.3 * math.sin(3.0 * x))
+        def f(x):
+            return scale * (x - r) * (1.0 + 0.3 * np.sin(3.0 * x))
 
-            lo, hi = r - rng.uniform(0.1, 2.0), r + rng.uniform(0.1, 2.0)
-            root = find_root(f, (lo, hi), 1e-10)
-            assert lo <= root <= hi
-            assert root == pytest.approx(r, abs=1e-8)
+        root = bisect(f, lo, hi)
+        assert np.all((lo <= root) & (root <= hi))
+        assert np.max(np.abs(root - r)) <= 1e-14
+        # the array call gives each bracket what a call of its own gives
+        for i in (0, 17, 49):
+            one = bisect(lambda x: scale[i] * (x - r[i]) * (1.0 + 0.3 * np.sin(3.0 * x)),
+                         lo[i], hi[i])
+            assert one == root[i]
 
     def test_endpoint_root(self):
-        assert find_root(lambda x: x - 1.0, (1.0, 2.0), 1e-12) == 1.0
+        assert bisect(lambda x: x - 1.0, 1.0, 2.0) == 1.0
+        assert bisect(lambda x: x - 2.0, 1.0, 2.0) == 2.0
+        assert bisect(lambda x: 1.0 - x, 1.0, 2.0) == 1.0
+
+    def test_rising_and_falling_stop_at_adjacent_floats(self):
+        third = 1.0 / 3.0
+        for f in (lambda x: x - third, lambda x: third - x):
+            root = bisect(f, 0.0, 1.0)
+            # f changes sign between root and the float just below it
+            assert np.sign(f(root)) != np.sign(f(np.nextafter(root, 0.0)))
+            assert root in (third, np.nextafter(third, 1.0))
+        roots = bisect(lambda x: np.array([1.0, -1.0]) * (x - third), [0.0, 0.0], [1.0, 1.0])
+        assert roots[0] == roots[1] == bisect(lambda x: x - third, 0.0, 1.0)
+
+
+def recursive_simpson(f, a, b, tol):
+    """Scalar reference: the same adaptive Simpson rule as a depth-first recursion."""
+    if a == b:
+        return 0.0
+    if b < a:
+        return -recursive_simpson(f, b, a, tol)
+
+    def step(a, fa, m, fm, b, fb, whole, tol, depth):
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        flm, frm = f(lm), f(rm)
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        err = left + right - whole
+        if abs(err) <= 15.0 * tol or (b - a <= wfloor and math.isfinite(err)):
+            return left + right + err / 15.0
+        assert depth < numerics.QUAD_MAX_DEPTH
+        return step(a, fa, lm, flm, m, fm, left, 0.5 * tol, depth + 1) \
+            + step(m, fm, rm, frm, b, fb, right, 0.5 * tol, depth + 1)
+
+    m = 0.5 * (a + b)
+    fa, fm, fb = f(a), f(m), f(b)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    wfloor = 1e-10 * (b - a)
+    return step(a, fa, m, fm, b, fb, whole, tol * (1.0 + abs(whole)), 0)
 
 
 class TestIntegrate:
@@ -83,36 +126,52 @@ class TestIntegrate:
         exact = (3.0 / 4.0) * (2.0 ** 4 - 1.0) - (2.0 ** 2 - 1.0) + 3.0
         assert val == pytest.approx(exact, rel=1e-14)
 
-    def test_inverse_sqrt_endpoint(self):
-        val = integrate(lambda s: s ** -0.5, 0.0, 1.0, 1e-10, sqrt_singularity="lower")
-        assert val == pytest.approx(2.0, rel=1e-10)
-
-    def test_upper_singularity_by_reflection(self):
-        val = integrate(lambda s: (1.0 - s) ** -0.5, 0.0, 1.0, 1e-10, sqrt_singularity="upper")
-        assert val == pytest.approx(2.0, rel=1e-10)
-
-    def test_mass_integrand_case(self):
-        # oracle: arctanh(sqrt(z)) is the antiderivative of 1/(2 (1-s) sqrt(s))
-        z = math.tanh(1.0) ** 2
-        val = integrate(lambda s: 0.5 / ((1.0 - s) * math.sqrt(s)), 0.0, z, 1e-11,
-                        sqrt_singularity="lower")
-        assert val == pytest.approx(1.0, abs=1e-10)
-
     def test_reversed_limits(self):
         assert integrate(lambda x: x, 1.0, 0.0, 1e-12) == pytest.approx(-0.5, abs=1e-12)
 
     def test_depth_exhaustion_without_flag(self):
-        # an unflagged endpoint singularity keeps producing non-finite
-        # panels until the depth budget runs out
+        # a non-finite endpoint value keeps producing non-finite panels
+        # until the depth budget runs out, with no warning from the rule
         def f(s):
-            return math.inf if s == 0.0 else s ** -0.5
+            return np.divide(1.0, np.sqrt(s), out=np.full_like(s, np.inf), where=s > 0.0)
 
         with pytest.raises(ToleranceNotMet):
             integrate(f, 0.0, 1.0, 1e-10)
+        with pytest.raises(ToleranceNotMet):
+            integrate(f, np.array([1.0, 0.0]), np.array([2.0, 1.0]), 1e-10)
+
+    def test_panel_budget_bounds_a_rule_that_cannot_converge(self):
+        # NaN everywhere splits every panel at every level: the panel
+        # budget stops it long before depth 40 would
+        calls = []
+
+        def nan(x):
+            calls.append(x.size)
+            return np.full_like(x, np.nan)
+
+        with pytest.raises(ToleranceNotMet):
+            integrate(nan, np.zeros(8), np.ones(8), 1e-10)
+        assert max(calls) <= 2 * numerics.QUAD_MAX_PANELS
 
     def test_smooth_oscillatory(self):
-        val = integrate(math.sin, 0.0, math.pi, 1e-11)
+        val = integrate(np.sin, 0.0, math.pi, 1e-11)
         assert val == pytest.approx(2.0, rel=1e-10)
+
+    def test_array_of_intervals_matches_one_call_each(self):
+        a = np.array([0.0, 2.0, -1.0, 0.5, 3.0, 0.0])
+        b = np.array([1.0, 0.0, 4.0, 0.5, -2.0, 30.0])
+
+        def f(x):
+            return np.exp(-x * x) * np.cos(3.0 * x) + np.sqrt(1.0 + x * x)
+
+        together = integrate(f, a, b, 1e-10)
+        assert together.shape == a.shape
+        for i in range(a.size):
+            assert together[i] == integrate(f, a[i], b[i], 1e-10)
+            # same sums in the same order as the recursive rule: bit-identical
+            assert together[i] == recursive_simpson(f, a[i], b[i], 1e-10)
+        assert together[3] == 0.0
+        assert together[1] == -integrate(f, 0.0, 2.0, 1e-10)
 
 
 class TestDerivative:
