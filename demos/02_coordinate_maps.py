@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""The implicit coordinate map: travel coordinate, inversion, and the ODE route.
+"""The implicit coordinate map: travel coordinate and its inversion, two ways.
 
-The construction variable z is known only implicitly.  Two independent
-routes recover it from a mass profile:
+The construction variable z is known only implicitly.  Both routes below
+start from the dimensionless travel coordinate mu = int sqrt(2m) dx and
+invert it:
 
-  1. quadrature of the dimensionless travel coordinate mu = int sqrt(2m) dx,
-     inverted against the closed-form mu(u) with z = tanh^2 u;
-  2. direct integration of the generating-function ODE z'^2 = 2 m S(z).
+  1. against the closed-form Ginocchio mu(u), with z = tanh^2 u;
+  2. against G(s) = int sqrt(R(sigma))/2 ds, the general Natanzon form of
+     z'^2 = 2 m S(z) in the logit s = ln(z/(1 - z)).
 
 Both are exercised here and checked against each other and against the
 closed form available at gamma = 1.
@@ -34,12 +35,12 @@ for gamma in (0.5, 1.3, 2.0):
                 for u in (-2.0, -0.5, 0.5, 2.0))
     print(f"  gamma = {gamma}:  max round-trip error {worst:.2e}")
 
-print("\nODE route at gamma = 1, unit mass: z(x) = tanh^2(sqrt(2) x + 1/2)")
+print("\nG(s) route at gamma = 1, unit mass: z(x) = tanh^2(sqrt(2) x + 1/2)")
 params = ginocchio.params_for(1.0, 2.0)
 cmap = natanzon.solve_coordinate_map(params, constant_mass(), x0=0.0,
-                                     z0=math.tanh(0.5) ** 2, grid=Grid(-2.0, 2.0, 801))
+                                     z0=math.tanh(0.5) ** 2)
 xs = np.linspace(-0.2, 1.8, 6)
-print(f"{'x':>6} {'z (RK4 + Hermite)':>20} {'closed form':>16} {'diff':>10}")
+print(f"{'x':>6} {'z (G(s) inverted)':>20} {'closed form':>16} {'diff':>10}")
 for x in xs:
     closed = math.tanh(math.sqrt(2.0) * x + 0.5) ** 2
     got = float(cmap.z(x))
@@ -49,12 +50,14 @@ print("\nSame map for a position-dependent mass (the two routes must agree):")
 mass = rational_mass(2.0)
 grid = Grid(-3.0, 3.0, 601)
 table = ginocchio.potential_on_x_grid(0.8, 2.0, mass, natanzon.BEN_DANIEL_DUKE, grid)
-# anchor the ODE on the forward branch (x = 0 is the z = 0 turning point,
-# a fixed point of the ODE, so the anchor must sit to its right)
+# anchor the map on the forward branch: x = 0 is the z = 0 fold of the
+# table, and z = 0 is a fixed point of the map equation, so the anchor
+# must sit to its right
 idx = int(np.argmin(np.abs(grid.points - 1.0)))
 cmap2 = natanzon.solve_coordinate_map(ginocchio.params_for(0.8, 2.0), mass,
-                                      x0=float(grid.points[idx]),
-                                      z0=float(table.z[idx]), grid=grid)
+                                      x0=float(grid.points[idx]), z0=float(table.z[idx]))
 sel = (table.x > 0.2) & (table.x < 2.5)
 diff = np.max(np.abs(cmap2.z(table.x[sel]) - table.z[sel]))
-print(f"  max |z_ode - z_mu| on the forward branch: {diff:.2e}")
+print(f"  max |z_G - z_u| on the forward branch: {diff:.2e}")
+print(f"  left of the fold the map stays at z = 0: "
+      f"{bool(np.all(cmap2.z(table.x[table.x < 0.0]) == 0.0))}")

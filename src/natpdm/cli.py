@@ -51,7 +51,6 @@ _FAILURE_EXITS = {
     numerics.ToleranceNotMet: EXIT_INVERSION_FAILURE,
     ginocchio.InversionFailure: EXIT_INVERSION_FAILURE,
     numerics.EigensolverFailure: EXIT_SOLVER_FAILURE,
-    natanzon.StiffBlowup: EXIT_SOLVER_FAILURE,
     pdmsolver.NonpositiveMass: EXIT_SOLVER_FAILURE,
 }
 _FAILURES = tuple(_FAILURE_EXITS)
@@ -182,6 +181,12 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             and not cfg.grid.x_min <= 0.0 <= cfg.grid.x_max:
         raise ConfigError(f"grid [{cfg.grid.x_min}, {cfg.grid.x_max}] must contain "
                           f"the anchor x = 0")
+    # spectrum assembles the grid and its refinement, whose kinetic
+    # coefficient 1/(2 h^2) must be finite
+    h = cfg.grid.refined().spacing
+    if args.command == "spectrum" and (h * h == 0.0 or math.isinf(0.5 / (h * h))):
+        raise ConfigError(f"grid spacing {cfg.grid.spacing:g} is too fine to discretize: "
+                          f"1/(2 h^2) overflows")
     # spectrum solves for floor(j) + 2 levels on the interior nodes
     if args.command == "spectrum" and cfg.grid.n_points - 2 < math.floor(cfg.j) + 2:
         raise ConfigError(f"grid has {cfg.grid.n_points - 2} interior nodes; spectrum "

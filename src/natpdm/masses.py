@@ -26,6 +26,17 @@ __all__ = [
 ]
 
 
+#: |x| past which every registry profile equals its asymptote in double
+#: (m = 1, m' = m'' = 0).  Each profile clips x there, so x * x stays
+#: finite for every finite x, and m, m' and m'' keep the values of the
+#: unclipped formulas wherever those are finite.
+_X_FAR = 1e150
+
+
+def _clipped(x):
+    return np.clip(np.asarray(x, dtype=float), -_X_FAR, _X_FAR)
+
+
 class NonpositiveMass(ValueError):
     """The mass profile is not strictly positive on the working domain."""
 
@@ -67,16 +78,20 @@ def rational_mass(a: float = 2.0) -> MassProfile:
     a = float(a)
 
     def m(x):
-        x = np.asarray(x, dtype=float)
+        x = _clipped(x)
         return (a + x * x) / (1.0 + x * x)
 
+    # the powers of 1 + x^2 overflow to inf past |x| ~ 1e51 (cube) and
+    # ~ 1e77 (square), which rounds m' and m'' to their asymptote 0
     def m_prime(x):
-        x = np.asarray(x, dtype=float)
-        return 2.0 * x * (1.0 - a) / (1.0 + x * x) ** 2
+        x = _clipped(x)
+        with np.errstate(over="ignore"):
+            return 2.0 * x * (1.0 - a) / (1.0 + x * x) ** 2
 
     def m_double_prime(x):
-        x = np.asarray(x, dtype=float)
-        return 2.0 * (1.0 - a) * (1.0 - 3.0 * x * x) / (1.0 + x * x) ** 3
+        x = _clipped(x)
+        with np.errstate(over="ignore"):
+            return 2.0 * (1.0 - a) * (1.0 - 3.0 * x * x) / (1.0 + x * x) ** 3
 
     return MassProfile(m, m_prime, m_double_prime, label=f"rational:{a}")
 
@@ -88,15 +103,15 @@ def exponential_well_mass(b: float = 0.5) -> MassProfile:
     b = float(b)
 
     def m(x):
-        x = np.asarray(x, dtype=float)
+        x = _clipped(x)
         return 1.0 + b * np.exp(-x * x)
 
     def m_prime(x):
-        x = np.asarray(x, dtype=float)
+        x = _clipped(x)
         return -2.0 * b * x * np.exp(-x * x)
 
     def m_double_prime(x):
-        x = np.asarray(x, dtype=float)
+        x = _clipped(x)
         return 2.0 * b * (2.0 * x * x - 1.0) * np.exp(-x * x)
 
     return MassProfile(m, m_prime, m_double_prime, label=f"exponential-well:{b}")

@@ -8,6 +8,12 @@ z'(x)^2 = 2 m(x) S(z(x)), the closed-form potential on z in [0, 1], the
 von Roos ordering corrections, and the quantization identity whose roots
 in E are the bound-state energies: every level is scanned in one array
 and polished in one bisection call.
+
+The map separates in the logit s = ln(z/(1 - z)): with mu = int sqrt(2 m)
+dx it reads dmu = sqrt(R(sigma(s)))/2 ds, sigma(s) = 1/(1 + e^-s), a
+bounded right side.  So z(x) needs one quadrature for mu(x), one table of
+G(s), the integral of the right side, and one bisection of G(s) = mu(x).
+When q0 = 0, G is bounded below: z reaches 0 at a finite x, the fold.
 """
 
 from __future__ import annotations
@@ -19,12 +25,11 @@ import numpy as np
 
 from .algebra import GroupLabels
 from .masses import MassProfile
-from .numerics import Grid, bisect
+from .numerics import bisect, integrate
 
 __all__ = [
     "RZero",
     "BranchViolation",
-    "StiffBlowup",
     "NatanzonParams",
     "EnergyCoeffs",
     "OrderingParams",
@@ -54,10 +59,6 @@ class RZero(ZeroDivisionError):
 
 class BranchViolation(ValueError):
     """A radicand of the quantization identity is negative at this energy."""
-
-
-class StiffBlowup(RuntimeError):
-    """Coordinate-map integration lost finiteness near z in {0, 1}."""
 
 
 @dataclass(frozen=True)
@@ -139,14 +140,6 @@ def generating_function(params: NatanzonParams, z):
     return 4.0 * z * z * (1.0 - z) ** 2 / r
 
 
-def _generating_function_dz(params: NatanzonParams, z):
-    r = r_polynomial(params, z)
-    rp = 2.0 * params.p0 * z + (4.0 * params.c0 - params.p0 - params.q0)
-    num = 4.0 * z * z * (1.0 - z) ** 2
-    nump = 8.0 * z * (1.0 - z) * (1.0 - 2.0 * z)
-    return (nump * r - num * rp) / (r * r)
-
-
 def natanzon_potential(params: NatanzonParams, z):
     """Closed-form potential on z, with the z(z-1) pole cancelled analytically.
 
@@ -196,28 +189,21 @@ def _radicands(params: NatanzonParams, energy: float):
     return co.q + 2.0, co.p + 1.0, 4.0 * co.c + 1.0
 
 
-def quantization_residual(params: NatanzonParams, energy, n,
-                          form: str = "branch_rule"):
+def quantization_residual(params: NatanzonParams, energy, n):
     """Residual of the quantization identity at (E, n), elementwise.
 
-    form='branch_rule' evaluates sqrt(p+1) + sqrt(q+2) - sqrt(4c+1)
-    - (2n+1), the sign assignment under which the identity is monotone
-    in E and reproduces the closed-form spectrum.  form='verbatim'
-    evaluates sqrt(q+2) - sqrt(p+1) - sqrt(4c+1) - (2n+1), kept for
-    transparency; each square root is taken nonnegative either way.
-    energy and n may be arrays that broadcast against each other.
+    Evaluates the branch rule sqrt(p+1) + sqrt(q+2) - sqrt(4c+1) - (2n+1),
+    the sign assignment under which the identity is monotone in E and
+    reproduces the closed-form spectrum; each square root is taken
+    nonnegative.  energy and n may be arrays that broadcast against each
+    other.
     """
-    if form not in ("branch_rule", "verbatim"):
-        raise ValueError(f"unknown form {form!r}")
     rad_q, rad_p, rad_c = _radicands(params, energy)
     if np.any((rad_q < 0.0) | (rad_p < 0.0) | (rad_c < 0.0)):
         raise BranchViolation(
             f"negative radicand at E={energy}: q+2={rad_q}, p+1={rad_p}, 4c+1={rad_c}"
         )
-    sq, sp, sc = np.sqrt(rad_q), np.sqrt(rad_p), np.sqrt(rad_c)
-    if form == "branch_rule":
-        return sp + sq - sc - (2.0 * n + 1.0)
-    return sq - sp - sc - (2.0 * n + 1.0)
+    return np.sqrt(rad_p) + np.sqrt(rad_q) - np.sqrt(rad_c) - (2.0 * n + 1.0)
 
 
 def default_energy_bracket(params: NatanzonParams) -> tuple:
@@ -296,102 +282,91 @@ def labels_for_level(params: NatanzonParams, energy: float, n: int) -> GroupLabe
     )
 
 
+#: logit range tabulated for the map, where the logistic z is neither 0
+#: nor 1 in double, and its step, the width of one inversion cell
+_S_MIN, _S_MAX = -710.0, 37.0
+_S_STEP = 0.0625
+#: quadrature tolerance of the map, for both mu(x) and G(s)
+_MAP_TOL = 1e-12
+
+
+def _logistic(s):
+    """sigma(s) = 1/(1 + e^-s), nondecreasing after rounding; 0 where e^-s overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-s))
+
+
+def _half_root_r(params: NatanzonParams, s):
+    """dmu/ds = sqrt(R(sigma(s)))/2, bounded on the whole line."""
+    r = r_polynomial(params, _logistic(s))
+    if np.any(r < 0.0):
+        raise RZero("R(z) < 0 inside [0, 1]: invalid parameter set")
+    return 0.5 * np.sqrt(r)
+
+
 @dataclass(frozen=True)
 class CoordinateMap:
-    """Monotone coordinate map z(x) in [0, 1] built by ODE integration.
+    """Monotone coordinate map z(x) in [0, 1] through z(x0) = z0.
 
-    Between the stored nodes z is a cubic Hermite interpolant; z''
-    follows from differentiating z'^2 = 2 m S(z) once:
-    z'' = m' sqrt(S/(2m)) + m dS/dz.
+    The logit s = ln(z/(1 - z)) obeys dmu = sqrt(R(sigma(s)))/2 ds with
+    mu = int_x0^x sqrt(2 m) dx.  G, the integral of the right side from
+    s0 = logit(z0), is tabulated at the nodes s; z(x) solves G(s) = mu(x).
     """
 
     params: NatanzonParams
     mass: MassProfile
-    xs: np.ndarray
-    zs: np.ndarray
-    dzs: np.ndarray
-
-    def _hermite(self, x):
-        x = np.asarray(x, dtype=float)
-        step = self.xs[1] - self.xs[0]
-        i = np.clip(((x - self.xs[0]) / step).astype(int), 0, self.xs.size - 2)
-        t = (x - self.xs[i]) / step
-        t2 = t * t
-        t3 = t2 * t
-        h00 = 2.0 * t3 - 3.0 * t2 + 1.0
-        h10 = t3 - 2.0 * t2 + t
-        h01 = -2.0 * t3 + 3.0 * t2
-        h11 = t3 - t2
-        return h00 * self.zs[i] + h10 * step * self.dzs[i] \
-            + h01 * self.zs[i + 1] + h11 * step * self.dzs[i + 1]
+    x0: float
+    s: np.ndarray
+    g: np.ndarray
+    anchor: int
 
     def z(self, x):
-        return np.clip(self._hermite(x), 0.0, 1.0)
+        """z at every x, from one quadrature for mu(x); a scalar x gives a float."""
+        def root_2m(t):
+            self.mass.require_positive(t)  # at every quadrature node
+            return np.sqrt(2.0 * self.mass.m(t))
 
-    def z_double_prime(self, x):
-        zv = self.z(x)
-        inside = (zv > 0.0) & (zv < 1.0)
-        zv_safe = np.where(inside, zv, 0.5)
-        s = generating_function(self.params, zv_safe)
-        m = self.mass.m(x)
-        mp = self.mass.m_prime(x)
-        val = mp * np.sqrt(s / (2.0 * m)) + m * _generating_function_dz(self.params, zv_safe)
-        return np.where(inside, val, 0.0)
+        z = self.z_at_mu(np.atleast_1d(integrate(root_2m, self.x0, x, _MAP_TOL)))
+        return float(z[0]) if np.ndim(x) == 0 else z.reshape(np.shape(x))
 
+    def z_at_mu(self, mu: np.ndarray) -> np.ndarray:
+        """z with G(logit z) = mu for every mu of a 1-d array, in one bisection.
 
-def _map_rhs(params, mass, x, z):
-    z = np.asarray(z, dtype=float)
-    inside = (z > 0.0) & (z < 1.0)
-    z_safe = np.where(inside, z, 0.5)
-    s = generating_function(params, z_safe)
-    val = np.sqrt(2.0 * mass.m(x) * s)
-    return np.where(inside, val, 0.0)  # z = 0 and z = 1 are fixed points
+        A mu below the table, left of the fold where R(0) = 0 bounds G
+        below, gives z = 0; one above it gives z = 1.
+        """
+        cell = np.searchsorted(self.g, mu, side="right") - 1
+        inside = (cell >= 0) & (cell < self.s.size - 1)
+        k = cell[inside]
+        # G was summed outward from the anchor node, so each cell's table
+        # values are its near end plus or minus one cell integral: f starts
+        # from that end and gives both ends the exact floats of the table
+        near = np.where(k >= self.anchor, k, k + 1)
+        g_near, s_near, target = self.g[near], self.s[near], mu[inside]
+        s = bisect(lambda v: g_near + integrate(lambda t: _half_root_r(self.params, t),
+                                                s_near, v, _MAP_TOL) - target,
+                   self.s[k], self.s[k + 1])
+        z = np.where(cell < 0, 0.0, 1.0)
+        z[inside] = _logistic(s)
+        return z
 
 
 def solve_coordinate_map(params: NatanzonParams, mass: MassProfile,
-                         x0: float | None = None, z0: float = 0.5,
-                         grid: Grid | None = None) -> CoordinateMap:
-    """Integrate dz/dx = +sqrt(2 m(x) S(z)) through (x0, z0), both directions.
+                         x0: float, z0: float) -> CoordinateMap:
+    """The map with z'(x)^2 = 2 m(x) S(z(x)), z' >= 0, through (x0, z0).
 
-    Fixed-step RK4 with step = grid spacing / 4, anchored mid-interval by
-    default because the right-hand side is singular-slow at both ends;
-    the iterate is clamped to [0, 1] so the fixed points are never
-    crossed.
+    G is tabulated once, by one quadrature over cells of width _S_STEP
+    that start at s0 = logit(z0) and cover [_S_MIN, _S_MAX].  z0 must lie
+    in the open interval (0, 1): z = 0 and z = 1 are fixed points of the
+    equation and define no map.
     """
-    if grid is None:
-        grid = Grid(-6.0, 6.0, 1201)
-    if x0 is None:
-        x0 = 0.5 * (grid.x_min + grid.x_max)
-    if not 0.0 <= z0 <= 1.0:
-        raise ValueError(f"z0 must lie in [0, 1], got {z0}")
-    mass.require_positive(grid.points)
-    step = grid.spacing / 4.0
-
-    def rhs(x, z):
-        return float(_map_rhs(params, mass, x, z))
-
-    def march(direction: int):
-        h = direction * step
-        x, z = float(x0), float(z0)
-        xs, zs = [], []
-        n_steps = int(math.ceil(abs((grid.x_max if direction > 0 else grid.x_min) - x0) / step))
-        for _ in range(n_steps):
-            k1 = rhs(x, z)
-            k2 = rhs(x + 0.5 * h, z + 0.5 * h * k1)
-            k3 = rhs(x + 0.5 * h, z + 0.5 * h * k2)
-            k4 = rhs(x + h, z + h * k3)
-            z = z + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not math.isfinite(z):
-                raise StiffBlowup(f"integration lost finiteness near x = {x}")
-            z = min(max(z, 0.0), 1.0)
-            x += h
-            xs.append(x)
-            zs.append(z)
-        return xs, zs
-
-    xs_fwd, zs_fwd = march(+1)
-    xs_bwd, zs_bwd = march(-1)
-    xs = np.array(xs_bwd[::-1] + [x0] + xs_fwd)
-    zs = np.array(zs_bwd[::-1] + [z0] + zs_fwd)
-    dzs = np.array([_map_rhs(params, mass, x, z) for x, z in zip(xs, zs)], dtype=float)
-    return CoordinateMap(params=params, mass=mass, xs=xs, zs=zs, dzs=dzs)
+    if not 0.0 < z0 < 1.0:
+        raise ValueError(f"z0 must lie in the open interval (0, 1), got {z0}")
+    s0 = math.log(z0) - math.log1p(-z0)
+    # a z0 below sigma(_S_MIN) starts the table at s0 itself
+    anchor = max(math.ceil((s0 - _S_MIN) / _S_STEP), 0)
+    s = s0 + _S_STEP * np.arange(-anchor, math.ceil((_S_MAX - s0) / _S_STEP) + 1)
+    cells = integrate(lambda t: _half_root_r(params, t), s[:-1], s[1:], _MAP_TOL)
+    g = np.concatenate([-np.cumsum(cells[:anchor][::-1])[::-1], [0.0],
+                        np.cumsum(cells[anchor:])])
+    return CoordinateMap(params=params, mass=mass, x0=float(x0), s=s, g=g, anchor=anchor)

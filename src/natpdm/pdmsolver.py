@@ -50,7 +50,9 @@ def assemble_hamiltonian(mass: MassProfile, potential: np.ndarray,
     v = np.asarray(potential, dtype=float)
     if v.shape != pts.shape:
         raise ValueError(f"potential sampled on {v.shape}, grid has {pts.shape}")
-    h = grid.spacing
+    # as a Python float, 2 h^2 past the double range is inf without an
+    # overflow warning, so the kinetic terms round to their value 0
+    h = float(grid.spacing)
     m_mid = np.asarray(mass.m(grid.midpoints), dtype=float)
     if np.any(m_mid <= 0.0) or np.any(np.asarray(mass.m(pts)) <= 0.0):
         raise NonpositiveMass(f"mass {mass.label!r} not positive on the grid")
@@ -99,8 +101,10 @@ def solve_bound_states(h_matrix: TridiagonalSymmetric, k: int,
         return BoundStateResult(energies=coarse, convergence_estimate=np.full(k, np.nan))
     fine = lowest_eigenvalues(refined, k)
     extrapolated = (4.0 * fine - coarse) / 3.0
-    return BoundStateResult(energies=np.sort(extrapolated),
-                            convergence_estimate=np.abs(fine - coarse))
+    # one permutation sorts the levels and keeps each estimate with its level
+    order = np.argsort(extrapolated, kind="stable")
+    return BoundStateResult(energies=extrapolated[order],
+                            convergence_estimate=np.abs(fine - coarse)[order])
 
 
 @dataclass(frozen=True)
@@ -257,6 +261,8 @@ def verify_spectrum(spec: GinocchioSpec, mass: MassProfile, ordering: OrderingPa
             "level_diffs": level_diffs,
             "max_diff": max(level_diffs) if level_diffs else None,
         },
-        convergence_estimates=[float(c) for c in result.convergence_estimate],
+        # the bound levels lead the ascending energies: one estimate each
+        convergence_estimates=[float(c) for c in
+                               result.convergence_estimate[:numeric_bound.size]],
         bound_threshold=threshold,
     )

@@ -151,8 +151,7 @@ def natanzon_suite(tol, rng) -> list:
     checks.append(_check("closed_potential_matches_hyperbolic", eq_err, 1e-10))
 
     cmap = natanzon.solve_coordinate_map(ginocchio.params_for(1.0, 2.0), constant_mass(),
-                                         x0=0.0, z0=math.tanh(0.5) ** 2,
-                                         grid=Grid(-2.0, 2.0, 801))
+                                         x0=0.0, z0=math.tanh(0.5) ** 2)
     xs = np.linspace(-0.2, 1.9, 40)
     ident_err = float(np.max(np.abs(
         numerics.derivative(cmap.z, xs, order=1, h=1e-4) ** 2
@@ -170,10 +169,6 @@ def natanzon_suite(tol, rng) -> list:
         abs(lbl.j0 - (lbl.n + 0.5 + math.sqrt(co.c + 0.25))),
     )
     checks.append(_check("discrete_series_bookkeeping", float(book_err), 1e-12))
-
-    verbatim = natanzon.quantization_residual(gparams, -4.0, 0, form="verbatim")
-    checks.append(_check("verbatim_identity_at_branch_root", float(verbatim),
-                         kind="info", passed=True))
     return checks
 
 

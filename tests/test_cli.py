@@ -162,6 +162,15 @@ class TestMassRange:
         report = json.loads(out)
         assert all(math.isfinite(e) for e in report["energies_numeric"])
 
+    @pytest.mark.parametrize("mass", ["constant", "rational:2", "exponential-well:0.5"])
+    def test_grid_near_the_double_range(self, mass, capsys):
+        # the masses stay finite out to |x| = 1e300; so many cells this wide
+        # bind no level, and the run ends on the coverage gate
+        code, out, err = run_cli(["spectrum", "--grid=-1e300,1e300,11", f"--mass={mass}"],
+                                 capsys)
+        assert code in (0, 1) and err == ""
+        assert json.loads(out)["gates"]
+
 
 class TestInversionFailures:
     @pytest.mark.parametrize("command", ["potential", "spectrum"])
@@ -246,6 +255,7 @@ class TestConfigErrors:
         ["potential", "--mass=constant:1e-300", "--grid=-2,2,11"],
         ["spectrum", "--mass=rational:1e300", "--grid=-2,2,41"],
         ["potential", "--grid=-1e308,1e308,11"],
+        ["spectrum", "--grid=-1e-300,1e-300,11"],
     ])
     def test_exit_code_two(self, args, capsys):
         code, _, err = run_cli(args, capsys)

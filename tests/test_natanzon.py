@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from natpdm import ginocchio, natanzon, numerics
-from natpdm.masses import constant_mass, mass_from_callable, rational_mass
+from natpdm.masses import NonpositiveMass, constant_mass, mass_from_callable, rational_mass
 from natpdm.natanzon import (
     BEN_DANIEL_DUKE,
     BranchViolation,
@@ -173,11 +173,6 @@ class TestQuantization:
     def test_branch_rule_root(self):
         assert quantization_residual(GINOCCHIO_12, -4.0, 0) == pytest.approx(0.0, abs=1e-14)
 
-    def test_verbatim_form_reported(self):
-        # as printed the left side is negative at the branch-rule root
-        assert quantization_residual(GINOCCHIO_12, -4.0, 0, form="verbatim") \
-            == pytest.approx(-5.0, abs=1e-14)
-
     def test_q_radical_energy_independent(self):
         # q0 = 0, a_q = -7/4 pins sqrt(q+2) = 1/2  for every E
         for e in (-9.0, -4.0, -0.3):
@@ -261,19 +256,51 @@ class TestLabelsForLevel:
         assert lab.j0 == pytest.approx(lab.n + 0.5 + math.sqrt(co.c + 0.25), abs=1e-12)
 
 
+#: three parameter sets (c0, p0, q0, a_c, a_p, a_q) with q0 > 0, so R(0) > 0
+#: and the map covers (0, 1) once, with no fold
+Q0_POSITIVE = (
+    NatanzonParams(0.25, 0.1, 0.3, -0.25, 5.0, -1.75),
+    NatanzonParams(0.3, -0.1, 0.2, 0.5, 8.0, -1.0),
+    NatanzonParams(0.2, 0.05, 0.1, -0.1, 12.0, 0.5),
+)
+
+
+def rk4_map(params, mass, x0, z0, x_end, step):
+    """Test oracle: classical RK4 on dz/dx = sqrt(2 m S(z)) from (x0, z0) to x_end.
+
+    Returns the nodes x0 + i step and z there, one direction at a time.
+    """
+    def rhs(x, z):
+        return math.sqrt(2.0 * float(mass.m(x)) * generating_function(params, z))
+
+    n = int(round(abs(x_end - x0) / step))
+    h = math.copysign(step, x_end - x0)
+    xs, zs = [x0], [z0]
+    x, z = x0, z0
+    for _ in range(n):
+        k1 = rhs(x, z)
+        k2 = rhs(x + 0.5 * h, z + 0.5 * h * k1)
+        k3 = rhs(x + 0.5 * h, z + 0.5 * h * k2)
+        k4 = rhs(x + h, z + h * k3)
+        z += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = x0 + len(xs) * h
+        xs.append(x)
+        zs.append(z)
+    return np.array(xs), np.array(zs)
+
+
 class TestCoordinateMap:
     def test_gamma_one_closed_form(self):
         # oracle: dz/dx = 2 sqrt(2) sqrt(z)(1-z) for m = 1 integrates to
         # tanh^2(sqrt(2) x + const); anchor z(0) = tanh^2(1/2)
         cmap = solve_coordinate_map(GINOCCHIO_12, constant_mass(), x0=0.0,
-                                    z0=math.tanh(0.5) ** 2, grid=Grid(-2.0, 2.0, 801))
+                                    z0=math.tanh(0.5) ** 2)
         xs = np.linspace(-0.2, 1.9, 50)
         expected = np.tanh(math.sqrt(2.0) * xs + 0.5) ** 2
         assert np.max(np.abs(cmap.z(xs) - expected)) < 1e-8
 
     def test_generating_identity(self):
-        cmap = solve_coordinate_map(GINOCCHIO_12, constant_mass(), x0=0.0,
-                                    z0=0.5, grid=Grid(-2.0, 2.0, 801))
+        cmap = solve_coordinate_map(GINOCCHIO_12, constant_mass(), x0=0.0, z0=0.5)
         # stay right of the z = 0 turning point: R(0) = 0 for these parameters
         xs = np.linspace(-0.4, 1.5, 60)
         # independent finite-difference z' against the identity z'^2 = 2 m S(z)
@@ -282,41 +309,83 @@ class TestCoordinateMap:
         assert np.max(resid) < 1e-8
 
     def test_monotone_and_in_range(self):
-        cmap = solve_coordinate_map(GINOCCHIO_12, rational_mass(2.0), x0=0.0,
-                                    z0=0.5, grid=Grid(-3.0, 3.0, 601))
+        cmap = solve_coordinate_map(GINOCCHIO_12, rational_mass(2.0), x0=0.0, z0=0.5)
         xs = np.linspace(-3.0, 3.0, 400)
         zs = cmap.z(xs)
         assert np.all(zs >= 0.0) and np.all(zs <= 1.0)
         interior = (zs > 1e-12) & (zs < 1.0 - 1e-12)
         assert np.all(np.diff(zs[interior]) > 0.0)
 
-    def test_fixed_point_at_zero(self):
-        cmap = solve_coordinate_map(GINOCCHIO_12, constant_mass(), x0=0.0,
-                                    z0=0.0, grid=Grid(-1.0, 1.0, 201))
-        assert np.max(np.abs(cmap.z(np.linspace(-1.0, 1.0, 50)))) == 0.0
+    @pytest.mark.parametrize("z0", [0.0, 1.0, math.nan])
+    def test_anchor_outside_open_interval_rejected(self, z0):
+        # z = 0 and z = 1 are fixed points of the map equation
+        with pytest.raises(ValueError):
+            solve_coordinate_map(GINOCCHIO_12, constant_mass(), x0=0.0, z0=z0)
+
+    @pytest.mark.parametrize("params", [GINOCCHIO_12, Q0_POSITIVE[1]], ids=["fold", "q0>0"])
+    def test_inverts_just_below_every_table_value(self, params):
+        # mu one float below G at node k + 1 lies in cell k; a bracket whose
+        # far end is not the table's own float for node k + 1 can lose its
+        # sign change there
+        cmap = solve_coordinate_map(params, rational_mass(2.0), x0=0.0, z0=0.3)
+        mu = np.nextafter(cmap.g[1:], -np.inf)
+        zs = cmap.z_at_mu(mu)
+        assert np.all(np.diff(zs) >= 0.0)
+        assert np.all(zs <= natanzon._logistic(cmap.s[1:]))
+        # where G is flat to the last bit, mu falls in an earlier cell
+        in_cell = cmap.g[:-1] <= mu
+        assert np.all(zs[in_cell] >= natanzon._logistic(cmap.s[:-1][in_cell]))
+
+    def test_anchor_below_the_table(self):
+        # z0 = 1e-310 puts s0 = logit(z0) below the tabulated range; there
+        # R(z) = q0 to every digit, so s grows linearly, by 2 sqrt(2/q0) per unit x
+        params = Q0_POSITIVE[0]
+        cmap = solve_coordinate_map(params, constant_mass(), x0=0.0, z0=1e-310)
+        expected = math.log(1e-310) + 10.0 * 2.0 * math.sqrt(2.0 / params.q0)
+        assert math.log(cmap.z(10.0)) == pytest.approx(expected, abs=1e-9)
+        assert cmap.z(-1.0) == 0.0
+
+    def test_nonpositive_mass_rejected(self):
+        mass = mass_from_callable(lambda x: 1.0 - np.asarray(x, dtype=float))
+        cmap = solve_coordinate_map(GINOCCHIO_12, mass, x0=0.0, z0=0.5)
+        with pytest.raises(NonpositiveMass):
+            cmap.z(np.array([0.5, 2.0]))
+
+    def test_scalar_gives_float_at_anchor(self):
+        cmap = solve_coordinate_map(GINOCCHIO_12, rational_mass(2.0), x0=0.3, z0=0.25)
+        z = cmap.z(0.3)
+        assert isinstance(z, float) and z == pytest.approx(0.25, rel=1e-15)
 
     def test_ode_route_agrees_with_inversion_route(self):
         # independent reconstructions of z(x) for a varying mass: the
-        # generating-function ODE vs travel-coordinate quadrature + inversion
+        # generating-function map vs the Ginocchio travel-coordinate table
         mass = rational_mass(2.0)
         grid = Grid(-3.0, 3.0, 601)
         params = ginocchio.params_for(0.8, 2.0)
         table = ginocchio.potential_on_x_grid(0.8, 2.0, mass, BEN_DANIEL_DUKE, grid)
         idx = int(np.argmin(np.abs(grid.points - 1.0)))
         cmap = solve_coordinate_map(params, mass, x0=float(grid.points[idx]),
-                                    z0=float(table.z[idx]), grid=grid)
+                                    z0=float(table.z[idx]))
         sel = (table.x > 0.2) & (table.x < 2.5)
         assert np.max(np.abs(cmap.z(table.x[sel]) - table.z[sel])) < 1e-8
+        # the table folds at x = 0; the map stays at z = 0 left of the fold
+        assert np.all(cmap.z(table.x[table.x < 0.0]) == 0.0)
 
-    def test_second_derivative_consistency(self):
-        cmap = solve_coordinate_map(GINOCCHIO_12, constant_mass(), x0=0.0,
-                                    z0=0.5, grid=Grid(-2.0, 2.0, 801))
-        # z'' jumps at the z = 0 corner; compare on the smooth side only.
-        # the interpolant is C^1, so its curvature is O(step^2) away from
-        # the analytic accessor
-        xs = np.linspace(-0.4, 1.0, 30)
-        fd2 = numerics.derivative(cmap.z, xs, order=2, h=1e-3)
-        assert np.max(np.abs(fd2 - cmap.z_double_prime(xs))) < 1e-5
+    @pytest.mark.parametrize("mass", [constant_mass(), rational_mass(2.0)],
+                             ids=["constant", "rational:2"])
+    @pytest.mark.parametrize("params", Q0_POSITIVE, ids=["set1", "set2", "set3"])
+    def test_q0_positive_sets(self, params, mass):
+        cmap = solve_coordinate_map(params, mass, x0=0.0, z0=0.5)
+        xs = np.linspace(-2.0, 2.0, 81)
+        zs = cmap.z(xs)
+        assert np.all((0.0 <= zs) & (zs <= 1.0))
+        assert np.all(np.diff(zs) > 0.0)
+        fd = numerics.derivative(cmap.z, xs, order=1, h=1e-4)
+        resid = np.abs(fd ** 2 - 2.0 * mass.m(xs) * generating_function(params, zs))
+        assert np.max(resid) < 1e-8
+        for x_end in (-2.0, 2.0):
+            x_rk, z_rk = rk4_map(params, mass, 0.0, 0.5, x_end, 2.5e-3)
+            assert np.max(np.abs(cmap.z(x_rk[::20]) - z_rk[::20])) < 1e-8
 
 
 class TestDiscriminant:

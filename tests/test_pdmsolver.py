@@ -6,6 +6,7 @@ import pytest
 from natpdm import numerics, pdmsolver
 from natpdm.ginocchio import GinocchioSpec
 from natpdm.masses import (
+    MASS_REGISTRY,
     NonpositiveMass,
     constant_mass,
     exponential_well_mass,
@@ -46,6 +47,18 @@ class TestMassProfiles:
         with pytest.raises(NonpositiveMass):
             rational_mass(-1.0)
 
+    @pytest.mark.parametrize("text", [f"{name}:{end!r}" for name, (_, ends) in
+                                      MASS_REGISTRY.items() for end in ends])
+    def test_finite_for_every_finite_x(self, text):
+        # a RuntimeWarning fails the suite, so this also checks that none is raised
+        mass = parse_mass(text)
+        x = np.array([-1e300, -1e200, 1e200, 1e300])
+        # every profile sits at its asymptote this far out
+        assert np.unique(mass.m(x)).size == 1
+        for fn in (mass.m, mass.m_prime, mass.m_double_prime):
+            assert np.all(np.isfinite(fn(x)))
+            assert all(math.isfinite(fn(v)) for v in x)
+
     def test_finite_difference_fallback(self):
         mass = mass_from_callable(lambda x: 1.0 + 0.1 * np.asarray(x, dtype=float) ** 2)
         assert float(mass.m_prime(1.0)) == pytest.approx(0.2, abs=1e-9)
@@ -81,6 +94,13 @@ class TestAssembly:
         hm = assemble_hamiltonian(rational_mass(2.0), np.zeros(101), BEN_DANIEL_DUKE, grid)
         rowsum = hm.diagonal[1:-1] + hm.offdiagonal[:-1] + hm.offdiagonal[1:]
         assert np.max(np.abs(rowsum)) < 1e-9 * np.max(np.abs(hm.diagonal))
+
+    def test_spacing_past_the_double_range(self):
+        # 2 h^2 exceeds the double range even for numpy float ends; the
+        # kinetic entries round to 0 without an overflow warning
+        grid = Grid(np.float64(-1e300), np.float64(1e300), 11)
+        hm = assemble_hamiltonian(rational_mass(2.0), np.zeros(11), BEN_DANIEL_DUKE, grid)
+        assert np.all(hm.offdiagonal == 0.0) and np.all(np.isfinite(hm.diagonal))
 
     def test_nonpositive_mass(self):
         bad = mass_from_callable(lambda x: np.asarray(x, dtype=float))
@@ -143,6 +163,15 @@ class TestBoundStates:
             assemble_hamiltonian(constant_mass(), np.zeros(n), BEN_DANIEL_DUKE, shifted), 3)
         assert np.max(np.abs(e1 - e2)) < 1e-9 * np.max(np.abs(e1))
 
+    def test_estimates_follow_their_levels(self, monkeypatch):
+        # the extrapolation (4 fine - coarse)/3 swaps the first two levels:
+        # it gives 5 and 4, whose two-grid changes are 3 and 0
+        solved = {"coarse": np.array([1.0, 4.0, 9.0]), "fine": np.array([4.0, 4.0, 9.0])}
+        monkeypatch.setattr(pdmsolver, "lowest_eigenvalues", lambda matrix, k: solved[matrix])
+        res = solve_bound_states("coarse", 3, refined="fine")
+        assert res.energies.tolist() == [4.0, 5.0, 9.0]
+        assert res.convergence_estimate.tolist() == [0.0, 3.0, 0.0]
+
     def test_convergence_order(self):
         grids = [Grid(0.0, 1.0, 101)]
         grids.append(grids[0].refined())
@@ -170,6 +199,10 @@ class TestVerifySpectrum:
         assert len(report.energies_numeric) == 2
         assert report.energies_numeric[0] == pytest.approx(-4.0, abs=1e-3)
         assert report.energies_numeric[1] == pytest.approx(-1.0, abs=1e-3)
+
+    def test_one_estimate_per_reported_level(self, report):
+        # k = 4 levels are solved, two of them bound
+        assert len(report.convergence_estimates) == len(report.energies_numeric)
 
     def test_closed_form_verbatim(self, report):
         assert report.energies_closed_form == pytest.approx([-4.0, 0.0, -4.0])
