@@ -3,9 +3,9 @@
 
 The quantization identity sqrt(p+1) + sqrt(q+2) - sqrt(4c+1) = 2n + 1 and
 the closed-form level expression should describe the bound states of the
-assembled position-dependent-mass Hamiltonian.  The finite-difference
-eigensolver decides: it knows nothing of the algebraic construction, it
-just diagonalizes the flux-form discretization.
+position-dependent-mass Hamiltonian with the potential V_hyp + Um.  The
+finite-difference eigensolver decides: it knows nothing of the algebraic
+construction, it just diagonalizes the flux-form discretization.
 
 Note the index bookkeeping: at gamma = 1 the numeric spectrum is
 -(j - n)^2 while the printed closed form gives -(j - 2n)^2, so the
@@ -20,10 +20,10 @@ from natpdm.numerics import Grid
 
 report = pdmsolver.verify_spectrum(
     GinocchioSpec(gamma=1.0, j=2.0), constant_mass(), BEN_DANIEL_DUKE,
-    "v_plus_um", Grid(-11.0, 11.0, 1201), partner_mass=rational_mass(2.0),
+    Grid(-11.0, 11.0, 1201), partner_mass=rational_mass(2.0),
 )
 
-print(f"gamma = {report.gamma}, j = {report.j}, assembly = {report.assembly_variant}")
+print(f"gamma = {report.gamma}, j = {report.j}")
 print(f"ordering (eta, eps, rho) = {report.ordering}")
 print()
 print("numeric bound states      :", [f"{e:+.6f}" for e in report.energies_numeric])

@@ -38,7 +38,6 @@ from .conformal import (
     xi_of_z,
 )
 from .ginocchio import (
-    ASSEMBLY_VARIANTS,
     GinocchioSpec,
     PotentialTable,
     invert_mu,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import conformal, ginocchio, natanzon, numerics, pdmsolver, verify
-from .ginocchio import ASSEMBLY_VARIANTS, GinocchioSpec
+from .ginocchio import GinocchioSpec
 from .masses import MASS_REGISTRY, parse_mass
 from .natanzon import OrderingParams
 from .numerics import Grid
@@ -35,6 +35,13 @@ EXIT_SOLVER_FAILURE = 4
 # closed forms overflow (gamma^2 mu, gamma^6) or lose every digit
 GAMMA_MIN = 1e-8
 GAMMA_MAX = 1e6
+
+# LAPACK dstebz squares the off-diagonal entries of the spectrum matrix
+# and multiplies neighbouring diagonal entries, so each entry must stay
+# below sqrt(DBL_MAX).  The largest is the kinetic diagonal 1/(m h^2) at
+# the registry's mass floor m = 1e-6; this is the refined spacing h at
+# which it reaches sqrt(DBL_MAX)
+SPACING_MIN = 1.0 / math.sqrt(1e-6 * math.sqrt(sys.float_info.max))
 
 DEFAULT_TOLERANCES = {
     "quad": 1e-10,
@@ -76,7 +83,6 @@ class RunConfig:
     ordering: OrderingParams = field(default_factory=lambda: natanzon.BEN_DANIEL_DUKE)
     mass: str = "constant"
     grid: Grid = field(default_factory=lambda: Grid(-12.0, 12.0, 1201))
-    assembly: str = "v_plus_um"
     fmt: str | None = None
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     only: str | None = None
@@ -146,6 +152,11 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object of flag values")
+        flags = set(vars(args)) - {"command"}
+        unknown = sorted(set(file_values) - flags)
+        if unknown:
+            raise ConfigError(f"config file keys {unknown} name no flag "
+                              f"(known: {', '.join(sorted(flags))})")
 
     def pick(name, default):
         flag = getattr(args, name, None)
@@ -181,19 +192,14 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             and not cfg.grid.x_min <= 0.0 <= cfg.grid.x_max:
         raise ConfigError(f"grid [{cfg.grid.x_min}, {cfg.grid.x_max}] must contain "
                           f"the anchor x = 0")
-    # spectrum assembles the grid and its refinement, whose kinetic
-    # coefficient 1/(2 h^2) must be finite
-    h = cfg.grid.refined().spacing
-    if args.command == "spectrum" and (h * h == 0.0 or math.isinf(0.5 / (h * h))):
+    # spectrum assembles the grid and its refinement at half the spacing
+    if args.command == "spectrum" and 0.5 * cfg.grid.spacing < SPACING_MIN:
         raise ConfigError(f"grid spacing {cfg.grid.spacing:g} is too fine to discretize: "
-                          f"1/(2 h^2) overflows")
+                          f"its half must be at least {SPACING_MIN:.3g}")
     # spectrum solves for floor(j) + 2 levels on the interior nodes
     if args.command == "spectrum" and cfg.grid.n_points - 2 < math.floor(cfg.j) + 2:
         raise ConfigError(f"grid has {cfg.grid.n_points - 2} interior nodes; spectrum "
                           f"at j = {cfg.j} needs at least {math.floor(cfg.j) + 2}")
-    cfg.assembly = str(pick("assembly", cfg.assembly))
-    if cfg.assembly not in ASSEMBLY_VARIANTS:
-        raise ConfigError(f"assembly must be one of {ASSEMBLY_VARIANTS}, got {cfg.assembly!r}")
     fmt = pick("format", None)
     if fmt is not None:
         if fmt not in ("csv", "json"):
@@ -278,7 +284,7 @@ def cmd_potential(cfg: RunConfig) -> int:
     try:
         table = ginocchio.potential_on_x_grid(
             cfg.gamma, cfg.j, cfg.mass_profile(), cfg.ordering, cfg.grid,
-            assembly=cfg.assembly, tol=cfg.tolerances["quad"],
+            tol=cfg.tolerances["quad"],
         )
     except _FAILURES as exc:
         return _failure_exit(exc)
@@ -287,8 +293,7 @@ def cmd_potential(cfg: RunConfig) -> int:
                table.v_hyp, table.v_poly, table.um, table.v_total)
     if cfg.fmt == "json":
         payload = {name: [float(v) for v in col] for name, col in zip(header, columns)}
-        payload.update({"gamma": cfg.gamma, "j": cfg.j, "assembly_variant": cfg.assembly,
-                        "mass": cfg.mass})
+        payload.update({"gamma": cfg.gamma, "j": cfg.j, "mass": cfg.mass})
         _emit(_json_text(payload), cfg.output)
     else:
         rows = [tuple(float(col[i]) for col in columns) for i in range(cfg.grid.n_points)]
@@ -307,7 +312,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     spec = GinocchioSpec(cfg.gamma, cfg.j)
     try:
         report = pdmsolver.verify_spectrum(
-            spec, cfg.mass_profile(), cfg.ordering, cfg.assembly, cfg.grid,
+            spec, cfg.mass_profile(), cfg.ordering, cfg.grid,
             quad_tol=cfg.tolerances["quad"],
         )
     except _FAILURES as exc:
@@ -381,8 +386,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              + ", ".join(f"[{lo:g}, {hi:g}] for {name}" for name, (_, (lo, hi))
                                          in MASS_REGISTRY.items()))
     parser.add_argument("--grid", default=None, help="grid 'xmin,xmax,N'")
-    parser.add_argument("--assembly", default=None,
-                        help=f"potential assembly variant, one of {ASSEMBLY_VARIANTS}")
     parser.add_argument("--format", default=None, choices=("csv", "json"),
                         help="output format where the command supports both")
     parser.add_argument("--tol", action="append", default=None, metavar="NAME=VALUE",
@@ -406,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (
         ("map", "tabulate the band-to-disk conformal map with residuals"),
-        ("potential", "tabulate the assembled potential on the physical grid"),
+        ("potential", "tabulate the potential V_hyp + Um on the physical grid"),
         ("spectrum", "numeric vs analytic bound-state spectra as JSON"),
         ("verify", "run the module property suites and report residuals"),
     ):

@@ -30,7 +30,6 @@ __all__ = [
     "IndexOutOfRange",
     "InversionFailure",
     "GinocchioSpec",
-    "ASSEMBLY_VARIANTS",
     "params_for",
     "mu_closed_form",
     "mass_integral",
@@ -42,11 +41,6 @@ __all__ = [
     "PotentialTable",
     "potential_on_x_grid",
 ]
-
-#: how the tabulated total potential is assembled from the hyperbolic
-#: closed form and the mass-correction terms
-ASSEMBLY_VARIANTS = ("v_plus_um", "v_minus_um", "v_plus_um_vm", "v_only")
-
 
 class IndexOutOfRange(ValueError):
     """Level index outside 0..floor(j)."""
@@ -225,11 +219,10 @@ def spectrum_closed_form(gamma: float, j: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class PotentialTable:
-    """Sampled potential assembly on a physical grid."""
+    """Sampled potential on a physical grid; v_total = v_hyp + um."""
 
     gamma: float
     j: float
-    assembly: str
     x: np.ndarray
     m: np.ndarray
     mu: np.ndarray
@@ -238,24 +231,20 @@ class PotentialTable:
     v_hyp: np.ndarray
     v_poly: np.ndarray
     um: np.ndarray
-    vm: np.ndarray
     v_total: np.ndarray
 
 
 def potential_on_x_grid(gamma: float, j: float, mass: MassProfile,
                         ordering: OrderingParams, grid: Grid,
-                        assembly: str = "v_plus_um", tol: float = 1e-10) -> PotentialTable:
+                        tol: float = 1e-10) -> PotentialTable:
     """Tabulate the full position-dependent-mass potential on a grid.
 
     mu by cumulative sum of the integrals of sqrt(2 m) over the grid
     cells, anchored at x = 0, all from one quadrature call to tolerance
-    tol; u from one inversion of the whole mu column; then
-    the hyperbolic form plus the selected combination of mass-correction
-    terms.  The default assembly v_hyp + Um is the one whose spectra stay
-    mass independent.
+    tol; u from one inversion of the whole mu column; then the total
+    V_hyp + Um, the hyperbolic form plus the von Roos mass term Um, whose
+    bound levels do not depend on the mass.
     """
-    if assembly not in ASSEMBLY_VARIANTS:
-        raise ValueError(f"assembly must be one of {ASSEMBLY_VARIANTS}, got {assembly!r}")
     if not grid.x_min <= 0.0 <= grid.x_max:
         raise ValueError(f"anchor x = 0 outside grid [{grid.x_min}, {grid.x_max}]")
     pts = grid.points
@@ -273,16 +262,8 @@ def potential_on_x_grid(gamma: float, j: float, mass: MassProfile,
     z = np.minimum(np.tanh(u) ** 2, np.nextafter(1.0, 0.0))
     vhyp = v_hyperbolic(gamma, j, u)
     vpoly = v_polynomial(gamma, j, y_of_u(gamma, u))
-    vm, um = mass_correction_terms(mass, ordering, pts)
-    if assembly == "v_plus_um":
-        vtot = vhyp + um
-    elif assembly == "v_minus_um":
-        vtot = vhyp - um
-    elif assembly == "v_plus_um_vm":
-        vtot = vhyp + um + vm
-    else:
-        vtot = vhyp.copy()
+    _, um = mass_correction_terms(mass, ordering, pts)
     return PotentialTable(
-        gamma=gamma, j=j, assembly=assembly, x=pts, m=np.asarray(mass.m(pts), dtype=float),
-        mu=mu, u=u, z=z, v_hyp=vhyp, v_poly=vpoly, um=um, vm=vm, v_total=vtot,
+        gamma=gamma, j=j, x=pts, m=np.asarray(mass.m(pts), dtype=float),
+        mu=mu, u=u, z=z, v_hyp=vhyp, v_poly=vpoly, um=um, v_total=vhyp + um,
     )

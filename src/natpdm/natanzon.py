@@ -321,7 +321,10 @@ class CoordinateMap:
     anchor: int
 
     def z(self, x):
-        """z at every x, from one quadrature for mu(x); a scalar x gives a float."""
+        """z at every x, from one quadrature for mu(x); a scalar x gives a float.
+
+        A non-finite x raises ValueError.
+        """
         def root_2m(t):
             self.mass.require_positive(t)  # at every quadrature node
             return np.sqrt(2.0 * self.mass.m(t))

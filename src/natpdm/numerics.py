@@ -37,6 +37,7 @@ __all__ = [
     "lowest_eigenvalues",
     "QUAD_MAX_DEPTH",
     "QUAD_MAX_PANELS",
+    "EIG_ATOL",
 ]
 
 QUAD_MAX_DEPTH = 40
@@ -45,6 +46,8 @@ QUAD_MAX_DEPTH = 40
 # that cannot converge (a non-finite integrand, or a tol below double
 # rounding) near 13 MB
 QUAD_MAX_PANELS = 2 ** 16
+# absolute accuracy to which lowest_eigenvalues locates each level
+EIG_ATOL = 1e-10
 
 _EPS = float(np.finfo(float).eps)
 
@@ -173,13 +176,16 @@ def integrate(f: Callable, a, b, tol: float):
     at the first level; a reversed interval integrates to minus its
     mirror.  Scalar ends give a float.
 
-    Raises ToleranceNotMet when refinement exhausts its budget: depth
+    Raises ValueError for a non-finite end, before f is called, and
+    ToleranceNotMet when refinement exhausts its budget: depth
     QUAD_MAX_DEPTH, or more than max(QUAD_MAX_PANELS, number of
     intervals) panels at one level.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("integration ends must be finite")
     lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
     out = np.zeros(lo.size)
     todo = np.flatnonzero(lo < hi)
@@ -350,13 +356,13 @@ def _dstebz():
     return fn
 
 
-def lowest_eigenvalues(matrix: TridiagonalSymmetric, k: int, atol: float = 1e-10) -> np.ndarray:
+def lowest_eigenvalues(matrix: TridiagonalSymmetric, k: int) -> np.ndarray:
     """k smallest eigenvalues, ascending, by LAPACK bisection (dstebz).
 
-    Each level is located to within atol and then certified by one
+    Each level is located to within EIG_ATOL and then certified by one
     vectorised Sturm sweep: level i (1-based) passes only if
     count(E_i - delta) <= i - 1 and count(E_i + delta) >= i, with
-    delta = max(atol, 8 eps ||T||) and ||T|| the Gershgorin bound, so
+    delta = max(EIG_ATOL, 8 eps ||T||) and ||T|| the Gershgorin bound, so
     the margin grows with the rounding of the count itself.  Degenerate
     levels pass.  Raises EigensolverFailure when LAPACK reports an error
     (non-finite entries and levels it could not find included), the
@@ -372,7 +378,7 @@ def lowest_eigenvalues(matrix: TridiagonalSymmetric, k: int, atol: float = 1e-10
     w = np.empty(n)
     iblock = np.empty(n, dtype=np.int64)
     isplit = np.empty(n, dtype=np.int64)
-    info = _dstebz()(b"I", b"E", n, 0.0, 0.0, 1, k, atol, d, e,
+    info = _dstebz()(b"I", b"E", n, 0.0, 0.0, 1, k, EIG_ATOL, d, e,
                      found, nsplit, w, iblock, isplit)
     # with RANGE='I', levels LAPACK could not find come back as info 2 or 3
     if info != 0:
@@ -384,7 +390,7 @@ def lowest_eigenvalues(matrix: TridiagonalSymmetric, k: int, atol: float = 1e-10
         ae = np.abs(e)
         radius[:-1] += ae
         radius[1:] += ae
-    delta = max(atol, 8.0 * _EPS * float(radius.max()))
+    delta = max(EIG_ATOL, 8.0 * _EPS * float(radius.max()))
     counts = sturm_count(matrix, np.concatenate([levels - delta, levels + delta]))
     index = np.arange(1, k + 1)
     bad = (counts[:k] > index - 1) | (counts[k:] < index)

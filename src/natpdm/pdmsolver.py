@@ -73,12 +73,9 @@ def assemble_hamiltonian(mass: MassProfile, potential: np.ndarray,
 
 @dataclass(frozen=True)
 class BoundStateResult:
-    """Lowest eigenvalues of one assembled problem, ascending.
+    """Richardson-extrapolated lowest eigenvalues of one problem, ascending.
 
-    When a refined (half-spacing) companion is supplied the energies are
-    Richardson extrapolated and convergence_estimate holds the observed
-    two-grid change per level; otherwise the raw eigenvalues are
-    returned and the estimates are NaN.
+    convergence_estimate holds the observed two-grid change of each level.
     """
 
     energies: np.ndarray
@@ -89,16 +86,14 @@ class BoundStateResult:
 
 
 def solve_bound_states(h_matrix: TridiagonalSymmetric, k: int,
-                       refined: TridiagonalSymmetric | None = None) -> BoundStateResult:
-    """k lowest eigenvalues, optionally Richardson extrapolated.
+                       refined: TridiagonalSymmetric) -> BoundStateResult:
+    """k lowest eigenvalues, Richardson extrapolated.
 
     refined must be assembled on Grid.refined() of the grid h_matrix was
     assembled on (exactly half the spacing); second-order convergence
     then cancels the leading error term as (4 E_fine - E_coarse)/3.
     """
     coarse = lowest_eigenvalues(h_matrix, k)
-    if refined is None:
-        return BoundStateResult(energies=coarse, convergence_estimate=np.full(k, np.nan))
     fine = lowest_eigenvalues(refined, k)
     extrapolated = (4.0 * fine - coarse) / 3.0
     # one permutation sorts the levels and keeps each estimate with its level
@@ -114,7 +109,6 @@ class SpectrumReport:
     gamma: float
     j: float
     ordering: tuple
-    assembly_variant: str
     energies_numeric: list
     energies_eq_quant: list
     energies_closed_form: list
@@ -131,7 +125,6 @@ class SpectrumReport:
             "j": self.j,
             "ordering": {"eta": self.ordering[0], "epsilon": self.ordering[1],
                          "rho": self.ordering[2]},
-            "assembly_variant": self.assembly_variant,
             "energies_numeric": _clean(self.energies_numeric),
             "energies_eq27": _clean(self.energies_eq_quant),
             "energies_eq34": _clean(self.energies_closed_form),
@@ -163,12 +156,12 @@ def _clean(obj):
 
 
 def _best_fit_index_map(numeric: np.ndarray, closed: list) -> dict:
-    """Affine map analytic-n -> alpha * n (beta = 0) minimizing the worst mismatch.
+    """Index map analytic-n -> alpha * n minimizing the worst mismatch.
 
     Only alpha in {1, 2} is searched; anything that still mismatches
     badly is reported as UNMATCHED rather than forced.
     """
-    best = {"alpha": None, "beta": 0, "max_mismatch": None, "pairs": [], "status": "UNMATCHED"}
+    best = {"alpha": None, "max_mismatch": None, "pairs": [], "status": "UNMATCHED"}
     for alpha in (1, 2):
         pairs = []
         for n, e_closed in enumerate(closed):
@@ -182,7 +175,7 @@ def _best_fit_index_map(numeric: np.ndarray, closed: list) -> dict:
             continue
         worst = max(p[2] for p in pairs)
         if best["max_mismatch"] is None or worst < best["max_mismatch"]:
-            best = {"alpha": alpha, "beta": 0, "max_mismatch": worst,
+            best = {"alpha": alpha, "max_mismatch": worst,
                     "pairs": [{"analytic_n": p[0], "numeric_n": p[1], "mismatch": p[2]}
                               for p in pairs],
                     "status": "MATCHED"}
@@ -191,10 +184,10 @@ def _best_fit_index_map(numeric: np.ndarray, closed: list) -> dict:
     return best
 
 
-def _numeric_bound_energies(spec, mass, ordering, assembly_variant, grid, k, quad_tol):
+def _numeric_bound_energies(spec, mass, ordering, grid, k, quad_tol):
     fine_grid = grid.refined()
     v_fine = potential_on_x_grid(spec.gamma, spec.j, mass, ordering, fine_grid,
-                                 assembly=assembly_variant, tol=quad_tol).v_total
+                                 tol=quad_tol).v_total
     # refined() nests its nodes, so every other fine node is a coarse node
     h_coarse = assemble_hamiltonian(mass, v_fine[::2], ordering, grid)
     h_fine = assemble_hamiltonian(mass, v_fine, ordering, fine_grid)
@@ -204,20 +197,20 @@ def _numeric_bound_energies(spec, mass, ordering, assembly_variant, grid, k, qua
 
 
 def verify_spectrum(spec: GinocchioSpec, mass: MassProfile, ordering: OrderingParams,
-                    assembly_variant: str, grid: Grid, partner_mass: MassProfile | None = None,
+                    grid: Grid, partner_mass: MassProfile | None = None,
                     quad_tol: float = 1e-10) -> SpectrumReport:
     """Adjudicate the quantization roots and the closed-form levels numerically.
 
-    Runs the assembled Hamiltonian on the grid and its half-spacing
-    refinement, lists the three spectra side by side, fits the analytic-n
-    to numeric-n index map, and repeats the numerics with a second mass
-    profile to measure mass independence of the bound levels.
+    Runs the Hamiltonian with the potential V_hyp + Um on the grid and
+    its half-spacing refinement, lists the three spectra side by side,
+    fits the analytic-n to numeric-n index map, and repeats the numerics
+    with a second mass profile to measure mass independence of the bound
+    levels.
     """
     n_top = int(math.floor(spec.j))
     k = max(n_top + 2, 2)
 
-    result, threshold = _numeric_bound_energies(
-        spec, mass, ordering, assembly_variant, grid, k, quad_tol)
+    result, threshold = _numeric_bound_energies(spec, mass, ordering, grid, k, quad_tol)
     numeric_bound = result.bound_below(threshold)
 
     closed = []
@@ -237,7 +230,7 @@ def verify_spectrum(spec: GinocchioSpec, mass: MassProfile, ordering: OrderingPa
         partner_mass = rational_mass(2.0) if mass.label.startswith("constant") \
             else constant_mass()
     partner_result, partner_threshold = _numeric_bound_energies(
-        spec, partner_mass, ordering, assembly_variant, grid, k, quad_tol)
+        spec, partner_mass, ordering, grid, k, quad_tol)
     partner_bound = partner_result.bound_below(partner_threshold)
     n_common = min(numeric_bound.size, partner_bound.size)
     level_diffs = [abs(float(a - b)) for a, b in
@@ -247,7 +240,6 @@ def verify_spectrum(spec: GinocchioSpec, mass: MassProfile, ordering: OrderingPa
         gamma=spec.gamma,
         j=spec.j,
         ordering=(ordering.eta, ordering.epsilon, ordering.rho),
-        assembly_variant=assembly_variant,
         energies_numeric=[float(e) for e in numeric_bound],
         energies_eq_quant=[float(e) for e in quant],
         energies_closed_form=[float(e) for e in closed],

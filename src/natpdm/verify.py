@@ -260,8 +260,8 @@ def pdmsolver_suite(tol, rng) -> list:
                          0.0 if same else 1.0, 0.5, passed=same))
 
     spec = GinocchioSpec(1.0, 2.0)
-    report = pdmsolver.verify_spectrum(spec, unit, bdd, "v_plus_um",
-                                       Grid(-10.0, 10.0, 801), quad_tol=tol["quad"])
+    report = pdmsolver.verify_spectrum(spec, unit, bdd, Grid(-10.0, 10.0, 801),
+                                       quad_tol=tol["quad"])
     num = report.energies_numeric
     pt_err = max(abs(num[0] + 4.0), abs(num[1] + 1.0)) if len(num) >= 2 else math.inf
     checks.append(_check("poschl_teller_levels", float(pt_err), 1e-3))

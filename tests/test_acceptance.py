@@ -97,7 +97,7 @@ def test_criterion_4_poschl_teller_reduction():
     start = time.perf_counter()
     report = pdmsolver.verify_spectrum(
         GinocchioSpec(1.0, 2.0), constant_mass(), BEN_DANIEL_DUKE,
-        "v_plus_um", Grid(-12.0, 12.0, 2001),
+        Grid(-12.0, 12.0, 2001),
     )
     nums = report.energies_numeric
     assert len(nums) >= 2
@@ -136,7 +136,7 @@ def test_criterion_6_mass_independence():
     start = time.perf_counter()
     report = pdmsolver.verify_spectrum(
         GinocchioSpec(1.0, 2.0), constant_mass(), BEN_DANIEL_DUKE,
-        "v_plus_um", Grid(-12.0, 12.0, 2001), partner_mass=rational_mass(2.0),
+        Grid(-12.0, 12.0, 2001), partner_mass=rational_mass(2.0),
     )
     diffs = report.mass_independence["level_diffs"]
     assert len(diffs) >= 2

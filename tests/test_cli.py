@@ -14,6 +14,8 @@ import natpdm
 from natpdm import cli, ginocchio, numerics
 from natpdm.masses import MASS_REGISTRY
 
+RANGE_ENDS = [f"{name}:{end!r}" for name, (_, ends) in MASS_REGISTRY.items() for end in ends]
+
 
 def run_cli(args, capsys):
     code = cli.main(args)
@@ -95,9 +97,9 @@ class TestSpectrum:
             ["spectrum", "--gamma", "1", "--j", "2", "--grid=-11,11,901"], capsys)
         assert code == 0
         payload = json.loads(out)
-        assert set(payload) >= {"gamma", "j", "ordering", "assembly_variant",
-                                "energies_numeric", "energies_eq27", "energies_eq34",
-                                "residuals", "best_fit_index_map", "mass_independence"}
+        assert set(payload) >= {"gamma", "j", "ordering", "energies_numeric",
+                                "energies_eq27", "energies_eq34", "residuals",
+                                "best_fit_index_map", "mass_independence"}
         nums = payload["energies_numeric"]
         assert nums[0] == pytest.approx(-4.0, abs=1e-3)
         assert nums[1] == pytest.approx(-1.0, abs=1e-3)
@@ -148,8 +150,7 @@ class TestVerify:
 
 
 class TestMassRange:
-    @pytest.mark.parametrize("mass", [f"{name}:{end!r}" for name, (_, ends) in
-                                      MASS_REGISTRY.items() for end in ends])
+    @pytest.mark.parametrize("mass", RANGE_ENDS)
     def test_range_ends_give_finite_output(self, mass, capsys):
         # a RuntimeWarning fails the suite, so this also checks that none is raised
         code, out, err = run_cli(["potential", f"--mass={mass}", "--format=json"], capsys)
@@ -170,6 +171,21 @@ class TestMassRange:
                                  capsys)
         assert code in (0, 1) and err == ""
         assert json.loads(out)["gates"]
+
+    @pytest.mark.parametrize("mass", RANGE_ENDS)
+    def test_spacing_at_the_bound(self, mass, capsys):
+        # at the registry's mass floor the largest matrix entry 1/(m h^2)
+        # reaches sqrt(DBL_MAX) at the refined spacing h = SPACING_MIN;
+        # 11 points on [-L, L] give h = L/10
+        for factor, codes in ((1.0 - 1e-12, (2,)), (1.0 + 1e-12, (0, 1))):
+            half_width = 10.0 * cli.SPACING_MIN * factor
+            code, _, err = run_cli(["spectrum", f"--grid={-half_width!r},{half_width!r},11",
+                                    f"--mass={mass}"], capsys)
+            assert code in codes, factor
+            assert (err == "") == (code != 2)
+        code, _, err = run_cli(["spectrum", "--grid=-1e-70,1e-70,11", f"--mass={mass}"],
+                               capsys)
+        assert code == 1 and err == ""
 
 
 class TestInversionFailures:
@@ -229,7 +245,6 @@ class TestConfigErrors:
         ["potential", "--grid", "5,1,100"],
         ["potential", "--grid", "0,1"],
         ["potential", "--mass", "nosuch"],
-        ["potential", "--assembly", "bogus"],
         ["spectrum", "--tol", "nosuch=1"],
         ["spectrum", "--tol", "quad"],
         ["verify", "--only", "nosuch"],
@@ -256,11 +271,30 @@ class TestConfigErrors:
         ["spectrum", "--mass=rational:1e300", "--grid=-2,2,41"],
         ["potential", "--grid=-1e308,1e308,11"],
         ["spectrum", "--grid=-1e-300,1e-300,11"],
+        ["spectrum", "--grid=-1e-150,1e-150,11"],
+        ["spectrum", "--grid=-1e-100,1e-100,11"],
+        ["spectrum", "--grid=-1e-77,1e-77,11"],
+        ["spectrum", "--grid=-1e-74,1e-74,11", "--mass=constant:1e-6"],
+        ["spectrum", "--grid=-5e-324,5e-324,3"],
     ])
     def test_exit_code_two(self, args, capsys):
         code, _, err = run_cli(args, capsys)
         assert code == 2
         assert err.strip()
+
+    def test_removed_assembly_flag_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["potential", "--assembly", "bogus"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("values", [{"gama": 3}, {"assembly": "v_only"}],
+                             ids=["misspelt", "removed"])
+    def test_unknown_config_key(self, tmp_path, capsys, values):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        code, out, err = run_cli(["potential", "--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        assert repr(next(iter(values))) in err
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"

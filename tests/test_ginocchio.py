@@ -5,7 +5,6 @@ import pytest
 
 from natpdm import ginocchio, natanzon, numerics
 from natpdm.ginocchio import (
-    ASSEMBLY_VARIANTS,
     GinocchioSpec,
     IndexOutOfRange,
     invert_mu,
@@ -278,17 +277,11 @@ class TestPotentialTable:
         assert calls == [((161,), (161,))]
         assert abs(table.mu[80]) < 1e-12
 
-    def test_assembly_variants(self):
+    def test_v_total_is_v_hyp_plus_um(self):
         grid = Grid(-3.0, 3.0, 121)
-        mass = rational_mass(2.0)
-        tables = {a: potential_on_x_grid(1.0, 2.0, mass, BEN_DANIEL_DUKE, grid, assembly=a)
-                  for a in ASSEMBLY_VARIANTS}
-        base = tables["v_only"]
-        assert np.allclose(tables["v_plus_um"].v_total, base.v_hyp + base.um)
-        assert np.allclose(tables["v_minus_um"].v_total, base.v_hyp - base.um)
-        assert np.allclose(tables["v_plus_um_vm"].v_total, base.v_hyp + base.um + base.vm)
-        with pytest.raises(ValueError):
-            potential_on_x_grid(1.0, 2.0, mass, BEN_DANIEL_DUKE, grid, assembly="bogus")
+        table = potential_on_x_grid(1.0, 2.0, rational_mass(2.0), BEN_DANIEL_DUKE, grid)
+        assert np.any(table.um != 0.0)
+        assert np.array_equal(table.v_total, table.v_hyp + table.um)
 
 
 class TestSpec:

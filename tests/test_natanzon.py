@@ -351,6 +351,16 @@ class TestCoordinateMap:
         with pytest.raises(NonpositiveMass):
             cmap.z(np.array([0.5, 2.0]))
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_x_rejected(self, x):
+        # mu(nan) must not pass for an empty integral, which would give z0
+        cmap = solve_coordinate_map(GINOCCHIO_12, constant_mass(), x0=0.0,
+                                    z0=math.tanh(0.5) ** 2)
+        with pytest.raises(ValueError):
+            cmap.z(x)
+        with pytest.raises(ValueError):
+            cmap.z(np.array([0.5, x]))
+
     def test_scalar_gives_float_at_anchor(self):
         cmap = solve_coordinate_map(GINOCCHIO_12, rational_mass(2.0), x0=0.3, z0=0.25)
         z = cmap.z(0.3)

@@ -129,6 +129,21 @@ class TestIntegrate:
     def test_reversed_limits(self):
         assert integrate(lambda x: x, 1.0, 0.0, 1e-12) == pytest.approx(-0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("end", [math.nan, math.inf, -math.inf])
+    def test_non_finite_end_rejected_before_f_is_called(self, end):
+        # lo < hi is False for a NaN end, which would pass for an empty interval
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.cos(x)
+
+        with pytest.raises(ValueError):
+            integrate(f, 0.0, end, 1e-10)
+        with pytest.raises(ValueError):
+            integrate(f, np.array([0.0, end]), 1.0, 1e-10)
+        assert calls == []
+
     def test_depth_exhaustion_without_flag(self):
         # a non-finite endpoint value keeps producing non-finite panels
         # until the depth budget runs out, with no warning from the rule

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from natpdm import numerics, pdmsolver
-from natpdm.ginocchio import GinocchioSpec
+from natpdm.ginocchio import GinocchioSpec, potential_on_x_grid
 from natpdm.masses import (
     MASS_REGISTRY,
     NonpositiveMass,
@@ -148,9 +148,12 @@ class TestBoundStates:
 
     def test_no_bound_states_for_repulsive(self):
         grid = Grid(-8.0, 8.0, 401)
-        v = np.exp(-grid.points ** 2)
-        hm = assemble_hamiltonian(constant_mass(), v, BEN_DANIEL_DUKE, grid)
-        res = solve_bound_states(hm, 3)
+        fine = grid.refined()
+        hm = assemble_hamiltonian(constant_mass(), np.exp(-grid.points ** 2),
+                                  BEN_DANIEL_DUKE, grid)
+        hm_f = assemble_hamiltonian(constant_mass(), np.exp(-fine.points ** 2),
+                                    BEN_DANIEL_DUKE, fine)
+        res = solve_bound_states(hm, 3, refined=hm_f)
         assert res.bound_below(0.0).size == 0
 
     def test_translation_covariance(self):
@@ -190,7 +193,7 @@ class TestBoundStates:
 def report():
     return verify_spectrum(
         GinocchioSpec(1.0, 2.0), constant_mass(), BEN_DANIEL_DUKE,
-        "v_plus_um", Grid(-10.0, 10.0, 1001),
+        Grid(-10.0, 10.0, 1001),
     )
 
 
@@ -221,6 +224,28 @@ class TestVerifySpectrum:
         assert report.mass_independence["partner_mass"].startswith("rational")
         assert report.mass_independence["max_diff"] < 2e-3
 
+    def test_mass_term_cancels_the_mass_dependence(self):
+        # V_hyp alone sees the mass through u(x), and its levels move with
+        # it; the von Roos term Um in V_total = V_hyp + Um cancels that
+        grid = Grid(-12.0, 12.0, 1201)
+        fine = grid.refined()
+
+        def levels(mass):
+            table = potential_on_x_grid(1.0, 2.0, mass, BEN_DANIEL_DUKE, fine)
+            out = {}
+            for name in ("v_hyp", "v_total"):
+                v = getattr(table, name)
+                res = solve_bound_states(
+                    assemble_hamiltonian(mass, v[::2], BEN_DANIEL_DUKE, grid), 4,
+                    refined=assemble_hamiltonian(mass, v, BEN_DANIEL_DUKE, fine))
+                out[name] = res.energies[:2]  # the two bound levels, -4 and -1
+            return out
+
+        constant, rational = levels(constant_mass()), levels(rational_mass(2.0))
+        gate = 2e-3
+        assert np.max(np.abs(constant["v_hyp"] - rational["v_hyp"])) > 10.0 * gate
+        assert np.max(np.abs(constant["v_total"] - rational["v_total"])) < 1e-6
+
     def test_report_serializes(self, report):
         import json
         payload = json.dumps(report.to_dict(), sort_keys=True)
@@ -237,8 +262,7 @@ class TestVerifySpectrum:
 
         monkeypatch.setattr(pdmsolver, "potential_on_x_grid", counting)
         grid = Grid(-10.0, 10.0, 201)
-        verify_spectrum(GinocchioSpec(1.0, 2.0), constant_mass(), BEN_DANIEL_DUKE,
-                        "v_plus_um", grid)
+        verify_spectrum(GinocchioSpec(1.0, 2.0), constant_mass(), BEN_DANIEL_DUKE, grid)
         assert tabulated == [grid.refined(), grid.refined()]
 
     def test_structural_mass_independence_of_quantization(self):
