@@ -152,7 +152,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object of flag values")
-        flags = set(vars(args)) - {"command"}
+        if "config" in file_values:
+            raise ConfigError("config file key 'config' is refused: a config file "
+                              "cannot name another")
+        flags = set(vars(args)) - {"command", "config"}
         unknown = sorted(set(file_values) - flags)
         if unknown:
             raise ConfigError(f"config file keys {unknown} name no flag "
@@ -222,7 +225,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         cfg.seed = int(pick("seed", cfg.seed))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"seed must be an integer: {exc}") from exc
-    cfg.output = getattr(args, "output", None)
+    cfg.output = pick("output", None)
+    if cfg.output is not None and not isinstance(cfg.output, str):
+        raise ConfigError(f"output must be a file name, got {cfg.output!r}")
     return cfg
 
 
@@ -248,7 +253,7 @@ def _csv_text(header, rows) -> str:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(pdmsolver._clean(payload), sort_keys=True, indent=2) + "\n"
+    return json.dumps(pdmsolver.clean_json(payload), sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

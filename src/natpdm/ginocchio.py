@@ -90,7 +90,9 @@ def _bounded_terms(gamma: float, u):
     """
     a = np.abs(u)
     e = np.exp(-a)
-    w = -np.expm1(-2.0 * a)
+    # w rounds to 1 from |u| ~ 19 on; the clip keeps 2 |u| from
+    # overflowing near the double range
+    w = -np.expm1(-2.0 * np.minimum(a, 400.0))
     return a, e, w, np.sqrt(w * w + 4.0 * gamma * gamma * e * e)
 
 
@@ -157,13 +159,14 @@ def invert_mu(gamma: float, mu):
         u = mu  # mu(u) = u exactly at gamma = 1
     else:
         target = np.abs(mu)
-        # a bracket end that overflows leaves u = inf, rejected below
+        # a bracket end that overflows leaves u = inf, rejected below; an
+        # end whose mu overflows reads mu = inf, which still brackets
         with np.errstate(over="ignore"):
             hi = target * max(1.0, gamma * gamma)
             while np.any(short := mu_closed_form(gamma, hi) < target):
                 hi = np.where(short, 2.0 * hi, hi)
-        u = np.copysign(numerics.bisect(lambda v: mu_closed_form(gamma, v) - target,
-                                        np.zeros_like(target), hi), mu)
+            u = np.copysign(numerics.bisect(lambda v: mu_closed_form(gamma, v) - target,
+                                            np.zeros_like(target), hi), mu)
     if not np.all(np.isfinite(u)):
         raise InversionFailure("no finite u solves mu_closed_form(gamma, u) = mu")
     return float(u) if np.ndim(u) == 0 else u
@@ -253,8 +256,10 @@ def potential_on_x_grid(gamma: float, j: float, mass: MassProfile,
     # the last interval runs from the first node to the anchor x = 0
     cells = numerics.integrate(lambda x: np.sqrt(2.0 * mass.m(x)),
                                np.append(pts[:-1], pts[0]), np.append(pts[1:], 0.0), tol)
-    mu = np.cumsum(np.concatenate(([0.0], cells[:-1])))
-    mu -= cells[-1]
+    # mu past the double range comes out inf or nan; invert_mu rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = np.cumsum(np.concatenate(([0.0], cells[:-1])))
+        mu -= cells[-1]
 
     u = invert_mu(gamma, mu)
     # tanh^2 rounds to 1.0 for |u| beyond ~19; the exact value is < 1,

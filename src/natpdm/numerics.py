@@ -5,8 +5,8 @@ brackets or intervals with one call of a vectorised function per step,
 Richardson-extrapolated central differences, fourth-order grid stencils,
 and an eigensolver for real symmetric tridiagonal matrices: LAPACK
 bisection (dstebz, reached through ctypes in the LAPACK that
-numpy.linalg already links, so no extra dependency) whose levels are
-certified by one vectorised Sturm sign count.
+numpy.linalg already links, so no extra dependency) whose levels, for
+every matrix of one call, are certified by one Sturm sign-count sweep.
 
 All operations are pure: inputs are never mutated and the only module
 state is two caches of constants (stencil weights and the resolved LAPACK
@@ -92,7 +92,7 @@ class Grid:
     @property
     def midpoints(self) -> np.ndarray:
         p = self.points
-        return 0.5 * (p[:-1] + p[1:])
+        return _midpoint(p[:-1], p[1:])
 
     def refined(self) -> "Grid":
         """Same interval with exactly half the spacing (nodes are nested)."""
@@ -136,6 +136,21 @@ class TridiagonalSymmetric:
         return a
 
 
+def _midpoint(lo, hi):
+    """0.5 (lo + hi), or 0.5 lo + 0.5 hi where that sum overflows.
+
+    Wherever the sum is finite the result is the plain midpoint, bit for
+    bit (halving first would round differently among subnormals); two
+    finite ends near the double range still give a finite midpoint.
+    """
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (lo + hi)
+    over = np.isinf(mid)
+    if np.any(over):
+        mid = np.where(over, 0.5 * lo + 0.5 * hi, mid)
+    return mid
+
+
 def bisect(f: Callable, lo, hi):
     """Root of a vectorised f in every bracket [lo, hi], by bisection.
 
@@ -155,7 +170,7 @@ def bisect(f: Callable, lo, hi):
     np.copyto(hi, lo, where=side == 0.0)
     # f(lo) keeps the sign `side` and f(hi) does not, so a bracket already
     # down to adjacent floats is left unchanged by one more step
-    while np.any((lo < (mid := 0.5 * (lo + hi))) & (mid < hi)):
+    while np.any((lo < (mid := _midpoint(lo, hi))) & (mid < hi)):
         keep = np.sign(f(mid)) == side
         np.copyto(lo, mid, where=keep)
         np.copyto(hi, mid, where=~keep)
@@ -174,7 +189,8 @@ def integrate(f: Callable, a, b, tol: float):
     up the same binary tree, so each interval gets the value a recursive
     rule would give.  Simpson's rule makes polynomials up to cubics exact
     at the first level; a reversed interval integrates to minus its
-    mirror.  Scalar ends give a float.
+    mirror, and an integral past the double range is inf.  Scalar ends
+    give a float.
 
     Raises ValueError for a non-finite end, before f is called, and
     ToleranceNotMet when refinement exhausts its budget: depth
@@ -191,7 +207,7 @@ def integrate(f: Callable, a, b, tol: float):
     todo = np.flatnonzero(lo < hi)
     lo, hi = lo[todo], hi[todo]
     budget = max(QUAD_MAX_PANELS, todo.size)
-    m = 0.5 * (lo + hi)
+    m = _midpoint(lo, hi)
     flo, fm, fhi = np.split(np.asarray(f(np.concatenate([lo, m, hi])), dtype=float), 3)
     with np.errstate(invalid="ignore", over="ignore"):
         whole = (hi - lo) / 6.0 * (flo + 4.0 * fm + fhi)
@@ -204,7 +220,7 @@ def integrate(f: Callable, a, b, tol: float):
 
     levels = []  # per depth: (panel values, mask of the panels split further)
     for depth in range(QUAD_MAX_DEPTH + 1):
-        lm, rm = 0.5 * (lo + m), 0.5 * (m + hi)
+        lm, rm = _midpoint(lo, m), _midpoint(m, hi)
         flm, frm = np.split(np.asarray(f(np.concatenate([lm, rm])), dtype=float), 2)
         with np.errstate(invalid="ignore", over="ignore"):
             left = (m - lo) / 6.0 * (flo + 4.0 * flm + fm)
@@ -232,7 +248,9 @@ def integrate(f: Callable, a, b, tol: float):
     total = levels.pop()[0]
     while levels:
         value, split = levels.pop()
-        value[split] = total[0::2] + total[1::2]
+        # an integral past the double range sums to inf
+        with np.errstate(over="ignore"):
+            value[split] = total[0::2] + total[1::2]
         total = value
     out[todo] = total
     out = np.where(b < a, -out.reshape(a.shape), out.reshape(a.shape))
@@ -305,29 +323,57 @@ def grid_derivative(values: np.ndarray, spacing: float, order: int = 1) -> np.nd
     return out
 
 
-def sturm_count(matrix: TridiagonalSymmetric, lam):
-    """Number of eigenvalues strictly below lam (Sturm sign count).
+def sturm_count(matrices, shifts) -> np.ndarray:
+    """Eigenvalues of each matrix strictly below each of its shifts (Sturm sign count).
 
-    lam may be a scalar or an array of trial values; the LDL^T
-    recurrence is vectorised over the trial axis.
+    shifts broadcasts to (len(matrices), s): one row of s shifts serves
+    every matrix, or row r holds the shifts of matrix r.  Returns the
+    (len(matrices), s) int64 counts.
+
+    One LDL^T recurrence runs over the rows of the longest matrix, with
+    every (matrix, shift) pair as a column of in-place operations on
+    preallocated buffers.  Each matrix keeps its own pivmin, the guard
+    against division by an exactly zero pivot.  Shorter matrices are
+    padded at the end with a diagonal of +inf and zero coupling: their
+    real rows come first, so those pivots are the ones a sweep of that
+    matrix alone would give, and a padded pivot is inf or NaN at every
+    shift, infinite shifts included, so it never counts.
     """
-    d = matrix.diagonal
-    e = matrix.offdiagonal
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    e2 = e * e
-    # guards division by an exactly zero pivot only
-    pivmin = max(float(e2.max()) if e2.size else 1.0, 1.0) * 2.3e-308
-    # zero pivots count as negative, consistent with the -pivmin replacement
-    q = d[0] - lam_arr
-    count = (q <= 0.0).astype(np.int64)
+    lam = np.atleast_2d(np.asarray(shifts, dtype=float))
+    lam = np.broadcast_to(lam, (len(matrices), lam.shape[-1]))
+    n = max((matrix.size for matrix in matrices), default=0)
+    d = np.full((n, len(matrices), 1), np.inf)
+    e2 = np.zeros((n, len(matrices), 1))  # e2[i] couples rows i - 1 and i
+    for r, matrix in enumerate(matrices):
+        d[:matrix.size, r, 0] = matrix.diagonal
+        e2[1:matrix.size, r, 0] = matrix.offdiagonal * matrix.offdiagonal
+    pivmin = np.maximum(e2.max(axis=0, initial=1.0), 1.0) * 2.3e-308
+    counts = np.zeros(lam.shape, dtype=np.int64)
+    # the pivots are kept and counted once at the end: counting each row
+    # as it is formed, with two row buffers, takes three more ufunc calls
+    # per row and raised perfbench spectrum-mix latency_p50 from 0.045 to
+    # 0.055 s (2-vCPU host).  Shift columns per pass over the rows bound
+    # the pivot buffer near 16 MB, so a request for more levels than fit
+    # takes a few passes
+    step = max(1, 2 ** 21 // max(n * len(matrices), 1))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(1, d.size):
-            q = np.where(np.abs(q) < pivmin, -pivmin, q)
-            q = d[i] - lam_arr - e2[i - 1] / q
-            count += q <= 0.0
-    if np.isscalar(lam) or np.asarray(lam).ndim == 0:
-        return int(count[0])
-    return count
+        # a pivot smaller than pivmin is replaced by -pivmin: its quotient
+        e2_tiny = e2 / -pivmin
+        for lo in range(0, lam.shape[1], step):
+            # the shifted diagonal, overwritten row by row with the pivots
+            q = d - lam[np.newaxis, :, lo:lo + step]
+            t = np.empty(q.shape[1:])
+            tiny = np.empty(q.shape[1:], dtype=bool)
+            rows = list(q)
+            for prev, row, e2_row, tiny_row in zip(rows, rows[1:], e2[1:], e2_tiny[1:]):
+                np.abs(prev, out=t)
+                np.less(t, pivmin, out=tiny)
+                np.divide(e2_row, prev, out=t)
+                np.copyto(t, tiny_row, where=tiny)
+                np.subtract(row, t, out=row)
+            # zero pivots count as negative, consistent with -pivmin
+            counts[:, lo:lo + step] = np.count_nonzero(q <= 0.0, axis=0)
+    return counts
 
 
 @lru_cache(maxsize=None)
@@ -356,47 +402,55 @@ def _dstebz():
     return fn
 
 
-def lowest_eigenvalues(matrix: TridiagonalSymmetric, k: int) -> np.ndarray:
-    """k smallest eigenvalues, ascending, by LAPACK bisection (dstebz).
+def lowest_eigenvalues(matrices, k: int) -> np.ndarray:
+    """k smallest eigenvalues of each matrix, ascending, by LAPACK bisection (dstebz).
 
-    Each level is located to within EIG_ATOL and then certified by one
-    vectorised Sturm sweep: level i (1-based) passes only if
-    count(E_i - delta) <= i - 1 and count(E_i + delta) >= i, with
-    delta = max(EIG_ATOL, 8 eps ||T||) and ||T|| the Gershgorin bound, so
-    the margin grows with the rounding of the count itself.  Degenerate
+    Returns a (len(matrices), k) array whose row r holds the levels of
+    matrix r.  Each level is located to within EIG_ATOL, one dstebz call
+    per matrix, and then every level of every matrix is certified by one
+    Sturm sweep: level i (1-based) passes only if count(E_i - delta) <=
+    i - 1 and count(E_i + delta) >= i, with delta = max(EIG_ATOL, 8 eps
+    ||T||) and ||T|| the Gershgorin bound of its own matrix, so the
+    margin grows with the rounding of the count itself.  Degenerate
     levels pass.  Raises EigensolverFailure when LAPACK reports an error
     (non-finite entries and levels it could not find included), the
     certificate rejects a level, or the routine cannot be found.
     """
-    n = matrix.size
-    if not 1 <= k <= n:
-        raise DimensionMismatch(f"k={k} outside 1..{n}")
-    d = np.ascontiguousarray(matrix.diagonal)
-    e = np.ascontiguousarray(matrix.offdiagonal)
-    found = np.zeros(1, dtype=np.int64)
-    nsplit = np.zeros(1, dtype=np.int64)
-    w = np.empty(n)
-    iblock = np.empty(n, dtype=np.int64)
-    isplit = np.empty(n, dtype=np.int64)
-    info = _dstebz()(b"I", b"E", n, 0.0, 0.0, 1, k, EIG_ATOL, d, e,
-                     found, nsplit, w, iblock, isplit)
-    # with RANGE='I', levels LAPACK could not find come back as info 2 or 3
-    if info != 0:
-        raise EigensolverFailure(f"LAPACK dstebz returned info={info} (n={n}, k={k})")
-    levels = w[:k].copy()
+    levels = np.empty((len(matrices), k))
+    delta = np.empty((len(matrices), 1))
+    for r, matrix in enumerate(matrices):
+        n = matrix.size
+        if not 1 <= k <= n:
+            raise DimensionMismatch(f"k={k} outside 1..{n} (matrix {r + 1} of {len(matrices)})")
+        d = np.ascontiguousarray(matrix.diagonal)
+        e = np.ascontiguousarray(matrix.offdiagonal)
+        found = np.zeros(1, dtype=np.int64)
+        nsplit = np.zeros(1, dtype=np.int64)
+        w = np.empty(n)
+        iblock = np.empty(n, dtype=np.int64)
+        isplit = np.empty(n, dtype=np.int64)
+        info = _dstebz()(b"I", b"E", n, 0.0, 0.0, 1, k, EIG_ATOL, d, e,
+                         found, nsplit, w, iblock, isplit)
+        # with RANGE='I', levels LAPACK could not find come back as info 2 or 3
+        if info != 0:
+            raise EigensolverFailure(f"LAPACK dstebz returned info={info} (n={n}, k={k}, "
+                                     f"matrix {r + 1} of {len(matrices)})")
+        levels[r] = w[:k]
+        radius = np.abs(d)
+        if n > 1:
+            ae = np.abs(e)
+            radius[:-1] += ae
+            radius[1:] += ae
+        delta[r] = max(EIG_ATOL, 8.0 * _EPS * float(radius.max()))
 
-    radius = np.abs(d)
-    if n > 1:
-        ae = np.abs(e)
-        radius[:-1] += ae
-        radius[1:] += ae
-    delta = max(EIG_ATOL, 8.0 * _EPS * float(radius.max()))
-    counts = sturm_count(matrix, np.concatenate([levels - delta, levels + delta]))
+    counts = sturm_count(matrices, np.concatenate([levels - delta, levels + delta], axis=1))
     index = np.arange(1, k + 1)
-    bad = (counts[:k] > index - 1) | (counts[k:] < index)
+    bad = (counts[:, :k] > index - 1) | (counts[:, k:] < index)
     if np.any(bad):
-        i = int(np.argmax(bad))
+        r, i = np.argwhere(bad)[0]
         raise EigensolverFailure(
-            f"Sturm certificate rejects level {i + 1} of {k} at {levels[i]!r} (n={n}): "
-            f"{counts[i]} below E - {delta:.3g}, {counts[k + i]} below E + {delta:.3g}")
+            f"Sturm certificate rejects level {i + 1} of {k} of matrix {r + 1} of "
+            f"{len(matrices)} at {levels[r, i]!r} (n={matrices[r].size}): "
+            f"{counts[r, i]} below E - {delta[r, 0]:.3g}, "
+            f"{counts[r, k + i]} below E + {delta[r, 0]:.3g}")
     return levels

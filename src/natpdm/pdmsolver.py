@@ -9,9 +9,10 @@ for an arbitrary mass profile, ordering choice and sampled potential.
 The kinetic part is discretized in its exactly equivalent flux form
 -(1/2) d/dx (1/m) d/dx with midpoint mass averages, which keeps the
 matrix symmetric (real eigenvalues guaranteed) and is second order in
-the spacing.  Bound-state energies from LAPACK bisection (dstebz), each
-certified by a Sturm sign count (numerics.lowest_eigenvalues), then
-adjudicate every closed-form spectrum claim.
+the spacing.  Bound-state energies from LAPACK bisection (dstebz), every
+matrix of a request certified by one Sturm sweep
+(numerics.lowest_eigenvalues), then adjudicate every closed-form
+spectrum claim.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "assemble_hamiltonian",
     "solve_bound_states",
     "verify_spectrum",
+    "clean_json",
 ]
 
 
@@ -81,25 +83,32 @@ class BoundStateResult:
     energies: np.ndarray
     convergence_estimate: np.ndarray
 
+    @classmethod
+    def extrapolated(cls, coarse, fine) -> "BoundStateResult":
+        """(4 fine - coarse)/3 from the levels of a matrix and of its refined twin."""
+        extrapolated = (4.0 * fine - coarse) / 3.0
+        # one permutation sorts the levels and keeps each estimate with its level
+        order = np.argsort(extrapolated, kind="stable")
+        return cls(energies=extrapolated[order],
+                   convergence_estimate=np.abs(fine - coarse)[order])
+
     def bound_below(self, threshold: float) -> np.ndarray:
         return self.energies[self.energies < threshold]
 
 
-def solve_bound_states(h_matrix: TridiagonalSymmetric, k: int,
-                       refined: TridiagonalSymmetric) -> BoundStateResult:
-    """k lowest eigenvalues, Richardson extrapolated.
+def solve_bound_states(pairs, k: int) -> list:
+    """k lowest eigenvalues of each (coarse, fine) pair, Richardson extrapolated.
 
-    refined must be assembled on Grid.refined() of the grid h_matrix was
-    assembled on (exactly half the spacing); second-order convergence
-    then cancels the leading error term as (4 E_fine - E_coarse)/3.
+    In each pair, fine must be assembled on Grid.refined() of the grid
+    coarse was assembled on (exactly half the spacing); second-order
+    convergence then cancels the leading error term as
+    (4 E_fine - E_coarse)/3.  Every matrix of every pair goes to one
+    lowest_eigenvalues call, so one Sturm sweep certifies them all.
+    Returns one BoundStateResult per pair, in order.
     """
-    coarse = lowest_eigenvalues(h_matrix, k)
-    fine = lowest_eigenvalues(refined, k)
-    extrapolated = (4.0 * fine - coarse) / 3.0
-    # one permutation sorts the levels and keeps each estimate with its level
-    order = np.argsort(extrapolated, kind="stable")
-    return BoundStateResult(energies=extrapolated[order],
-                            convergence_estimate=np.abs(fine - coarse)[order])
+    levels = lowest_eigenvalues([matrix for pair in pairs for matrix in pair], k)
+    return [BoundStateResult.extrapolated(coarse, fine)
+            for coarse, fine in zip(levels[0::2], levels[1::2])]
 
 
 @dataclass(frozen=True)
@@ -125,26 +134,29 @@ class SpectrumReport:
             "j": self.j,
             "ordering": {"eta": self.ordering[0], "epsilon": self.ordering[1],
                          "rho": self.ordering[2]},
-            "energies_numeric": _clean(self.energies_numeric),
-            "energies_eq27": _clean(self.energies_eq_quant),
-            "energies_eq34": _clean(self.energies_closed_form),
+            "energies_numeric": clean_json(self.energies_numeric),
+            "energies_eq27": clean_json(self.energies_eq_quant),
+            "energies_eq34": clean_json(self.energies_closed_form),
             "residuals": {
-                "numeric_vs_eq34_matrix": _clean(self.residual_matrix),
-                "eq27_vs_eq34": _clean(self.quant_vs_closed),
+                "numeric_vs_eq34_matrix": clean_json(self.residual_matrix),
+                "eq27_vs_eq34": clean_json(self.quant_vs_closed),
             },
-            "best_fit_index_map": _clean(self.best_fit_index_map),
-            "mass_independence": _clean(self.mass_independence),
-            "convergence_estimates": _clean(self.convergence_estimates),
-            "bound_threshold": _clean(self.bound_threshold),
+            "best_fit_index_map": clean_json(self.best_fit_index_map),
+            "mass_independence": clean_json(self.mass_independence),
+            "convergence_estimates": clean_json(self.convergence_estimates),
+            "bound_threshold": clean_json(self.bound_threshold),
         }
 
 
-def _clean(obj):
-    """nan/inf -> None so reports stay strict JSON."""
+def clean_json(obj):
+    """Copy of obj for json.dumps: nan/inf -> None, numpy scalars -> Python ones.
+
+    Reports pass through it so they stay strict JSON.
+    """
     if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
+        return {k: clean_json(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
+        return [clean_json(v) for v in obj]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (float, np.floating)):
@@ -184,16 +196,15 @@ def _best_fit_index_map(numeric: np.ndarray, closed: list) -> dict:
     return best
 
 
-def _numeric_bound_energies(spec, mass, ordering, grid, k, quad_tol):
+def _hamiltonian_pair(spec, mass, ordering, grid, quad_tol):
+    """Coarse and fine Hamiltonians of one mass, and its bound threshold."""
     fine_grid = grid.refined()
     v_fine = potential_on_x_grid(spec.gamma, spec.j, mass, ordering, fine_grid,
                                  tol=quad_tol).v_total
     # refined() nests its nodes, so every other fine node is a coarse node
-    h_coarse = assemble_hamiltonian(mass, v_fine[::2], ordering, grid)
-    h_fine = assemble_hamiltonian(mass, v_fine, ordering, fine_grid)
-    result = solve_bound_states(h_coarse, k, refined=h_fine)
-    threshold = float(min(v_fine[0], v_fine[-1]))
-    return result, threshold
+    pair = (assemble_hamiltonian(mass, v_fine[::2], ordering, grid),
+            assemble_hamiltonian(mass, v_fine, ordering, fine_grid))
+    return pair, float(min(v_fine[0], v_fine[-1]))
 
 
 def verify_spectrum(spec: GinocchioSpec, mass: MassProfile, ordering: OrderingParams,
@@ -205,13 +216,21 @@ def verify_spectrum(spec: GinocchioSpec, mass: MassProfile, ordering: OrderingPa
     its half-spacing refinement, lists the three spectra side by side,
     fits the analytic-n to numeric-n index map, and repeats the numerics
     with a second mass profile to measure mass independence of the bound
-    levels.
+    levels.  The four matrices (two grids, two masses) are solved in one
+    solve_bound_states call, so one Sturm sweep certifies them.
     """
     n_top = int(math.floor(spec.j))
     k = max(n_top + 2, 2)
 
-    result, threshold = _numeric_bound_energies(spec, mass, ordering, grid, k, quad_tol)
+    if partner_mass is None:
+        partner_mass = rational_mass(2.0) if mass.label.startswith("constant") \
+            else constant_mass()
+    pair, threshold = _hamiltonian_pair(spec, mass, ordering, grid, quad_tol)
+    partner_pair, partner_threshold = _hamiltonian_pair(spec, partner_mass, ordering, grid,
+                                                        quad_tol)
+    result, partner_result = solve_bound_states([pair, partner_pair], k)
     numeric_bound = result.bound_below(threshold)
+    partner_bound = partner_result.bound_below(partner_threshold)
 
     closed = []
     for n in range(n_top + 1):
@@ -226,12 +245,6 @@ def verify_spectrum(spec: GinocchioSpec, mass: MassProfile, ordering: OrderingPa
     quant_vs_closed = [abs(q - c) if math.isfinite(q) and math.isfinite(c) else float("nan")
                        for q, c in zip(quant, closed)]
 
-    if partner_mass is None:
-        partner_mass = rational_mass(2.0) if mass.label.startswith("constant") \
-            else constant_mass()
-    partner_result, partner_threshold = _numeric_bound_energies(
-        spec, partner_mass, ordering, grid, k, quad_tol)
-    partner_bound = partner_result.bound_below(partner_threshold)
     n_common = min(numeric_bound.size, partner_bound.size)
     level_diffs = [abs(float(a - b)) for a, b in
                    zip(numeric_bound[:n_common], partner_bound[:n_common])]

@@ -220,13 +220,24 @@ def pdmsolver_suite(tol, rng) -> list:
     bdd = natanzon.BEN_DANIEL_DUKE
 
     box = Grid(0.0, 1.0, 501)
-    h_list = []
-    for g in (box, box.refined(), box.refined().refined()):
-        v = np.zeros(g.n_points)
-        h_list.append((g, pdmsolver.assemble_hamiltonian(unit, v, bdd, g)))
-    eigs = [numerics.lowest_eigenvalues(hm, 4) for _, hm in h_list]
+    grids = (box, box.refined(), box.refined().refined())
+    h_box = [pdmsolver.assemble_hamiltonian(unit, np.zeros(g.n_points), bdd, g)
+             for g in grids]
+    shift = 0.5
+    box_t = Grid(box.x_min + shift, box.x_max + shift, box.n_points)
+    h_box_t = pdmsolver.assemble_hamiltonian(unit, np.zeros(box_t.n_points), bdd, box_t)
+    osc = Grid(-10.0, 10.0, 1001)
+    v_osc = 0.5 * osc.points ** 2
+    h_osc = pdmsolver.assemble_hamiltonian(unit, v_osc, bdd, osc)
+    osc_f = osc.refined()
+    h_osc_f = pdmsolver.assemble_hamiltonian(unit, 0.5 * osc_f.points ** 2, bdd, osc_f)
+    # the six matrices share one Sturm certificate sweep, so the two
+    # extrapolations go through the step solve_bound_states ends with
+    *eigs, eigs_t, e_osc, e_osc_f = numerics.lowest_eigenvalues(
+        [*h_box, h_box_t, h_osc, h_osc_f], 4)
+
     exact_box = np.array([(k * math.pi) ** 2 / 2.0 for k in range(1, 5)])
-    extrap = (4.0 * eigs[1] - eigs[0]) / 3.0
+    extrap = pdmsolver.BoundStateResult.extrapolated(eigs[0], eigs[1]).energies
     checks.append(_check("box_oracle_extrapolated",
                          float(np.max(np.abs(extrap - exact_box))), 1e-4))
     ratios = (eigs[0] - eigs[1]) / (eigs[1] - eigs[2])
@@ -237,13 +248,8 @@ def pdmsolver_suite(tol, rng) -> list:
     checks.append(_check("convergence_order_high", order_hi, None, kind="hard",
                          passed=1.8 <= order_hi <= 2.2))
 
-    osc = Grid(-10.0, 10.0, 1001)
-    v_osc = 0.5 * osc.points ** 2
-    h_osc = pdmsolver.assemble_hamiltonian(unit, v_osc, bdd, osc)
-    osc_f = osc.refined()
-    h_osc_f = pdmsolver.assemble_hamiltonian(unit, 0.5 * osc_f.points ** 2, bdd, osc_f)
-    res_osc = pdmsolver.solve_bound_states(h_osc, 4, refined=h_osc_f)
-    osc_err = float(np.max(np.abs(res_osc.energies - (np.arange(4) + 0.5))))
+    osc_extrap = pdmsolver.BoundStateResult.extrapolated(e_osc, e_osc_f).energies
+    osc_err = float(np.max(np.abs(osc_extrap - (np.arange(4) + 0.5))))
     checks.append(_check("harmonic_oracle_extrapolated", osc_err, 1e-4))
 
     rat = rational_mass(2.0)
@@ -275,10 +281,7 @@ def pdmsolver_suite(tol, rng) -> list:
     checks.append(_check("closed_form_levels_verbatim", report.energies_closed_form,
                          kind="info", passed=True))
 
-    shift = 0.5
-    box_t = Grid(box.x_min + shift, box.x_max + shift, box.n_points)
-    hm_t = pdmsolver.assemble_hamiltonian(unit, np.zeros(box_t.n_points), bdd, box_t)
-    trans_err = float(np.max(np.abs(numerics.lowest_eigenvalues(hm_t, 4) - eigs[0])))
+    trans_err = float(np.max(np.abs(eigs_t - eigs[0])))
     checks.append(_check("translation_covariance", trans_err, 1e-9 * exact_box[-1]))
     return checks
 

@@ -181,7 +181,7 @@ def test_criterion_8_discretization_quality():
     for g in (box, box.refined(), box.refined().refined()):
         hms.append(pdmsolver.assemble_hamiltonian(unit, np.zeros(g.n_points),
                                                   BEN_DANIEL_DUKE, g))
-    eigs = [numerics.lowest_eigenvalues(hm, 4) for hm in hms]
+    eigs = numerics.lowest_eigenvalues(hms, 4)
     exact = np.array([(k * math.pi) ** 2 / 2.0 for k in range(1, 5)])
     box_err = float(np.max(np.abs((4.0 * eigs[1] - eigs[0]) / 3.0 - exact)))
     assert box_err <= 1e-4
@@ -195,7 +195,7 @@ def test_criterion_8_discretization_quality():
     osc_f = osc.refined()
     hm_f = pdmsolver.assemble_hamiltonian(unit, 0.5 * osc_f.points ** 2,
                                           BEN_DANIEL_DUKE, osc_f)
-    res = pdmsolver.solve_bound_states(hm, 4, refined=hm_f)
+    res, = pdmsolver.solve_bound_states([(hm, hm_f)], 4)
     osc_err = float(np.max(np.abs(res.energies - (np.arange(4) + 0.5))))
     assert osc_err <= 1e-4
 

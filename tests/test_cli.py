@@ -189,6 +189,14 @@ class TestMassRange:
 
 
 class TestInversionFailures:
+    @pytest.mark.parametrize("grid", ["-1e308,1e307,5", "-1.7e308,0,3"])
+    def test_potential_near_the_double_range(self, grid, capsys):
+        # midpoints of such cells, and 2|u| far out, overflowed with a
+        # RuntimeWarning, which the suite turns into an error
+        code, _, err = run_cli(["potential", f"--grid={grid}"], capsys)
+        assert code in (0, 3)
+        assert "Warning" not in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["potential", "spectrum"])
     def test_no_finite_u_exits_three(self, command, capsys):
         # gamma^2 mu overflows the bracket for u: no finite u exists
@@ -287,8 +295,9 @@ class TestConfigErrors:
             cli.main(["potential", "--assembly", "bogus"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("values", [{"gama": 3}, {"assembly": "v_only"}],
-                             ids=["misspelt", "removed"])
+    @pytest.mark.parametrize("values", [{"gama": 3}, {"assembly": "v_only"},
+                                        {"config": "other.json"}],
+                             ids=["misspelt", "removed", "config"])
     def test_unknown_config_key(self, tmp_path, capsys, values):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(values))
@@ -320,6 +329,15 @@ class TestConfigErrors:
         target = tmp_path / "table.csv"
         code, out, _ = run_cli(
             ["potential", "--grid=-1,1,11", "--output", str(target)], capsys)
+        assert code == 0
+        assert out == ""
+        assert target.read_text().startswith("x,m,mu,u,z")
+
+    def test_output_file_from_config(self, tmp_path, capsys):
+        target = tmp_path / "x.csv"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"output": str(target), "grid": "-1,1,11"}))
+        code, out, _ = run_cli(["potential", "--config", str(cfg)], capsys)
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("x,m,mu,u,z")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from natpdm import numerics
+from natpdm import cli, numerics
 from natpdm.numerics import (
     DimensionMismatch,
     EigensolverFailure,
@@ -241,16 +241,16 @@ class TestTridiagonal:
 
     def test_single_entry(self):
         t = TridiagonalSymmetric(np.array([5.0]), np.zeros(0))
-        assert np.allclose(lowest_eigenvalues(t, 1), [5.0])
+        assert np.allclose(lowest_eigenvalues([t], 1), [[5.0]])
 
     def test_two_by_two(self):
         t = TridiagonalSymmetric(np.array([0.0, 0.0]), np.array([1.0]))
-        assert np.allclose(lowest_eigenvalues(t, 2), [-1.0, 1.0], atol=1e-10)
+        assert np.allclose(lowest_eigenvalues([t], 2), [[-1.0, 1.0]], atol=1e-10)
 
     def test_k_bounds(self):
         t = TridiagonalSymmetric(np.array([0.0, 0.0]), np.array([1.0]))
         with pytest.raises(DimensionMismatch):
-            lowest_eigenvalues(t, 3)
+            lowest_eigenvalues([t], 3)
 
 
 def dirichlet_laplacian(n: int, h: float) -> TridiagonalSymmetric:
@@ -263,7 +263,7 @@ class TestEigensolver:
         n, length = 100, 1.0
         h = length / (n + 1)
         t = dirichlet_laplacian(n, h)
-        got = lowest_eigenvalues(t, 5)
+        got, = lowest_eigenvalues([t], 5)
         exact = np.array([(2.0 / h ** 2) * (1.0 - math.cos(k * math.pi * h / length))
                           for k in range(1, 6)])
         assert np.max(np.abs(got - exact)) < 1e-9
@@ -273,21 +273,20 @@ class TestEigensolver:
         for _ in range(5):
             n = int(rng.integers(5, 40))
             t = TridiagonalSymmetric(rng.normal(size=n), rng.normal(size=n - 1))
-            got = lowest_eigenvalues(t, min(4, n))
+            got, = lowest_eigenvalues([t], min(4, n))
             dense = np.sort(np.linalg.eigvalsh(t.to_dense()))[: min(4, n)]
             assert np.max(np.abs(got - dense)) < 1e-8
 
     def test_nondecreasing(self):
         rng = np.random.default_rng(11)
         t = TridiagonalSymmetric(rng.normal(size=30), rng.normal(size=29))
-        got = lowest_eigenvalues(t, 10)
+        got, = lowest_eigenvalues([t], 10)
         assert np.all(np.diff(got) >= -1e-12)
 
     def test_sturm_count_at_infinity(self):
         n = 50
         t = dirichlet_laplacian(n, 0.1)
-        assert sturm_count(t, np.inf) == n
-        assert sturm_count(t, -np.inf) == 0
+        assert sturm_count([t], [np.inf, -np.inf]).tolist() == [[n, 0]]
 
     def test_convergence_order_two(self):
         # continuum oracle: k^2 pi^2 / L^2; Richardson ratio of errors ~ 4
@@ -295,7 +294,7 @@ class TestEigensolver:
         lam = []
         for n in (50, 101, 203):
             h = length / (n + 1)
-            lam.append(lowest_eigenvalues(dirichlet_laplacian(n, h), 1)[0])
+            lam.append(lowest_eigenvalues([dirichlet_laplacian(n, h)], 1)[0, 0])
         exact = math.pi ** 2
         ratio = (lam[0] - exact) / (lam[1] - exact)
         assert 3.8 <= abs(ratio) <= 4.2
@@ -303,14 +302,14 @@ class TestEigensolver:
     def test_nan_diagonal_raises(self):
         t = TridiagonalSymmetric(np.array([0.0, np.nan, 1.0]), np.array([1.0, 1.0]))
         with pytest.raises(EigensolverFailure, match="info=-9"):
-            lowest_eigenvalues(t, 2)
+            lowest_eigenvalues([t], 2)
 
     def test_degenerate_pair_passes_certificate(self):
         # two identical blocks joined by a zero off-diagonal: every level is double
         rng = np.random.default_rng(5)
         d, e = rng.normal(size=20), rng.normal(size=19)
         t = TridiagonalSymmetric(np.concatenate([d, d]), np.concatenate([e, [0.0], e]))
-        got = lowest_eigenvalues(t, 6)
+        got, = lowest_eigenvalues([t], 6)
         dense = np.linalg.eigvalsh(t.to_dense())[:6]
         assert np.max(np.abs(got - dense)) < 1e-10
         assert got[0] == pytest.approx(got[1], abs=1e-10)
@@ -321,23 +320,106 @@ class TestEigensolver:
         rng = np.random.default_rng(17)
         n = 300
         t = TridiagonalSymmetric(1e7 * rng.normal(size=n), 1e7 * rng.normal(size=n - 1))
-        got = lowest_eigenvalues(t, 8)
+        got, = lowest_eigenvalues([t], 8)
         dense = np.linalg.eigvalsh(t.to_dense())[:8]
         assert np.max(np.abs(got - dense)) < 1e-6
 
-    def test_one_sturm_sweep_per_solve(self, monkeypatch):
+    @pytest.mark.parametrize("argv, sweeps", [
+        (["spectrum", "--gamma=0.8", "--j=2", "--mass=rational:2", "--grid=-12,12,301"], 1),
+        (["verify", "--seed=0"], 2),
+    ], ids=["spectrum", "verify"])
+    def test_one_sturm_sweep_per_request(self, monkeypatch, capsys, argv, sweeps):
+        # spectrum: two grids for each of two masses; verify: the six
+        # matrices of the pdmsolver suite, then its verify_spectrum call
         calls = []
 
-        def counted(matrix, lam):
-            calls.append(np.size(lam))
-            return sturm_count(matrix, lam)
+        def counted(matrices, shifts):
+            calls.append(len(matrices))
+            return sturm_count(matrices, shifts)
 
         monkeypatch.setattr(numerics, "sturm_count", counted)
-        lowest_eigenvalues(dirichlet_laplacian(200, 0.01), 4)
-        assert calls == [8]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == sweeps
+        assert calls[-1] == 4
 
     @pytest.mark.parametrize("kind", ["certificate", "missing"])
     def test_lapack_faults_raise(self, kind, break_dstebz):
         break_dstebz(kind)
         with pytest.raises(EigensolverFailure):
-            lowest_eigenvalues(dirichlet_laplacian(50, 0.1), 3)
+            lowest_eigenvalues([dirichlet_laplacian(50, 0.1)], 3)
+
+
+def sturm_count_one(matrix: TridiagonalSymmetric, lam) -> np.ndarray:
+    """Reference: the LDL^T Sturm count of one matrix, one row at a time."""
+    d = matrix.diagonal
+    e2 = matrix.offdiagonal * matrix.offdiagonal
+    lam = np.asarray(lam, dtype=float)
+    pivmin = max(float(e2.max()) if e2.size else 1.0, 1.0) * 2.3e-308
+    q = d[0] - lam
+    count = (q <= 0.0).astype(np.int64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(1, d.size):
+            q = np.where(np.abs(q) < pivmin, -pivmin, q)
+            q = d[i] - lam - e2[i - 1] / q
+            count += q <= 0.0
+    return count
+
+
+class TestBatchedCertificate:
+    SHIFTS = [-np.inf, -1.0, 0.0, 0.3, 2.0, np.inf]
+
+    def matrices(self):
+        rng = np.random.default_rng(23)
+        out = [TridiagonalSymmetric(rng.normal(size=n), rng.normal(size=n - 1))
+               for n in (1, 40)]
+        # a zero diagonal makes exactly zero pivots at the shift 0
+        out.insert(1, TridiagonalSymmetric(np.zeros(7), np.ones(6)))
+        # a first pivot of 1e-300 at the shift 0 is below the pivmin of the
+        # 300-row matrix, whose couplings are near 1e4, but not below its own
+        out.insert(1, TridiagonalSymmetric(np.array([1e-300, 0.0]), np.ones(1)))
+        out.append(TridiagonalSymmetric(rng.normal(size=300), 1e4 * rng.normal(size=299)))
+        return out
+
+    def test_one_sweep_equals_one_sweep_per_matrix(self):
+        matrices = self.matrices()
+        got = sturm_count(matrices, self.SHIFTS)
+        assert got.shape == (5, len(self.SHIFTS))
+        for matrix, counts in zip(matrices, got):
+            assert counts.tolist() == sturm_count_one(matrix, self.SHIFTS).tolist()
+        assert got[:, 0].tolist() == [0, 0, 0, 0, 0]
+        assert got[:, -1].tolist() == [1, 2, 7, 40, 300]
+
+    # 3000 shifts of 300-row matrices overflow one pass's pivot buffer
+    @pytest.mark.parametrize("n_shifts", [9, 3000])
+    def test_each_matrix_its_own_shifts(self, n_shifts):
+        matrices = self.matrices()
+        rng = np.random.default_rng(29)
+        shifts = rng.normal(scale=2.0, size=(5, n_shifts))
+        got = sturm_count(matrices, shifts)
+        for matrix, row, counts in zip(matrices, shifts, got):
+            assert counts.tolist() == sturm_count_one(matrix, row).tolist()
+
+    def test_levels_of_every_matrix(self):
+        matrices = self.matrices()
+        got = lowest_eigenvalues(matrices, 1)
+        dense = [np.linalg.eigvalsh(m.to_dense())[:1] for m in matrices]
+        assert np.max(np.abs(got - np.array(dense))) < 1e-9
+
+    def test_fault_names_its_matrix_and_level(self, monkeypatch):
+        # the "certificate" fault of break_dstebz, on the third call only
+        real = numerics._dstebz()
+        calls = []
+
+        def third_moved(*args):
+            info = real(*args)
+            calls.append(1)
+            if len(calls) == 3:
+                args[12][0] += 1.0
+            return info
+
+        monkeypatch.setattr(numerics, "_dstebz", lambda: third_moved)
+        matrices = [dirichlet_laplacian(n, 0.1) for n in (50, 20, 30, 40)]
+        with pytest.raises(EigensolverFailure, match="level 1 of 3 of matrix 3 of 4"):
+            lowest_eigenvalues(matrices, 3)
+        assert len(calls) == 4

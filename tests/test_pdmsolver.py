@@ -123,7 +123,7 @@ class TestBoundStates:
         fine = grid.refined()
         hm_f = assemble_hamiltonian(constant_mass(), np.zeros(fine.n_points),
                                     BEN_DANIEL_DUKE, fine)
-        res = solve_bound_states(hm, 4, refined=hm_f)
+        res, = solve_bound_states([(hm, hm_f)], 4)
         exact = np.array([(k * math.pi) ** 2 / 2.0 for k in range(1, 5)])
         assert np.max(np.abs(res.energies - exact)) < 1e-4
         assert np.all(res.convergence_estimate < 1e-2)
@@ -135,7 +135,7 @@ class TestBoundStates:
         fine = grid.refined()
         hm_f = assemble_hamiltonian(constant_mass(), 0.5 * fine.points ** 2,
                                     BEN_DANIEL_DUKE, fine)
-        res = solve_bound_states(hm, 4, refined=hm_f)
+        res, = solve_bound_states([(hm, hm_f)], 4)
         assert np.max(np.abs(res.energies - (np.arange(4) + 0.5))) < 1e-4
 
     def test_poschl_teller_ground_state(self):
@@ -143,7 +143,7 @@ class TestBoundStates:
         grid = Grid(-12.0, 12.0, 4001)
         v = -6.0 / np.cosh(math.sqrt(2.0) * grid.points) ** 2
         hm = assemble_hamiltonian(constant_mass(), v, BEN_DANIEL_DUKE, grid)
-        e0 = lowest_eigenvalues(hm, 1)[0]
+        e0 = lowest_eigenvalues([hm], 1)[0, 0]
         assert e0 == pytest.approx(-4.0, abs=1e-3)
 
     def test_no_bound_states_for_repulsive(self):
@@ -153,27 +153,29 @@ class TestBoundStates:
                                   BEN_DANIEL_DUKE, grid)
         hm_f = assemble_hamiltonian(constant_mass(), np.exp(-fine.points ** 2),
                                     BEN_DANIEL_DUKE, fine)
-        res = solve_bound_states(hm, 3, refined=hm_f)
+        res, = solve_bound_states([(hm, hm_f)], 3)
         assert res.bound_below(0.0).size == 0
 
     def test_translation_covariance(self):
         n = 301
         base = Grid(0.0, 1.0, n)
         shifted = Grid(0.5, 1.5, n)
-        e1 = lowest_eigenvalues(
-            assemble_hamiltonian(constant_mass(), np.zeros(n), BEN_DANIEL_DUKE, base), 3)
-        e2 = lowest_eigenvalues(
-            assemble_hamiltonian(constant_mass(), np.zeros(n), BEN_DANIEL_DUKE, shifted), 3)
+        e1, e2 = lowest_eigenvalues(
+            [assemble_hamiltonian(constant_mass(), np.zeros(n), BEN_DANIEL_DUKE, g)
+             for g in (base, shifted)], 3)
         assert np.max(np.abs(e1 - e2)) < 1e-9 * np.max(np.abs(e1))
 
     def test_estimates_follow_their_levels(self, monkeypatch):
         # the extrapolation (4 fine - coarse)/3 swaps the first two levels:
         # it gives 5 and 4, whose two-grid changes are 3 and 0
         solved = {"coarse": np.array([1.0, 4.0, 9.0]), "fine": np.array([4.0, 4.0, 9.0])}
-        monkeypatch.setattr(pdmsolver, "lowest_eigenvalues", lambda matrix, k: solved[matrix])
-        res = solve_bound_states("coarse", 3, refined="fine")
+        monkeypatch.setattr(pdmsolver, "lowest_eigenvalues",
+                            lambda matrices, k: np.array([solved[m] for m in matrices]))
+        res, same = solve_bound_states([("coarse", "fine"), ("fine", "fine")], 3)
         assert res.energies.tolist() == [4.0, 5.0, 9.0]
         assert res.convergence_estimate.tolist() == [0.0, 3.0, 0.0]
+        assert same.energies.tolist() == [4.0, 4.0, 9.0]
+        assert same.convergence_estimate.tolist() == [0.0, 0.0, 0.0]
 
     def test_convergence_order(self):
         grids = [Grid(0.0, 1.0, 101)]
@@ -183,7 +185,7 @@ class TestBoundStates:
         for g in grids:
             hm = assemble_hamiltonian(constant_mass(), np.zeros(g.n_points),
                                       BEN_DANIEL_DUKE, g)
-            eigs.append(lowest_eigenvalues(hm, 1)[0])
+            eigs.append(lowest_eigenvalues([hm], 1)[0, 0])
         ratio = (eigs[0] - eigs[1]) / (eigs[1] - eigs[2])
         order = math.log2(abs(ratio))
         assert 1.8 <= order <= 2.2
@@ -235,9 +237,9 @@ class TestVerifySpectrum:
             out = {}
             for name in ("v_hyp", "v_total"):
                 v = getattr(table, name)
-                res = solve_bound_states(
-                    assemble_hamiltonian(mass, v[::2], BEN_DANIEL_DUKE, grid), 4,
-                    refined=assemble_hamiltonian(mass, v, BEN_DANIEL_DUKE, fine))
+                res, = solve_bound_states(
+                    [(assemble_hamiltonian(mass, v[::2], BEN_DANIEL_DUKE, grid),
+                      assemble_hamiltonian(mass, v, BEN_DANIEL_DUKE, fine))], 4)
                 out[name] = res.energies[:2]  # the two bound levels, -4 and -1
             return out
 
