@@ -14,13 +14,13 @@ best-fit map pairs closed-form level n with numeric level 2n.
 
 from natpdm import pdmsolver
 from natpdm.ginocchio import GinocchioSpec
-from natpdm.masses import constant_mass, rational_mass
+from natpdm.masses import constant_mass
 from natpdm.natanzon import BEN_DANIEL_DUKE
 from natpdm.numerics import Grid
 
 report = pdmsolver.verify_spectrum(
     GinocchioSpec(gamma=1.0, j=2.0), constant_mass(), BEN_DANIEL_DUKE,
-    Grid(-11.0, 11.0, 1201), partner_mass=rational_mass(2.0),
+    Grid(-11.0, 11.0, 1201),
 )
 
 print(f"gamma = {report.gamma}, j = {report.j}")

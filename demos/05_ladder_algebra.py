@@ -26,7 +26,7 @@ print(f"realization: xi = tanh, a = 1, delta = {realization.delta}")
 print(f"labels: j = {labels.j}, j0 = {labels.j0}, Casimir c = {labels.c}")
 print()
 
-res1, res2 = algebra.commutator_residual(realization, labels, psi)
+res1, res2 = algebra.commutator_residual(realization, psi)
 print(f"[J+, J-] + 2 J0 residual          : {res1:.3e}")
 print(f"[J0, J+/-] -/+ J+/- residual      : {res2:.3e}")
 

@@ -195,15 +195,8 @@ def g_weight(realization: Su11Realization, mass: MassProfile, x):
         + 0.5 * mp * xi / (m * xp)
 
 
-def _ladder_coefficients(realization, mass, x):
-    f, c = su11_functions(realization, x)
-    g = g_weight(realization, mass, x)
-    h = realization.h_at(x)
-    return h, g, f, c
-
-
-def ladder_apply(realization: Su11Realization, labels: GroupLabels, which: str,
-                 psi: SectorFunction, mass: MassProfile | None = None) -> SectorFunction:
+def ladder_apply(realization: Su11Realization, which: str, psi: SectorFunction,
+                 mass: MassProfile | None = None) -> SectorFunction:
     """Apply J+, J- or J0 to a sampled single-sector function.
 
     J0 is index bookkeeping (multiplication by the sector); J+/- shift
@@ -219,7 +212,8 @@ def ladder_apply(realization: Su11Realization, labels: GroupLabels, which: str,
     m_sector = psi.sector
     if which == "J0":
         return SectorFunction(psi.grid, m_sector, m_sector * u)
-    h, g, f, c = _ladder_coefficients(realization, mass, x)
+    f, c = su11_functions(realization, x)
+    g, h = g_weight(realization, mass, x), realization.h_at(x)
     up = grid_derivative(u, psi.grid.spacing, order=1)
     common = (f * m_sector + c) * u
     if which == "J+":
@@ -233,8 +227,8 @@ def _interior(values: np.ndarray) -> np.ndarray:
     return values[_TRIM:-_TRIM]
 
 
-def commutator_residual(realization: Su11Realization, labels: GroupLabels,
-                        psi: SectorFunction, mass: MassProfile | None = None):
+def commutator_residual(realization: Su11Realization, psi: SectorFunction,
+                        mass: MassProfile | None = None):
     """Sup-norm residuals of the two commutation relations, relative to ||psi||.
 
     res1 checks [J+, J-] + 2 J0, res2 the worse of [J0, J+/-] -/+ J+/-.
@@ -244,19 +238,19 @@ def commutator_residual(realization: Su11Realization, labels: GroupLabels,
     if psi.sup_norm() == 0.0:
         return 0.0, 0.0
     scale = psi.sup_norm()
-    jp = ladder_apply(realization, labels, "J+", psi, mass)
-    jm = ladder_apply(realization, labels, "J-", psi, mass)
-    jpjm = ladder_apply(realization, labels, "J+", jm, mass)
-    jmjp = ladder_apply(realization, labels, "J-", jp, mass)
+    jp = ladder_apply(realization, "J+", psi, mass)
+    jm = ladder_apply(realization, "J-", psi, mass)
+    jpjm = ladder_apply(realization, "J+", jm, mass)
+    jmjp = ladder_apply(realization, "J-", jp, mass)
     comm = jpjm.values - jmjp.values + 2.0 * psi.sector * psi.values
     res1 = float(np.max(np.abs(_interior(comm)))) / scale
 
-    j0psi = ladder_apply(realization, labels, "J0", psi, mass)
+    j0psi = ladder_apply(realization, "J0", psi, mass)
     res2 = 0.0
     for which, shift, sign in (("J+", 1.0, 1.0), ("J-", -1.0, -1.0)):
-        jpm = ladder_apply(realization, labels, which, psi, mass)
+        jpm = ladder_apply(realization, which, psi, mass)
         j0_after = (psi.sector + shift) * jpm.values
-        after_j0 = ladder_apply(realization, labels, which, j0psi, mass).values
+        after_j0 = ladder_apply(realization, which, j0psi, mass).values
         resid = j0_after - after_j0 - sign * jpm.values
         res2 = max(res2, float(np.max(np.abs(_interior(resid)))) / scale)
     return res1, res2
@@ -285,8 +279,8 @@ def casimir_residual(realization: Su11Realization, labels: GroupLabels,
     j0 = labels.j0
     delta = realization.delta
 
-    jm = ladder_apply(realization, labels, "J-", psi, mass)
-    jpjm = ladder_apply(realization, labels, "J+", jm, mass)
+    jm = ladder_apply(realization, "J-", psi, mass)
+    jpjm = ladder_apply(realization, "J+", jm, mass)
     composed = j0 * j0 * u - j0 * u - jpjm.values
 
     xi = realization.xi(x)

@@ -10,12 +10,11 @@ digits, and JSON output is strict (no NaN tokens; missing values are null).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,6 +34,10 @@ EXIT_SOLVER_FAILURE = 4
 # closed forms overflow (gamma^2 mu, gamma^6) or lose every digit
 GAMMA_MIN = 1e-8
 GAMMA_MAX = 1e6
+
+# bound on the von Roos eta and epsilon: the ordering terms scale as
+# eta^2 m'^2/m^3, which stays finite over the registry masses up to here
+ORDERING_MAX = 1e6
 
 # LAPACK dstebz squares the off-diagonal entries of the spectrum matrix
 # and multiplies neighbouring diagonal entries, so each entry must stay
@@ -84,13 +87,10 @@ class RunConfig:
     mass: str = "constant"
     grid: Grid = field(default_factory=lambda: Grid(-12.0, 12.0, 1201))
     fmt: str | None = None
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
+    tolerances: dict = field(default_factory=dict)
     only: str | None = None
     seed: int = 0
     output: str | None = None
-
-    def mass_profile(self):
-        return parse_mass(self.mass)
 
 
 def _parse_ordering(text: str) -> OrderingParams:
@@ -101,6 +101,9 @@ def _parse_ordering(text: str) -> OrderingParams:
         raise ConfigError(f"ordering must be numeric 'eta,epsilon[,rho]': {exc}") from exc
     if not all(map(math.isfinite, values)):
         raise ConfigError(f"ordering parameters must be finite, got {text!r}")
+    if not all(abs(v) <= ORDERING_MAX for v in values[:2]):
+        raise ConfigError(f"eta and epsilon must lie in [{-ORDERING_MAX:g}, {ORDERING_MAX:g}], "
+                          f"got {text!r}")
     if len(values) == 2:
         return OrderingParams(eta=values[0], epsilon=values[1])
     if len(values) == 3:
@@ -123,16 +126,17 @@ def _parse_grid(text: str) -> Grid:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
 
-def _parse_tols(items) -> dict:
-    out = {}
-    for item in items or ():
+def _parse_tols(items, command: str) -> dict:
+    """The command's tolerances: its defaults, overridden by name=value items in order."""
+    out = {name: DEFAULT_TOLERANCES[name] for name in COMMANDS[command].tols}
+    for item in items:
         name, sep, value = item.partition("=")
         if not sep:
             raise ConfigError(f"--tol takes name=value, got {item!r}")
         name = name.strip()
-        if name not in DEFAULT_TOLERANCES:
-            known = ", ".join(sorted(DEFAULT_TOLERANCES))
-            raise ConfigError(f"unknown tolerance {name!r} (known: {known})")
+        if name not in COMMANDS[command].tols:
+            known = ", ".join(COMMANDS[command].tols)
+            raise ConfigError(f"{command} reads no tolerance {name!r} (it reads: {known})")
         try:
             out[name] = float(value)
         except ValueError as exc:
@@ -144,11 +148,13 @@ def _parse_tols(items) -> dict:
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
     file_values = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError covers malformed JSON, bytes that are not UTF-8 and
+        # a NUL in the file name
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object of flag values")
@@ -158,7 +164,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         flags = set(vars(args)) - {"command", "config"}
         unknown = sorted(set(file_values) - flags)
         if unknown:
-            raise ConfigError(f"config file keys {unknown} name no flag "
+            raise ConfigError(f"config file keys {unknown} name no flag of {args.command} "
                               f"(known: {', '.join(sorted(flags))})")
 
     def pick(name, default):
@@ -191,8 +197,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     grid = pick("grid", None)
     if grid is not None:
         cfg.grid = _parse_grid(str(grid))
-    if args.command in ("potential", "spectrum") \
-            and not cfg.grid.x_min <= 0.0 <= cfg.grid.x_max:
+    # only potential and spectrum take a grid, and both anchor mu at x = 0
+    if not cfg.grid.x_min <= 0.0 <= cfg.grid.x_max:
         raise ConfigError(f"grid [{cfg.grid.x_min}, {cfg.grid.x_max}] must contain "
                           f"the anchor x = 0")
     # spectrum assembles the grid and its refinement at half the spacing
@@ -208,13 +214,13 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {fmt!r}")
         cfg.fmt = fmt
-    tol_items = list(getattr(args, "tol", None) or [])
     file_tols = file_values.get("tol", {})
     if not isinstance(file_tols, dict):
         raise ConfigError(f"config file tol must be a JSON object of name: value, "
                           f"got {file_tols!r}")
     file_tols = [f"{k}={v}" for k, v in file_tols.items()]
-    cfg.tolerances.update({**_parse_tols(file_tols), **_parse_tols(tol_items)})
+    cfg.tolerances = _parse_tols([*file_tols, *(getattr(args, "tol", None) or [])],
+                                 args.command)
     only = pick("only", None)
     if only is not None:
         suites = tuple(verify.SUITES)
@@ -223,8 +229,11 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         cfg.only = only
     try:
         cfg.seed = int(pick("seed", cfg.seed))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"seed must be an integer: {exc}") from exc
+    # numpy seeds its generators from non-negative integers only
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     cfg.output = pick("output", None)
     if cfg.output is not None and not isinstance(cfg.output, str):
         raise ConfigError(f"output must be a file name, got {cfg.output!r}")
@@ -234,22 +243,19 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 def _emit(text: str, output: str | None) -> None:
     if output in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    # ValueError: a NUL in the file name
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot write output file {output!r}: {exc}") from exc
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
+def _csv_text(header, columns) -> str:
+    row = ",".join(["{:.17g}"] * len(header)) + "\n"
+    rows = np.column_stack(columns).tolist()
+    return ",".join(header) + "\n" + "".join(row.format(*values) for values in rows)
 
 
 def _json_text(payload) -> str:
@@ -261,22 +267,17 @@ def _json_text(payload) -> str:
 
 
 def cmd_map(cfg: RunConfig) -> int:
-    if cfg.fmt == "json":
-        sys.stderr.write("config error: map emits CSV only\n")
-        return EXIT_CONFIG_ERROR
     half = conformal.BAND_HALF_WIDTH
     n_re, n_im, im_max = 21, 21, 2.0
-    rows = []
-    for re in np.linspace(-half, half, n_re):
-        for im in np.linspace(-im_max, im_max, n_im):
-            z = complex(re, im)
-            w = conformal.strip_to_disk(z)
-            # third derivative of tan peaks at the band edge; h = 1e-5
-            # keeps the truncation well under the residual gate
-            res = conformal.conformality_residual(conformal.strip_to_disk, z, h=1e-5)
-            rows.append((float(z.real), float(z.imag), float(w.real), float(w.imag),
-                         float(res)))
-    text = _csv_text(("z_re", "z_im", "w_re", "w_im", "cr_residual"), rows)
+    points = [complex(re, im) for re in np.linspace(-half, half, n_re)
+              for im in np.linspace(-im_max, im_max, n_im)]
+    # third derivative of tan peaks at the band edge; h = 1e-5 keeps the
+    # truncation well under the residual gate
+    res = [conformal.conformality_residual(conformal.strip_to_disk, p, h=1e-5)
+           for p in points]
+    z, w = np.array(points), np.array([conformal.strip_to_disk(p) for p in points])
+    text = _csv_text(("z_re", "z_im", "w_re", "w_im", "cr_residual"),
+                     (z.real, z.imag, w.real, w.imag, res))
     _emit(text, cfg.output)
     return EXIT_OK
 
@@ -288,7 +289,7 @@ def cmd_map(cfg: RunConfig) -> int:
 def cmd_potential(cfg: RunConfig) -> int:
     try:
         table = ginocchio.potential_on_x_grid(
-            cfg.gamma, cfg.j, cfg.mass_profile(), cfg.ordering, cfg.grid,
+            cfg.gamma, cfg.j, parse_mass(cfg.mass), cfg.ordering, cfg.grid,
             tol=cfg.tolerances["quad"],
         )
     except _FAILURES as exc:
@@ -297,12 +298,11 @@ def cmd_potential(cfg: RunConfig) -> int:
     columns = (table.x, table.m, table.mu, table.u, table.z,
                table.v_hyp, table.v_poly, table.um, table.v_total)
     if cfg.fmt == "json":
-        payload = {name: [float(v) for v in col] for name, col in zip(header, columns)}
+        payload = {name: col.tolist() for name, col in zip(header, columns)}
         payload.update({"gamma": cfg.gamma, "j": cfg.j, "mass": cfg.mass})
         _emit(_json_text(payload), cfg.output)
     else:
-        rows = [tuple(float(col[i]) for col in columns) for i in range(cfg.grid.n_points)]
-        _emit(_csv_text(header, rows), cfg.output)
+        _emit(_csv_text(header, columns), cfg.output)
     return EXIT_OK
 
 
@@ -311,13 +311,10 @@ def cmd_potential(cfg: RunConfig) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    if cfg.fmt == "csv":
-        sys.stderr.write("config error: spectrum reports are JSON only\n")
-        return EXIT_CONFIG_ERROR
     spec = GinocchioSpec(cfg.gamma, cfg.j)
     try:
         report = pdmsolver.verify_spectrum(
-            spec, cfg.mass_profile(), cfg.ordering, cfg.grid,
+            spec, parse_mass(cfg.mass), cfg.ordering, cfg.grid,
             quad_tol=cfg.tolerances["quad"],
         )
     except _FAILURES as exc:
@@ -347,9 +344,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         for name, measured, threshold in gates
     ]
     _emit(_json_text(payload), cfg.output)
-    if all(g["passed"] for g in payload["gates"]):
-        return EXIT_OK
-    return EXIT_GATE_FAILURE
+    return EXIT_OK if all(g["passed"] for g in payload["gates"]) else EXIT_GATE_FAILURE
 
 
 # ---------------------------------------------------------------------------
@@ -378,31 +373,51 @@ def cmd_verify(cfg: RunConfig) -> int:
 # argument parsing
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--gamma", type=float, default=None,
-                        help=f"deformation parameter gamma in [{GAMMA_MIN:g}, {GAMMA_MAX:g}]")
-    parser.add_argument("--j", type=float, default=None,
-                        help="potential-strength label j >= 0")
-    parser.add_argument("--ordering", default=None,
-                        help="von Roos parameters 'eta,epsilon' (rho derived) or "
-                             "'eta,epsilon,rho' with sum -1")
-    parser.add_argument("--mass", default=None,
-                        help="mass profile 'name' or 'name:param' with the param in "
-                             + ", ".join(f"[{lo:g}, {hi:g}] for {name}" for name, (_, (lo, hi))
-                                         in MASS_REGISTRY.items()))
-    parser.add_argument("--grid", default=None, help="grid 'xmin,xmax,N'")
-    parser.add_argument("--format", default=None, choices=("csv", "json"),
-                        help="output format where the command supports both")
-    parser.add_argument("--tol", action="append", default=None, metavar="NAME=VALUE",
-                        help="tolerance override, repeatable")
-    parser.add_argument("--only", default=None,
-                        help="restrict verify to one module suite")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for sampled checks (reports embed it)")
-    parser.add_argument("--config", default=None,
-                        help="JSON file of flag values; explicit flags win")
-    parser.add_argument("--output", "-o", default=None,
-                        help="output file (default: stdout)")
+# each flag's option strings and argparse keywords
+_FLAGS = {
+    "gamma": (("--gamma",), dict(type=float, help=f"deformation parameter gamma in "
+                                                f"[{GAMMA_MIN:g}, {GAMMA_MAX:g}]")),
+    "j": (("--j",), dict(type=float, help="potential-strength label j >= 0")),
+    "ordering": (("--ordering",), dict(
+        help=f"von Roos parameters 'eta,epsilon' (rho derived) or 'eta,epsilon,rho' with "
+             f"sum -1; |eta|, |epsilon| <= {ORDERING_MAX:g}")),
+    "mass": (("--mass",), dict(
+        help="mass profile 'name' or 'name:param' with the param in "
+             + ", ".join(f"[{lo:g}, {hi:g}] for {name}"
+                         for name, (_, (lo, hi)) in MASS_REGISTRY.items()))),
+    "grid": (("--grid",), dict(help="grid 'xmin,xmax,N'")),
+    "format": (("--format",), dict(choices=("csv", "json"), help="output format")),
+    "tol": (("--tol",), dict(action="append", metavar="NAME=VALUE",
+                             help="tolerance override, repeatable")),
+    "only": (("--only",), dict(help="restrict verify to one module suite")),
+    "seed": (("--seed",), dict(type=int, help="seed for sampled checks (reports embed it)")),
+    "config": (("--config",), dict(help="JSON file of flag values; explicit flags win")),
+    "output": (("--output", "-o"), dict(help="output file (default: stdout)")),
+}
+
+
+class Command(NamedTuple):
+    run: Callable[[RunConfig], int]
+    help: str
+    flags: tuple
+    tols: tuple = ()
+
+
+# the one declaration of what each command reads: it takes no other flag,
+# and a --tol name or config-file key outside it exits 2
+COMMANDS = {
+    "map": Command(cmd_map, "tabulate the band-to-disk conformal map with residuals",
+                   ("config", "output")),
+    "potential": Command(cmd_potential, "tabulate the potential V_hyp + Um on the physical grid",
+                         ("gamma", "j", "ordering", "mass", "grid", "format", "tol",
+                          "config", "output"), ("quad",)),
+    "spectrum": Command(cmd_spectrum, "numeric vs analytic bound-state spectra as JSON",
+                        ("gamma", "j", "ordering", "mass", "grid", "tol", "seed",
+                         "config", "output"), tuple(DEFAULT_TOLERANCES)),
+    "verify": Command(cmd_verify, "run the module property suites and report residuals",
+                      ("tol", "only", "seed", "config", "output"),
+                      ("quad", "mass_independence_gate")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,32 +427,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "background: tables, spectra, and verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("map", "tabulate the band-to-disk conformal map with residuals"),
-        ("potential", "tabulate the potential V_hyp + Um on the physical grid"),
-        ("spectrum", "numeric vs analytic bound-state spectra as JSON"),
-        ("verify", "run the module property suites and report residuals"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        _add_common(p)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags:
+            option_strings, kwargs = _FLAGS[flag]
+            if flag == "tol":
+                kwargs = dict(kwargs, help=f"{kwargs['help']}; names: {', '.join(command.tols)}")
+            p.add_argument(*option_strings, default=None, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _build_config(args)
+        return COMMANDS[args.command].run(_build_config(args))
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG_ERROR
-    command = {
-        "map": cmd_map,
-        "potential": cmd_potential,
-        "spectrum": cmd_spectrum,
-        "verify": cmd_verify,
-    }[args.command]
-    return command(cfg)
 
 
 def entrypoint() -> None:

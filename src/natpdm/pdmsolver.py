@@ -208,23 +208,22 @@ def _hamiltonian_pair(spec, mass, ordering, grid, quad_tol):
 
 
 def verify_spectrum(spec: GinocchioSpec, mass: MassProfile, ordering: OrderingParams,
-                    grid: Grid, partner_mass: MassProfile | None = None,
-                    quad_tol: float = 1e-10) -> SpectrumReport:
+                    grid: Grid, quad_tol: float = 1e-10) -> SpectrumReport:
     """Adjudicate the quantization roots and the closed-form levels numerically.
 
     Runs the Hamiltonian with the potential V_hyp + Um on the grid and
     its half-spacing refinement, lists the three spectra side by side,
     fits the analytic-n to numeric-n index map, and repeats the numerics
     with a second mass profile to measure mass independence of the bound
-    levels.  The four matrices (two grids, two masses) are solved in one
+    levels: rational:2 beside a constant mass, the unit mass beside
+    any other.  The four matrices (two grids, two masses) are solved in one
     solve_bound_states call, so one Sturm sweep certifies them.
     """
     n_top = int(math.floor(spec.j))
     k = max(n_top + 2, 2)
 
-    if partner_mass is None:
-        partner_mass = rational_mass(2.0) if mass.label.startswith("constant") \
-            else constant_mass()
+    partner_mass = rational_mass(2.0) if mass.label.startswith("constant") \
+        else constant_mass()
     pair, threshold = _hamiltonian_pair(spec, mass, ordering, grid, quad_tol)
     partner_pair, partner_threshold = _hamiltonian_pair(spec, partner_mass, ordering, grid,
                                                         quad_tol)

@@ -97,7 +97,7 @@ def algebra_suite(tol, rng) -> list:
     labels = algebra.labels_from_j(j=1.0, n=0, delta=1.5)
     psi = algebra.gaussian_sector_function(grid, sector=labels.j0)
 
-    res1, res2 = algebra.commutator_residual(realization, labels, psi)
+    res1, res2 = algebra.commutator_residual(realization, psi)
     checks.append(_check("commutator_plus_minus", res1, 1e-6))
     checks.append(_check("commutator_j0_ladder", res2, 1e-6))
 

@@ -129,33 +129,33 @@ class TestGWeight:
 
 
 class TestLadder:
-    def test_j0_is_sector_multiplication(self, tanh_realization, labels, grid):
+    def test_j0_is_sector_multiplication(self, tanh_realization, grid):
         psi = gaussian_sector_function(grid, sector=3.0)
-        out = ladder_apply(tanh_realization, labels, "J0", psi)
+        out = ladder_apply(tanh_realization, "J0", psi)
         assert out.sector == 3.0
         assert np.array_equal(out.values, 3.0 * psi.values)
 
-    def test_jplus_shifts_sector(self, tanh_realization, labels, packet):
-        out = ladder_apply(tanh_realization, labels, "J+", packet)
+    def test_jplus_shifts_sector(self, tanh_realization, packet):
+        out = ladder_apply(tanh_realization, "J+", packet)
         assert out.sector == packet.sector + 1.0
-        out = ladder_apply(tanh_realization, labels, "J-", packet)
+        out = ladder_apply(tanh_realization, "J-", packet)
         assert out.sector == packet.sector - 1.0
 
-    def test_j0_commutator_is_ladder(self, tanh_realization, labels, packet):
-        jp = ladder_apply(tanh_realization, labels, "J+", packet)
-        j0psi = ladder_apply(tanh_realization, labels, "J0", packet)
+    def test_j0_commutator_is_ladder(self, tanh_realization, packet):
+        jp = ladder_apply(tanh_realization, "J+", packet)
+        j0psi = ladder_apply(tanh_realization, "J0", packet)
         lhs = (packet.sector + 1.0) * jp.values \
-            - ladder_apply(tanh_realization, labels, "J+", j0psi).values
+            - ladder_apply(tanh_realization, "J+", j0psi).values
         assert np.max(np.abs(lhs - jp.values)) / packet.sup_norm() < 1e-8
 
-    def test_unknown_operator(self, tanh_realization, labels, packet):
+    def test_unknown_operator(self, tanh_realization, packet):
         with pytest.raises(ValueError):
-            ladder_apply(tanh_realization, labels, "J*", packet)
+            ladder_apply(tanh_realization, "J*", packet)
 
 
 class TestCommutator:
-    def test_residuals_small(self, tanh_realization, labels, packet):
-        res1, res2 = commutator_residual(tanh_realization, labels, packet)
+    def test_residuals_small(self, tanh_realization, packet):
+        res1, res2 = commutator_residual(tanh_realization, packet)
         assert res1 < 1e-6
         assert res2 < 1e-6
 
@@ -163,13 +163,13 @@ class TestCommutator:
         real = Su11Realization(xi=tanh_map(), a=1.0, delta=0.0)
         labels0 = labels_from_j(j=1.0, n=0, delta=0.0)
         psi = gaussian_sector_function(grid, sector=labels0.j0)
-        res1, res2 = commutator_residual(real, labels0, psi)
+        res1, res2 = commutator_residual(real, psi)
         assert res1 < 1e-6
         assert res2 < 1e-6
 
     def test_zero_function(self, tanh_realization, labels, grid):
         psi = algebra.SectorFunction(grid, labels.j0, np.zeros(grid.n_points))
-        assert commutator_residual(tanh_realization, labels, psi) == (0.0, 0.0)
+        assert commutator_residual(tanh_realization, psi) == (0.0, 0.0)
 
 
 class TestCasimir:

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import io
 import json
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import natpdm
 from natpdm import cli, ginocchio, numerics
@@ -76,6 +80,16 @@ class TestPotential:
         payload = json.loads(out)
         assert set(payload) >= {"x", "V_total", "gamma", "j"}
         assert len(payload["x"]) == 21
+
+    def test_csv_text_matches_the_csv_module(self):
+        # reference: the csv module with one 17-digit cell at a time
+        columns = (np.array([0.1, -0.0, 1e-300, np.inf]), np.array([np.nan, -np.inf, 2.0, 1e300]),
+                   [1.0 / 3.0, 5e-324, -1.5, 123456789.123456789])
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("a", "b", "c"))
+        writer.writerows([f"{float(v):.17g}" for v in row] for row in zip(*columns))
+        assert cli._csv_text(("a", "b", "c"), columns) == buf.getvalue()
 
     def test_large_u_round_trip(self, capsys):
         # gamma = 6 drives |u| past 355 on the default box, where sinh^2 u
@@ -284,6 +298,11 @@ class TestConfigErrors:
         ["spectrum", "--grid=-1e-77,1e-77,11"],
         ["spectrum", "--grid=-1e-74,1e-74,11", "--mass=constant:1e-6"],
         ["spectrum", "--grid=-5e-324,5e-324,3"],
+        ["potential", "--ordering=0,-1000000.5", "--mass=rational:2"],
+        ["spectrum", "--seed=-1"],
+        ["verify", "--seed=-1", "--only", "conformal"],
+        ["potential", "--ordering=1e300,0"],
+        ["spectrum", "--ordering=-1e300,0", "--mass=exponential-well:1"],
     ])
     def test_exit_code_two(self, args, capsys):
         code, _, err = run_cli(args, capsys)
@@ -341,3 +360,204 @@ class TestConfigErrors:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("x,m,mu,u,z")
+
+
+# the flags each command takes and the --tol names it reads, written out
+# here apart from cli.COMMANDS so the tests check that declaration
+SURFACE = {
+    "map": ({"config", "output"}, set()),
+    "potential": ({"gamma", "j", "ordering", "mass", "grid", "format", "tol", "config",
+                   "output"}, {"quad"}),
+    "spectrum": ({"gamma", "j", "ordering", "mass", "grid", "tol", "seed", "config", "output"},
+                 {"quad", "spectrum_gate", "eq27_vs_eq34_gate", "mass_independence_gate"}),
+    "verify": ({"tol", "only", "seed", "config", "output"}, {"quad", "mass_independence_gate"}),
+}
+ALL_FLAGS = sorted(set().union(*(flags for flags, _ in SURFACE.values())))
+ALL_TOLS = sorted(SURFACE["spectrum"][1])
+# a value each flag takes wherever it is legal; the format is one the
+# command emits, so only the flag itself is foreign
+LEGAL_VALUES = {"gamma": "1", "j": "2", "ordering": "0,-1", "mass": "constant",
+                "grid": "-1,1,5", "tol": "quad=1e-9", "only": "conformal", "seed": "3"}
+FOREIGN_FLAGS = [(command, flag) for command, (flags, _) in SURFACE.items()
+                 for flag in ALL_FLAGS if flag not in flags]
+FOREIGN_TOLS = [(command, tol) for command, (flags, tols) in SURFACE.items() if "tol" in flags
+                for tol in ALL_TOLS if tol not in tols]
+
+
+class TestCommandSurface:
+    def test_each_command_takes_its_own_flags(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {name: {a.dest for a in p._actions if a.dest != "help"}
+                 for name, p in sub.choices.items()}
+        assert flags == {name: own for name, (own, _) in SURFACE.items()}
+        assert sum(map(len, flags.values())) == 25
+        tols = {name: set(command.tols) for name, command in cli.COMMANDS.items()}
+        assert tols == {name: own for name, (_, own) in SURFACE.items()}
+        assert sum(map(len, tols.values())) == 7
+
+    def test_output_alias(self, tmp_path, capsys):
+        target = tmp_path / "map.csv"
+        code, out, _ = run_cli(["map", "-o", str(target)], capsys)
+        assert code == 0 and out == ""
+        assert target.read_text().startswith("z_re,z_im")
+
+    @pytest.mark.parametrize("command,flag", FOREIGN_FLAGS,
+                             ids=[f"{c}-{f}" for c, f in FOREIGN_FLAGS])
+    def test_foreign_flag_refused(self, command, flag, capsys):
+        value = LEGAL_VALUES.get(flag, {"map": "csv"}.get(command, "json"))
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, f"--{flag}={value}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--{flag}" in captured.err
+
+    @pytest.mark.parametrize("command,tol", FOREIGN_TOLS,
+                             ids=[f"{c}-{t}" for c, t in FOREIGN_TOLS])
+    def test_foreign_tolerance_refused(self, command, tol, tmp_path, capsys):
+        code, out, err = run_cli([command, "--tol", f"{tol}=1"], capsys)
+        assert code == 2 and out == ""
+        assert repr(tol) in err
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"tol": {tol: 1}}))
+        code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        assert repr(tol) in err
+
+    @pytest.mark.parametrize("command,flag", [("map", "gamma"), ("map", "tol"),
+                                              ("verify", "grid"), ("potential", "seed")])
+    def test_foreign_config_key_refused(self, command, flag, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({flag: LEGAL_VALUES[flag]}))
+        code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        assert repr(flag) in err
+
+    def test_unwritable_output_flag(self, tmp_path, capsys):
+        target = tmp_path / "no_such_dir" / "x.csv"
+        code, out, err = run_cli(["potential", "--grid=-1,1,5", "--output", str(target)],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert str(target) in err
+
+    def test_unwritable_output_from_config(self, tmp_path, capsys):
+        target = tmp_path / "no_such_dir" / "x.json"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"output": str(target)}))
+        code, out, err = run_cli(["verify", "--only", "conformal", "--config", str(cfg)],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("config error") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("contents", [b"\xff\xfe{", b'{"seed": Infinity}',
+                                          b'{"output": "a\\u0000b"}', b'{"seed": -1}'],
+                             ids=["not-utf8", "seed-inf", "output-nul", "seed-negative"])
+    def test_config_values_that_crashed(self, contents, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(contents)
+        code, out, err = run_cli(["verify", "--only", "conformal", "--config", str(cfg)],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("config error")
+
+    @pytest.mark.parametrize("mass", RANGE_ENDS)
+    def test_ordering_bound_gives_finite_output(self, mass, capsys):
+        # the ordering terms at |eta|, |epsilon| = ORDERING_MAX and the
+        # registry's range ends stay finite and warning-free
+        for ordering in ("1e6,-1e6", "-1e6,1e6"):
+            code, out, err = run_cli(["potential", f"--mass={mass}", "--format=json",
+                                      f"--ordering={ordering}"], capsys)
+            assert code == 0 and err == ""
+            assert np.all(np.isfinite(np.array(json.loads(out)["Um"], dtype=float)))
+            code, out, err = run_cli(["spectrum", f"--mass={mass}", "--grid=-12,12,201",
+                                      f"--ordering={ordering}"], capsys)
+            assert code in (0, 1) and err == ""
+            assert all(math.isfinite(e) for e in json.loads(out)["energies_numeric"])
+
+
+# value pools for the fuzzed argv vectors: legal values, range ends and
+# malformed ones.  <...> names a file made in the fuzz directory
+FUZZ_VALUES = {
+    "gamma": ["1", "0.8", "3", "1e-8", "1e6", "0", "-1", "nan", "1e7", "x"],
+    "j": ["2", "0", "1.5", "30", "-1", "inf", "x"],
+    "ordering": ["0,-1", "-0.5,0", "0,0,-1", "1,1,1", "nan,0", "a,b", "1e6,-1e6",
+                 "1e300,0", "0"],
+    "mass": ["constant", "rational:2", "exponential-well:0.5", "rational:1e-06",
+             "exponential-well:-0.999999", "constant:1000000.0", "rational:0", "rational:nan",
+             "nosuch"],
+    "grid": ["-12,12,201", "-2,2,41", "-1,1,5", "-1,1,3", "1,12,101", "-12,12,4", "0,0,5",
+             "-1e300,1e300,11", "-1e-100,1e-100,11", "-1.7e308,0,3", "a,b,c", "-1,1"],
+    "format": ["csv", "json", "xml"],
+    "tol": ["quad=1e-9", "quad=1e-3", "spectrum_gate=1e-12", "eq27_vs_eq34_gate=1",
+            "mass_independence_gate=1e-12", "quad=-1", "quad=nan", "nosuch=1", "quad"],
+    "only": ["conformal", "algebra", "ginocchio", "natanzon", "pdmsolver", "nosuch"],
+    "seed": ["0", "5", "-1", "x"],
+    "config": ["<valid>", "<foreign>", "<empty>", "<tol>", "<tol-foreign>", "<seed-inf>",
+               "<output-nul>", "<output-unwritable>", "<bad-json>", "<not-utf8>", "<list>",
+               "<missing>"],
+    "output": ["-", "<file>", "<unwritable>", "<dir>"],
+}
+FUZZ_FILES = {
+    "<valid>": b'{"grid": "-2,2,41", "gamma": 0.9}',
+    "<foreign>": b'{"gama": 3}',
+    "<empty>": b"{}",
+    "<tol>": b'{"tol": {"quad": 1e-9}}',
+    "<tol-foreign>": b'{"tol": {"spectrum_gate": 1}}',
+    "<seed-inf>": b'{"seed": Infinity}',
+    "<output-nul>": b'{"output": "a\\u0000b"}',
+    "<output-unwritable>": b'{"output": "no_such_dir/x"}',
+    "<bad-json>": b"{not json",
+    "<not-utf8>": b"\xff\xfe{",
+    "<list>": b"[1, 2]",
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(SURFACE)))
+    # mostly the command's own flags, now and then any flag at all
+    flag = st.one_of(st.sampled_from(sorted(SURFACE[command][0])), st.sampled_from(ALL_FLAGS))
+    pairs = draw(st.lists(flag.flatmap(
+        lambda f: st.tuples(st.just(f), st.sampled_from(FUZZ_VALUES[f]))), max_size=4))
+    return [command, *(f"--{f}={v}" for f, v in pairs)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, contents in FUZZ_FILES.items():
+        (root / name.strip("<>")).write_bytes(
+            contents.replace(b"no_such_dir", str(root / "no_such_dir").encode()))
+    return root
+
+
+def _fill(arg, root):
+    flag, _, value = arg.partition("=")
+    if not value.startswith("<"):
+        return arg
+    path = {"<file>": root / "out.txt", "<unwritable>": root / "no_such_dir" / "x",
+            "<dir>": root}.get(value, root / value.strip("<>"))
+    return f"{flag}={path}"
+
+
+class TestExitCodeContract:
+    @settings(max_examples=150, deadline=None)
+    @given(argv=fuzz_argv())
+    def test_fuzzed_argv(self, argv, fuzz_dir):
+        argv = [_fill(arg, fuzz_dir) for arg in argv]
+        report_file = fuzz_dir / "out.txt"
+        report_file.unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in range(5)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            report = json.loads(out.getvalue() or report_file.read_text())
+            gates = [g["passed"] for g in report.get("gates", [])]
+            assert report.get("hard_gates_passed") is False or not all(gates)
