@@ -227,30 +227,30 @@ def _interior(values: np.ndarray) -> np.ndarray:
     return values[_TRIM:-_TRIM]
 
 
-def commutator_residual(realization: Su11Realization, psi: SectorFunction,
-                        mass: MassProfile | None = None):
+def commutator_residual(realization: Su11Realization, psi: SectorFunction):
     """Sup-norm residuals of the two commutation relations, relative to ||psi||.
 
-    res1 checks [J+, J-] + 2 J0, res2 the worse of [J0, J+/-] -/+ J+/-.
-    The stencil margin is trimmed before taking the sup: two operator
-    applications widen the boundary error band.
+    res1 checks [J+, J-] + 2 J0, res2 the worse of [J0, J+/-] -/+ J+/-,
+    with the constant-mass weight g.  The stencil margin is trimmed
+    before taking the sup: two operator applications widen the boundary
+    error band.
     """
     if psi.sup_norm() == 0.0:
         return 0.0, 0.0
     scale = psi.sup_norm()
-    jp = ladder_apply(realization, "J+", psi, mass)
-    jm = ladder_apply(realization, "J-", psi, mass)
-    jpjm = ladder_apply(realization, "J+", jm, mass)
-    jmjp = ladder_apply(realization, "J-", jp, mass)
+    jp = ladder_apply(realization, "J+", psi)
+    jm = ladder_apply(realization, "J-", psi)
+    jpjm = ladder_apply(realization, "J+", jm)
+    jmjp = ladder_apply(realization, "J-", jp)
     comm = jpjm.values - jmjp.values + 2.0 * psi.sector * psi.values
     res1 = float(np.max(np.abs(_interior(comm)))) / scale
 
-    j0psi = ladder_apply(realization, "J0", psi, mass)
+    j0psi = ladder_apply(realization, "J0", psi)
     res2 = 0.0
     for which, shift, sign in (("J+", 1.0, 1.0), ("J-", -1.0, -1.0)):
-        jpm = ladder_apply(realization, which, psi, mass)
+        jpm = ladder_apply(realization, which, psi)
         j0_after = (psi.sector + shift) * jpm.values
-        after_j0 = ladder_apply(realization, which, j0psi, mass).values
+        after_j0 = ladder_apply(realization, which, j0psi).values
         resid = j0_after - after_j0 - sign * jpm.values
         res2 = max(res2, float(np.max(np.abs(_interior(resid)))) / scale)
     return res1, res2

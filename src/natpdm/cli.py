@@ -20,7 +20,7 @@ import numpy as np
 
 from . import conformal, ginocchio, natanzon, numerics, pdmsolver, verify
 from .ginocchio import GinocchioSpec
-from .masses import MASS_REGISTRY, parse_mass
+from .masses import MASS_REGISTRY, NonpositiveMass, parse_mass
 from .natanzon import OrderingParams
 from .numerics import Grid
 
@@ -34,6 +34,9 @@ EXIT_SOLVER_FAILURE = 4
 # closed forms overflow (gamma^2 mu, gamma^6) or lose every digit
 GAMMA_MIN = 1e-8
 GAMMA_MAX = 1e6
+# potential tables stay finite for j up to here at the gamma and mass
+# range ends; far beyond it gamma^4 j(j + 1) overflows to -inf or nan
+J_MAX = 1e6
 
 # bound on the von Roos eta and epsilon: the ordering terms scale as
 # eta^2 m'^2/m^3, which stays finite over the registry masses up to here
@@ -61,7 +64,7 @@ _FAILURE_EXITS = {
     numerics.ToleranceNotMet: EXIT_INVERSION_FAILURE,
     ginocchio.InversionFailure: EXIT_INVERSION_FAILURE,
     numerics.EigensolverFailure: EXIT_SOLVER_FAILURE,
-    pdmsolver.NonpositiveMass: EXIT_SOLVER_FAILURE,
+    NonpositiveMass: EXIT_SOLVER_FAILURE,
 }
 _FAILURES = tuple(_FAILURE_EXITS)
 _FAILURE_NAMES = {EXIT_INVERSION_FAILURE: "coordinate inversion failed",
@@ -95,25 +98,17 @@ class RunConfig:
 
 def _parse_ordering(text: str) -> OrderingParams:
     parts = [p.strip() for p in text.split(",")]
+    if len(parts) != 2:
+        raise ConfigError(f"ordering takes 'eta,epsilon', got {text!r}")
     try:
-        values = [float(p) for p in parts]
+        eta, epsilon = (float(p) for p in parts)
     except ValueError as exc:
-        raise ConfigError(f"ordering must be numeric 'eta,epsilon[,rho]': {exc}") from exc
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(f"ordering parameters must be finite, got {text!r}")
-    if not all(abs(v) <= ORDERING_MAX for v in values[:2]):
+        raise ConfigError(f"ordering must be numeric 'eta,epsilon': {exc}") from exc
+    # a nan fails both comparisons
+    if not (abs(eta) <= ORDERING_MAX and abs(epsilon) <= ORDERING_MAX):
         raise ConfigError(f"eta and epsilon must lie in [{-ORDERING_MAX:g}, {ORDERING_MAX:g}], "
                           f"got {text!r}")
-    if len(values) == 2:
-        return OrderingParams(eta=values[0], epsilon=values[1])
-    if len(values) == 3:
-        if abs(sum(values) + 1.0) > 1e-12:
-            raise ConfigError(
-                f"ordering parameters must satisfy eta + epsilon + rho = -1, "
-                f"got sum {sum(values)}"
-            )
-        return OrderingParams(eta=values[0], epsilon=values[1], rho=values[2])
-    raise ConfigError("ordering takes 'eta,epsilon' (rho derived) or 'eta,epsilon,rho'")
+    return OrderingParams(eta, epsilon)
 
 
 def _parse_grid(text: str) -> Grid:
@@ -175,16 +170,23 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             return file_values[name]
         return default
 
+    def pick_number(name, default):
+        value = pick(name, default)
+        # JSON true and false load as Python ints; no number is read from them
+        if isinstance(value, bool):
+            raise ConfigError(f"{name} must be a number, got {json.dumps(value)}")
+        return value
+
     cfg = RunConfig()
+    gamma, j = pick_number("gamma", cfg.gamma), pick_number("j", cfg.j)
     try:
-        cfg.gamma = float(pick("gamma", cfg.gamma))
-        cfg.j = float(pick("j", cfg.j))
+        cfg.gamma, cfg.j = float(gamma), float(j)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"gamma and j must be numeric: {exc}") from exc
     if not GAMMA_MIN <= cfg.gamma <= GAMMA_MAX:
         raise ConfigError(f"gamma must lie in [{GAMMA_MIN:g}, {GAMMA_MAX:g}], got {cfg.gamma}")
-    if not 0.0 <= cfg.j < math.inf:
-        raise ConfigError(f"j must be non-negative and finite, got {cfg.j}")
+    if not 0.0 <= cfg.j <= J_MAX:
+        raise ConfigError(f"j must lie in [0, {J_MAX:g}], got {cfg.j}")
 
     ordering = pick("ordering", None)
     if ordering is not None:
@@ -227,9 +229,13 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if only not in suites:
             raise ConfigError(f"--only must name one of {suites}, got {only!r}")
         cfg.only = only
+    seed = pick_number("seed", cfg.seed)
+    # int() would truncate a config file's 1.5, which --seed refuses
+    if isinstance(seed, float) and not seed.is_integer():
+        raise ConfigError(f"seed must be an integer, got {json.dumps(seed)}")
     try:
-        cfg.seed = int(pick("seed", cfg.seed))
-    except (TypeError, ValueError, OverflowError) as exc:
+        cfg.seed = int(seed)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"seed must be an integer: {exc}") from exc
     # numpy seeds its generators from non-negative integers only
     if cfg.seed < 0:
@@ -334,7 +340,6 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         gates.append(("mass_independence", mi, tol["mass_independence_gate"]))
 
     payload = report.to_dict()
-    payload["seed"] = cfg.seed
     # coverage is the one lower bound: a run that compares no analytic
     # level with a numeric one fails instead of passing on no evidence
     payload["gates"] = [{"name": "coverage", "measured": len(matched), "threshold": 1,
@@ -377,10 +382,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 _FLAGS = {
     "gamma": (("--gamma",), dict(type=float, help=f"deformation parameter gamma in "
                                                 f"[{GAMMA_MIN:g}, {GAMMA_MAX:g}]")),
-    "j": (("--j",), dict(type=float, help="potential-strength label j >= 0")),
+    "j": (("--j",), dict(type=float, help=f"potential-strength label j in [0, {J_MAX:g}]")),
     "ordering": (("--ordering",), dict(
-        help=f"von Roos parameters 'eta,epsilon' (rho derived) or 'eta,epsilon,rho' with "
-             f"sum -1; |eta|, |epsilon| <= {ORDERING_MAX:g}")),
+        help=f"von Roos parameters 'eta,epsilon' (rho = -1 - eta - epsilon); "
+             f"|eta|, |epsilon| <= {ORDERING_MAX:g}")),
     "mass": (("--mass",), dict(
         help="mass profile 'name' or 'name:param' with the param in "
              + ", ".join(f"[{lo:g}, {hi:g}] for {name}"
@@ -412,8 +417,8 @@ COMMANDS = {
                          ("gamma", "j", "ordering", "mass", "grid", "format", "tol",
                           "config", "output"), ("quad",)),
     "spectrum": Command(cmd_spectrum, "numeric vs analytic bound-state spectra as JSON",
-                        ("gamma", "j", "ordering", "mass", "grid", "tol", "seed",
-                         "config", "output"), tuple(DEFAULT_TOLERANCES)),
+                        ("gamma", "j", "ordering", "mass", "grid", "tol", "config",
+                         "output"), tuple(DEFAULT_TOLERANCES)),
     "verify": Command(cmd_verify, "run the module property suites and report residuals",
                       ("tol", "only", "seed", "config", "output"),
                       ("quad", "mass_independence_gate")),

@@ -12,15 +12,12 @@ from typing import Callable
 
 import numpy as np
 
-from . import numerics
-
 __all__ = [
     "MassProfile",
     "NonpositiveMass",
     "constant_mass",
     "rational_mass",
     "exponential_well_mass",
-    "mass_from_callable",
     "MASS_REGISTRY",
     "parse_mass",
 ]
@@ -115,16 +112,6 @@ def exponential_well_mass(b: float = 0.5) -> MassProfile:
         return 2.0 * b * (2.0 * x * x - 1.0) * np.exp(-x * x)
 
     return MassProfile(m, m_prime, m_double_prime, label=f"exponential-well:{b}")
-
-
-def mass_from_callable(m: Callable, label: str = "custom") -> MassProfile:
-    """Wrap a bare m(x) callable; derivatives come from finite differences with step 1e-3."""
-    return MassProfile(
-        m=m,
-        m_prime=lambda x: numerics.derivative(m, x, order=1, h=1e-3),
-        m_double_prime=lambda x: numerics.derivative(m, x, order=2, h=1e-3),
-        label=label,
-    )
 
 
 #: name -> (factory, closed range of its parameter).  At both ends of

@@ -80,38 +80,24 @@ class NatanzonParams:
 
 @dataclass(frozen=True)
 class EnergyCoeffs:
-    """Coefficient triple at one energy, with the shifted aliases t, r."""
+    """Coefficient triple at one energy."""
 
     E: float
     c: float
     p: float
     q: float
 
-    @property
-    def t(self) -> float:
-        return self.p + 1.0
-
-    @property
-    def r(self) -> float:
-        return self.q + 2.0
-
 
 @dataclass(frozen=True)
 class OrderingParams:
-    """von Roos ambiguity parameters with eta + epsilon + rho = -1."""
+    """von Roos ambiguity parameters; rho = -1 - eta - epsilon follows from them."""
 
     eta: float
     epsilon: float
-    rho: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.rho is None:
-            object.__setattr__(self, "rho", -1.0 - self.eta - self.epsilon)
-        elif abs(self.eta + self.epsilon + self.rho + 1.0) > 1e-12:
-            raise ValueError(
-                f"ordering parameters must satisfy eta + epsilon + rho = -1, "
-                f"got sum {self.eta + self.epsilon + self.rho}"
-            )
+    @property
+    def rho(self) -> float:
+        return -1.0 - self.eta - self.epsilon
 
 
 BEN_DANIEL_DUKE = OrderingParams(eta=0.0, epsilon=-1.0)

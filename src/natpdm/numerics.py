@@ -2,7 +2,7 @@
 
 Provides bisection and adaptive Simpson quadrature, both over arrays of
 brackets or intervals with one call of a vectorised function per step,
-Richardson-extrapolated central differences, fourth-order grid stencils,
+a Richardson-extrapolated central first derivative, fourth-order grid stencils,
 and an eigensolver for real symmetric tridiagonal matrices: LAPACK
 bisection (dstebz, reached through ctypes in the LAPACK that
 numpy.linalg already links, so no extra dependency) whose levels, for
@@ -257,26 +257,18 @@ def integrate(f: Callable, a, b, tol: float):
     return float(out) if out.ndim == 0 else out
 
 
-def derivative(f: Callable, x, order: int = 1, h: float = 1e-2):
-    """Central-difference derivative with one Richardson step (O(h^4)).
+def derivative(f: Callable, x, h: float = 1e-2):
+    """Central-difference first derivative with one Richardson step (O(h^4)).
 
     Works on scalars and on numpy arrays as long as f is vectorised.
     The caller owns the step-size choice.
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
-    if order == 1:
-        def d(s):
-            return (f(x + s) - f(x - s)) / (2.0 * s)
-    elif order == 2:
-        def d(s):
-            return (f(x + s) - 2.0 * f(x) + f(x - s)) / (s * s)
-    elif order == 3:
-        def d(s):
-            return (f(x + 2.0 * s) - 2.0 * f(x + s) + 2.0 * f(x - s) - f(x - 2.0 * s)) \
-                / (2.0 * s ** 3)
-    else:
-        raise ValueError(f"order must be 1, 2 or 3, got {order}")
+
+    def d(s):
+        return (f(x + s) - f(x - s)) / (2.0 * s)
+
     return (4.0 * d(0.5 * h) - d(h)) / 3.0
 
 

@@ -28,7 +28,6 @@ from .natanzon import OrderingParams, solve_spectrum
 from .numerics import Grid, TridiagonalSymmetric, lowest_eigenvalues
 
 __all__ = [
-    "NonpositiveMass",
     "BoundStateResult",
     "SpectrumReport",
     "assemble_hamiltonian",

@@ -154,7 +154,7 @@ def natanzon_suite(tol, rng) -> list:
                                          x0=0.0, z0=math.tanh(0.5) ** 2)
     xs = np.linspace(-0.2, 1.9, 40)
     ident_err = float(np.max(np.abs(
-        numerics.derivative(cmap.z, xs, order=1, h=1e-4) ** 2
+        numerics.derivative(cmap.z, xs, h=1e-4) ** 2
         - 2.0 * natanzon.generating_function(cmap.params, cmap.z(xs)))))
     checks.append(_check("generating_identity_residual", ident_err, 1e-8))
     closed_err = float(np.max(np.abs(cmap.z(xs) - np.tanh(math.sqrt(2.0) * xs + 0.5) ** 2)))

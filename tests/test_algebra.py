@@ -22,7 +22,7 @@ from natpdm.algebra import (
     su11_functions,
     tanh_map,
 )
-from natpdm.masses import constant_mass, exponential_well_mass
+from natpdm.masses import MassProfile, constant_mass, exponential_well_mass
 from natpdm.numerics import Grid
 
 
@@ -122,8 +122,8 @@ class TestGWeight:
 
     def test_mass_term_killed_at_origin(self):
         # m = e^{2x} has m'(0) = 2 but xi(0) = 0 removes the contribution
-        from natpdm.masses import mass_from_callable
-        mass = mass_from_callable(lambda x: np.exp(2.0 * np.asarray(x, dtype=float)))
+        mass = MassProfile(lambda x: np.exp(2.0 * x), lambda x: 2.0 * np.exp(2.0 * x),
+                           lambda x: 4.0 * np.exp(2.0 * x))
         real = Su11Realization(xi=identity_map(), a=1.0, delta=0.0)
         assert float(g_weight(real, mass, 0.0)) == pytest.approx(2.0, abs=1e-9)
 

@@ -136,10 +136,13 @@ class TestSpectrum:
         assert coverage["measured"] == 0
         assert coverage["passed"] is False
 
-    def test_invalid_ordering_sum(self, capsys):
-        code, _, err = run_cli(["spectrum", "--ordering", "1,1,1"], capsys)
-        assert code == 2
-        assert "eta + epsilon + rho = -1" in err
+    @pytest.mark.parametrize("ordering", ["1,1,1", "0,-1,0"])
+    def test_three_ordering_values_refused(self, ordering, capsys):
+        # rho follows from eta and epsilon; a third value is refused even
+        # when the three sum to -1
+        code, out, err = run_cli(["spectrum", f"--ordering={ordering}"], capsys)
+        assert code == 2 and out == ""
+        assert "'eta,epsilon'" in err
 
 
 class TestVerify:
@@ -299,10 +302,11 @@ class TestConfigErrors:
         ["spectrum", "--grid=-1e-74,1e-74,11", "--mass=constant:1e-6"],
         ["spectrum", "--grid=-5e-324,5e-324,3"],
         ["potential", "--ordering=0,-1000000.5", "--mass=rational:2"],
-        ["spectrum", "--seed=-1"],
+        ["potential", "--j=1e300", "--grid=-1,1,3"],
         ["verify", "--seed=-1", "--only", "conformal"],
         ["potential", "--ordering=1e300,0"],
         ["spectrum", "--ordering=-1e300,0", "--mass=exponential-well:1"],
+        ["potential", "--j=1000000.5"],
     ])
     def test_exit_code_two(self, args, capsys):
         code, _, err = run_cli(args, capsys)
@@ -344,6 +348,21 @@ class TestConfigErrors:
         code, _, err = run_cli(["potential", "--config", str(cfg)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("args,values,key", [
+        (["verify", "--only=conformal"], {"seed": 1.5}, "seed"),
+        (["verify", "--only=conformal"], {"seed": True}, "seed"),
+        (["potential", "--grid=-1,1,5"], {"gamma": True, "j": False}, "gamma"),
+        (["potential", "--grid=-1,1,5"], {"j": False}, "j"),
+    ], ids=["seed-float", "seed-true", "gamma-true-j-false", "j-false"])
+    def test_config_values_read_as_flags(self, args, values, key, tmp_path, capsys):
+        # --seed=1.5 and --gamma=true exit 2, so a config file's 1.5 and
+        # true do too, instead of running seed 1 or gamma 1.0
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        code, out, err = run_cli([*args, "--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: {key} ")
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "table.csv"
         code, out, _ = run_cli(
@@ -368,7 +387,7 @@ SURFACE = {
     "map": ({"config", "output"}, set()),
     "potential": ({"gamma", "j", "ordering", "mass", "grid", "format", "tol", "config",
                    "output"}, {"quad"}),
-    "spectrum": ({"gamma", "j", "ordering", "mass", "grid", "tol", "seed", "config", "output"},
+    "spectrum": ({"gamma", "j", "ordering", "mass", "grid", "tol", "config", "output"},
                  {"quad", "spectrum_gate", "eq27_vs_eq34_gate", "mass_independence_gate"}),
     "verify": ({"tol", "only", "seed", "config", "output"}, {"quad", "mass_independence_gate"}),
 }
@@ -391,10 +410,17 @@ class TestCommandSurface:
         flags = {name: {a.dest for a in p._actions if a.dest != "help"}
                  for name, p in sub.choices.items()}
         assert flags == {name: own for name, (own, _) in SURFACE.items()}
-        assert sum(map(len, flags.values())) == 25
+        assert sum(map(len, flags.values())) == 24
         tols = {name: set(command.tols) for name, command in cli.COMMANDS.items()}
         assert tols == {name: own for name, (_, own) in SURFACE.items()}
         assert sum(map(len, tols.values())) == 7
+
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: natpdm {command}")
 
     def test_output_alias(self, tmp_path, capsys):
         target = tmp_path / "map.csv"
@@ -476,6 +502,18 @@ class TestCommandSurface:
             assert code in (0, 1) and err == ""
             assert all(math.isfinite(e) for e in json.loads(out)["energies_numeric"])
 
+    @pytest.mark.parametrize("mass", RANGE_ENDS)
+    def test_j_bound_gives_finite_output(self, mass, capsys):
+        # j = J_MAX at the gamma and registry range ends: finite and warning-free
+        for gamma in (cli.GAMMA_MIN, cli.GAMMA_MAX):
+            code, out, err = run_cli(["potential", f"--j={cli.J_MAX!r}", f"--gamma={gamma!r}",
+                                      f"--mass={mass}", "--grid=-12,12,201", "--format=json"],
+                                     capsys)
+            assert code == 0 and err == ""
+            payload = json.loads(out)
+            for name in ("V_hyp", "V_poly", "Um", "V_total"):
+                assert np.all(np.isfinite(np.array(payload[name], dtype=float))), name
+
 
 # value pools for the fuzzed argv vectors: legal values, range ends and
 # malformed ones.  <...> names a file made in the fuzz directory
@@ -495,8 +533,8 @@ FUZZ_VALUES = {
     "only": ["conformal", "algebra", "ginocchio", "natanzon", "pdmsolver", "nosuch"],
     "seed": ["0", "5", "-1", "x"],
     "config": ["<valid>", "<foreign>", "<empty>", "<tol>", "<tol-foreign>", "<seed-inf>",
-               "<output-nul>", "<output-unwritable>", "<bad-json>", "<not-utf8>", "<list>",
-               "<missing>"],
+               "<seed-float>", "<bool>", "<output-nul>", "<output-unwritable>", "<bad-json>",
+               "<not-utf8>", "<list>", "<missing>"],
     "output": ["-", "<file>", "<unwritable>", "<dir>"],
 }
 FUZZ_FILES = {
@@ -506,6 +544,8 @@ FUZZ_FILES = {
     "<tol>": b'{"tol": {"quad": 1e-9}}',
     "<tol-foreign>": b'{"tol": {"spectrum_gate": 1}}',
     "<seed-inf>": b'{"seed": Infinity}',
+    "<seed-float>": b'{"seed": 1.5}',
+    "<bool>": b'{"gamma": true, "j": false}',
     "<output-nul>": b'{"output": "a\\u0000b"}',
     "<output-unwritable>": b'{"output": "no_such_dir/x"}',
     "<bad-json>": b"{not json",

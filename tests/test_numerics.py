@@ -191,25 +191,18 @@ class TestIntegrate:
 
 class TestDerivative:
     def test_first_order(self):
-        assert derivative(math.sin, 0.0, 1, 1e-2) == pytest.approx(1.0, abs=1e-9)
-
-    def test_second_order(self):
-        assert derivative(math.exp, 0.0, 2, 1e-2) == pytest.approx(1.0, abs=1e-8)
+        assert derivative(math.sin, 0.0, 1e-2) == pytest.approx(1.0, abs=1e-9)
 
     def test_tanh_squared(self):
         # oracle: d/dx tanh^2 = 2 tanh sech^2
         x = 0.7
         expected = 2.0 * math.tanh(x) / math.cosh(x) ** 2
-        assert derivative(lambda t: math.tanh(t) ** 2, x, 1, 1e-2) == pytest.approx(
+        assert derivative(lambda t: math.tanh(t) ** 2, x, 1e-2) == pytest.approx(
             expected, abs=1e-9)
-
-    def test_third_order(self):
-        # sin''' = -cos
-        assert derivative(math.sin, 0.3, 3, 2e-2) == pytest.approx(-math.cos(0.3), abs=1e-7)
 
     def test_vectorised(self):
         x = np.linspace(-1.0, 1.0, 7)
-        got = derivative(np.sin, x, 1, 1e-2)
+        got = derivative(np.sin, x, 1e-2)
         assert np.allclose(got, np.cos(x), atol=1e-9)
 
 

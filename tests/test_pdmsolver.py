@@ -7,10 +7,10 @@ from natpdm import numerics, pdmsolver
 from natpdm.ginocchio import GinocchioSpec, potential_on_x_grid
 from natpdm.masses import (
     MASS_REGISTRY,
+    MassProfile,
     NonpositiveMass,
     constant_mass,
     exponential_well_mass,
-    mass_from_callable,
     parse_mass,
     rational_mass,
 )
@@ -23,15 +23,15 @@ class TestMassProfiles:
     def test_rational_derivatives(self):
         mass = rational_mass(2.0)
         x = np.linspace(-2.0, 2.0, 11)
-        fd = numerics.derivative(mass.m, x, order=1, h=1e-3)
+        fd = numerics.derivative(mass.m, x, h=1e-3)
         assert np.max(np.abs(fd - mass.m_prime(x))) < 1e-9
-        fd2 = numerics.derivative(mass.m, x, order=2, h=1e-3)
+        fd2 = numerics.derivative(mass.m_prime, x, h=1e-3)
         assert np.max(np.abs(fd2 - mass.m_double_prime(x))) < 1e-8
 
     def test_exponential_well_derivatives(self):
         mass = exponential_well_mass(0.5)
         x = np.linspace(-2.0, 2.0, 11)
-        fd = numerics.derivative(mass.m, x, order=1, h=1e-3)
+        fd = numerics.derivative(mass.m, x, h=1e-3)
         assert np.max(np.abs(fd - mass.m_prime(x))) < 1e-9
 
     def test_parse_mass(self):
@@ -58,10 +58,6 @@ class TestMassProfiles:
         for fn in (mass.m, mass.m_prime, mass.m_double_prime):
             assert np.all(np.isfinite(fn(x)))
             assert all(math.isfinite(fn(v)) for v in x)
-
-    def test_finite_difference_fallback(self):
-        mass = mass_from_callable(lambda x: 1.0 + 0.1 * np.asarray(x, dtype=float) ** 2)
-        assert float(mass.m_prime(1.0)) == pytest.approx(0.2, abs=1e-9)
 
 
 class TestAssembly:
@@ -103,7 +99,7 @@ class TestAssembly:
         assert np.all(hm.offdiagonal == 0.0) and np.all(np.isfinite(hm.diagonal))
 
     def test_nonpositive_mass(self):
-        bad = mass_from_callable(lambda x: np.asarray(x, dtype=float))
+        bad = MassProfile(lambda x: x, np.ones_like, np.zeros_like)
         with pytest.raises(NonpositiveMass):
             assemble_hamiltonian(bad, np.zeros(11), BEN_DANIEL_DUKE, Grid(-1.0, 1.0, 11))
 
