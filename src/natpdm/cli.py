@@ -230,8 +230,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"--only must name one of {suites}, got {only!r}")
         cfg.only = only
     seed = pick_number("seed", cfg.seed)
-    # int() would truncate a config file's 1.5, which --seed refuses
-    if isinstance(seed, float) and not seed.is_integer():
+    # int() would truncate a config file's 1.5 and read 3.0 as 3; --seed refuses both
+    if isinstance(seed, float):
         raise ConfigError(f"seed must be an integer, got {json.dumps(seed)}")
     try:
         cfg.seed = int(seed)

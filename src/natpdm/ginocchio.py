@@ -5,9 +5,10 @@ p0 = (1 - gamma^2)/gamma^4, a_p = (j + 1/2)^2 - 1, q0 = 0, a_q = -7/4.
 The coordinate map is known only implicitly: the dimensionless travel
 coordinate mu = integral sqrt(2 m) dx has a closed form in the auxiliary
 variable u (where the construction variable is z = tanh^2 u), and u(mu)
-is recovered numerically by bisection on the closed form.  A table
-integrates sqrt(2 m) over all its grid cells in one quadrature call and
-inverts its whole mu column in one bisection.
+is recovered numerically by bisection on the closed form.  A table takes
+its mu column, anchored at x = 0, from masses.travel_coordinate: one
+quadrature call over its grid cells, whose work grows with the number of
+points.  It inverts that whole column in one bisection.
 
 Note on symbols: the hyperbolic closed forms reuse one letter for the
 integration variable; here it is always called u, keeping z for the
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .masses import MassProfile
+from .masses import MassProfile, travel_coordinate
 from .natanzon import NatanzonParams, OrderingParams, mass_correction_terms
 from .numerics import Grid
 
@@ -242,25 +243,14 @@ def potential_on_x_grid(gamma: float, j: float, mass: MassProfile,
                         tol: float = 1e-10) -> PotentialTable:
     """Tabulate the full position-dependent-mass potential on a grid.
 
-    mu by cumulative sum of the integrals of sqrt(2 m) over the grid
-    cells, anchored at x = 0, all from one quadrature call to tolerance
-    tol; u from one inversion of the whole mu column; then the total
-    V_hyp + Um, the hyperbolic form plus the von Roos mass term Um, whose
-    bound levels do not depend on the mass.
+    mu from travel_coordinate, anchored at x = 0, to tolerance tol; u
+    from one inversion of the whole mu column; then the total V_hyp + Um,
+    the hyperbolic form plus the von Roos mass term Um, whose bound
+    levels do not depend on the mass.
     """
-    if not grid.x_min <= 0.0 <= grid.x_max:
-        raise ValueError(f"anchor x = 0 outside grid [{grid.x_min}, {grid.x_max}]")
     pts = grid.points
-    mass.require_positive(pts)
-
-    # the last interval runs from the first node to the anchor x = 0
-    cells = numerics.integrate(lambda x: np.sqrt(2.0 * mass.m(x)),
-                               np.append(pts[:-1], pts[0]), np.append(pts[1:], 0.0), tol)
-    # mu past the double range comes out inf or nan; invert_mu rejects it
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu = np.cumsum(np.concatenate(([0.0], cells[:-1])))
-        mu -= cells[-1]
-
+    # a mu past the double range comes out inf or nan; invert_mu rejects it
+    mu = travel_coordinate(mass, pts, 0.0, tol)
     u = invert_mu(gamma, mu)
     # tanh^2 rounds to 1.0 for |u| beyond ~19; the exact value is < 1,
     # so round toward the open interval instead

@@ -3,6 +3,8 @@
 The built-in registry holds the profiles used throughout the verification
 pipeline: all are smooth, bounded, strictly positive, and keep the travel
 coordinate mu(x) = integral of sqrt(2 m) a bijection of the real line.
+travel_coordinate is the one place that integrates sqrt(2 m): the
+Ginocchio table and the general coordinate map both read mu from it.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from . import numerics
+
 __all__ = [
     "MassProfile",
     "NonpositiveMass",
@@ -20,6 +24,7 @@ __all__ = [
     "exponential_well_mass",
     "MASS_REGISTRY",
     "parse_mass",
+    "travel_coordinate",
 ]
 
 
@@ -50,9 +55,12 @@ class MassProfile:
     m_double_prime: Callable
     label: str = "custom"
 
-    def require_positive(self, x) -> None:
-        if np.any(np.asarray(self.m(x)) <= 0.0):
+    def require_positive(self, x) -> np.ndarray:
+        """m(x) as a float array; raises NonpositiveMass unless every value is positive."""
+        m = np.asarray(self.m(x), dtype=float)
+        if np.any(m <= 0.0):
             raise NonpositiveMass(f"mass profile {self.label!r} is not positive everywhere")
+        return m
 
 
 def constant_mass(value: float = 1.0) -> MassProfile:
@@ -144,3 +152,23 @@ def parse_mass(text: str) -> MassProfile:
     if not lo <= value <= hi:
         raise ValueError(f"{name} mass parameter must lie in [{lo:g}, {hi:g}], got {param!r}")
     return factory(value)
+
+
+def travel_coordinate(mass: MassProfile, x, x0: float, tol: float) -> np.ndarray:
+    """mu(x) = int_x0^x sqrt(2 m) dt at every point of a non-empty 1-d x.
+
+    One numerics.integrate call, to tolerance tol, takes the cells between
+    neighbouring sorted points and the interval from the first of them to
+    x0, checking m > 0 at every node; their cumulative sum gives mu.  So
+    the work grows with the number of points, not points times span.  A
+    non-finite x raises ValueError; a mu past the double range is inf or nan.
+    """
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    # the last interval runs from the first point to the anchor x0
+    cells = numerics.integrate(lambda t: np.sqrt(2.0 * mass.require_positive(t)),
+                               np.append(xs[:-1], xs[0]), np.append(xs[1:], x0), tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = np.cumsum(np.concatenate(([0.0], cells[:-1]))) - cells[-1]
+    return mu[np.argsort(order)]

@@ -11,8 +11,10 @@ and polished in one bisection call.
 
 The map separates in the logit s = ln(z/(1 - z)): with mu = int sqrt(2 m)
 dx it reads dmu = sqrt(R(sigma(s)))/2 ds, sigma(s) = 1/(1 + e^-s), a
-bounded right side.  So z(x) needs one quadrature for mu(x), one table of
-G(s), the integral of the right side, and one bisection of G(s) = mu(x).
+bounded right side.  So z(x) needs mu(x) from masses.travel_coordinate
+(one quadrature over the cells between sorted points, whose work grows
+with the number of points), one table of G(s), the integral of the right
+side, and one bisection of G(s) = mu(x).
 When q0 = 0, G is bounded below: z reaches 0 at a finite x, the fold.
 """
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import GroupLabels
-from .masses import MassProfile
+from .masses import MassProfile, travel_coordinate
 from .numerics import bisect, integrate
 
 __all__ = [
@@ -307,15 +309,11 @@ class CoordinateMap:
     anchor: int
 
     def z(self, x):
-        """z at every x, from one quadrature for mu(x); a scalar x gives a float.
+        """z at every x, from one travel_coordinate tabulation of mu(x); a scalar x gives a float.
 
         A non-finite x raises ValueError.
         """
-        def root_2m(t):
-            self.mass.require_positive(t)  # at every quadrature node
-            return np.sqrt(2.0 * self.mass.m(t))
-
-        z = self.z_at_mu(np.atleast_1d(integrate(root_2m, self.x0, x, _MAP_TOL)))
+        z = self.z_at_mu(travel_coordinate(self.mass, np.ravel(x), self.x0, _MAP_TOL))
         return float(z[0]) if np.ndim(x) == 0 else z.reshape(np.shape(x))
 
     def z_at_mu(self, mu: np.ndarray) -> np.ndarray:

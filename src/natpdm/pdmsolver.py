@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ginocchio import GinocchioSpec, params_for, potential_on_x_grid, spectrum_closed_form
-from .masses import MassProfile, NonpositiveMass, constant_mass, rational_mass
+from .masses import MassProfile, constant_mass, rational_mass
 from .natanzon import OrderingParams, solve_spectrum
 from .numerics import Grid, TridiagonalSymmetric, lowest_eigenvalues
 
@@ -54,13 +54,10 @@ def assemble_hamiltonian(mass: MassProfile, potential: np.ndarray,
     # as a Python float, 2 h^2 past the double range is inf without an
     # overflow warning, so the kinetic terms round to their value 0
     h = float(grid.spacing)
-    m_mid = np.asarray(mass.m(grid.midpoints), dtype=float)
-    if np.any(m_mid <= 0.0) or np.any(np.asarray(mass.m(pts)) <= 0.0):
-        raise NonpositiveMass(f"mass {mass.label!r} not positive on the grid")
-    w = 1.0 / m_mid  # w[i] couples node i and node i+1
+    w = 1.0 / mass.require_positive(grid.midpoints)  # w[i] couples node i and node i+1
+    m_i = mass.require_positive(pts)[1:-1]
 
     xi = pts[1:-1]
-    m_i = np.asarray(mass.m(xi), dtype=float)
     mp = np.asarray(mass.m_prime(xi), dtype=float)
     mpp = np.asarray(mass.m_double_prime(xi), dtype=float)
     eta, eps = ordering.eta, ordering.epsilon

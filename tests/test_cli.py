@@ -350,13 +350,16 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("args,values,key", [
         (["verify", "--only=conformal"], {"seed": 1.5}, "seed"),
+        (["verify", "--only=conformal"], {"seed": 3.0}, "seed"),
         (["verify", "--only=conformal"], {"seed": True}, "seed"),
         (["potential", "--grid=-1,1,5"], {"gamma": True, "j": False}, "gamma"),
         (["potential", "--grid=-1,1,5"], {"j": False}, "j"),
-    ], ids=["seed-float", "seed-true", "gamma-true-j-false", "j-false"])
+    ], ids=["seed-float", "seed-integral-float", "seed-true", "gamma-true-j-false",
+            "j-false"])
     def test_config_values_read_as_flags(self, args, values, key, tmp_path, capsys):
-        # --seed=1.5 and --gamma=true exit 2, so a config file's 1.5 and
-        # true do too, instead of running seed 1 or gamma 1.0
+        # --seed=1.5, --seed=3.0 and --gamma=true exit 2, so a config
+        # file's 1.5, 3.0 and true do too, instead of running seed 1,
+        # seed 3 or gamma 1.0
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(values))
         code, out, err = run_cli([*args, "--config", str(cfg)], capsys)
@@ -533,8 +536,8 @@ FUZZ_VALUES = {
     "only": ["conformal", "algebra", "ginocchio", "natanzon", "pdmsolver", "nosuch"],
     "seed": ["0", "5", "-1", "x"],
     "config": ["<valid>", "<foreign>", "<empty>", "<tol>", "<tol-foreign>", "<seed-inf>",
-               "<seed-float>", "<bool>", "<output-nul>", "<output-unwritable>", "<bad-json>",
-               "<not-utf8>", "<list>", "<missing>"],
+               "<seed-float>", "<seed-integral-float>", "<bool>", "<output-nul>",
+               "<output-unwritable>", "<bad-json>", "<not-utf8>", "<list>", "<missing>"],
     "output": ["-", "<file>", "<unwritable>", "<dir>"],
 }
 FUZZ_FILES = {
@@ -545,6 +548,7 @@ FUZZ_FILES = {
     "<tol-foreign>": b'{"tol": {"spectrum_gate": 1}}',
     "<seed-inf>": b'{"seed": Infinity}',
     "<seed-float>": b'{"seed": 1.5}',
+    "<seed-integral-float>": b'{"seed": 3.0}',
     "<bool>": b'{"gamma": true, "j": false}',
     "<output-nul>": b'{"output": "a\\u0000b"}',
     "<output-unwritable>": b'{"output": "no_such_dir/x"}',

@@ -262,7 +262,8 @@ class TestPotentialTable:
         potential_on_x_grid(0.8, 2.0, rational_mass(2.0), BEN_DANIEL_DUKE, grid)
         assert calls == [(161,)]
 
-    def test_integrates_the_whole_table_at_once(self, monkeypatch):
+    @pytest.mark.parametrize("route", ["table", "map"])
+    def test_integrates_the_whole_table_at_once(self, route, monkeypatch):
         calls = []
         original = numerics.integrate
 
@@ -270,12 +271,25 @@ class TestPotentialTable:
             calls.append((np.shape(a), np.shape(b)))
             return original(f, a, b, tol)
 
-        monkeypatch.setattr(numerics, "integrate", counting)
         grid = Grid(-4.0, 4.0, 161)
-        table = potential_on_x_grid(0.8, 2.0, rational_mass(2.0), BEN_DANIEL_DUKE, grid)
+        # the map's G table is built before counting starts
+        cmap = natanzon.solve_coordinate_map(params_for(0.8, 2.0), rational_mass(2.0),
+                                             x0=0.0, z0=0.5)
+        monkeypatch.setattr(numerics, "integrate", counting)
+        if route == "table":
+            table = potential_on_x_grid(0.8, 2.0, rational_mass(2.0), BEN_DANIEL_DUKE, grid)
+            assert abs(table.mu[80]) < 1e-12
+        else:
+            assert cmap.z(grid.points)[80] == pytest.approx(0.5, abs=1e-12)
         # 160 cells plus the interval from the first node to the anchor x = 0
         assert calls == [((161,), (161,))]
-        assert abs(table.mu[80]) < 1e-12
+
+    def test_anchor_outside_the_grid(self):
+        # mu stays anchored at x = 0 when the grid does not contain it:
+        # sqrt(2) x at unit mass
+        table = potential_on_x_grid(1.0, 2.0, constant_mass(), BEN_DANIEL_DUKE,
+                                    Grid(1.0, 3.0, 41))
+        assert np.max(np.abs(table.mu - np.sqrt(2.0) * table.x)) < 1e-12
 
     def test_v_total_is_v_hyp_plus_um(self):
         grid = Grid(-3.0, 3.0, 121)

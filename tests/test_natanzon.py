@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from natpdm import ginocchio, natanzon, numerics
-from natpdm.masses import MassProfile, NonpositiveMass, constant_mass, rational_mass
+from natpdm.masses import (
+    MassProfile,
+    NonpositiveMass,
+    constant_mass,
+    exponential_well_mass,
+    rational_mass,
+)
 from natpdm.natanzon import (
     BEN_DANIEL_DUKE,
     BranchViolation,
@@ -362,20 +368,31 @@ class TestCoordinateMap:
         z = cmap.z(0.3)
         assert isinstance(z, float) and z == pytest.approx(0.25, rel=1e-15)
 
-    def test_ode_route_agrees_with_inversion_route(self):
+    @pytest.mark.parametrize("grid,mass", [
+        (Grid(-3.0, 3.0, 601), rational_mass(2.0)),
+        (Grid(-12.0, 12.0, 2401), rational_mass(2.0)),
+        (Grid(-12.0, 12.0, 2401), exponential_well_mass(0.5)),
+    ], ids=["601-rational:2", "2401-rational:2", "2401-exponential-well:0.5"])
+    def test_ode_route_agrees_with_inversion_route(self, grid, mass):
         # independent reconstructions of z(x) for a varying mass: the
         # generating-function map vs the Ginocchio travel-coordinate table
-        mass = rational_mass(2.0)
-        grid = Grid(-3.0, 3.0, 601)
         params = ginocchio.params_for(0.8, 2.0)
         table = ginocchio.potential_on_x_grid(0.8, 2.0, mass, BEN_DANIEL_DUKE, grid)
         idx = int(np.argmin(np.abs(grid.points - 1.0)))
         cmap = solve_coordinate_map(params, mass, x0=float(grid.points[idx]),
                                     z0=float(table.z[idx]))
-        sel = (table.x > 0.2) & (table.x < 2.5)
+        sel = table.x > 0.2
         assert np.max(np.abs(cmap.z(table.x[sel]) - table.z[sel])) < 1e-8
         # the table folds at x = 0; the map stays at z = 0 left of the fold
         assert np.all(cmap.z(table.x[table.x < 0.0]) == 0.0)
+
+    def test_point_order_does_not_change_z(self):
+        # a dense shuffled grid: mu comes from the sorted points, so every
+        # order of the same points gives the same floats
+        cmap = solve_coordinate_map(Q0_POSITIVE[0], rational_mass(2.0), x0=0.3, z0=0.25)
+        x = np.linspace(-12.0, 12.0, 2401)
+        perm = np.random.default_rng(0).permutation(x.size)
+        assert np.array_equal(cmap.z(x[perm]), cmap.z(x)[perm])
 
     @pytest.mark.parametrize("mass", [constant_mass(), rational_mass(2.0)],
                              ids=["constant", "rational:2"])
