@@ -157,11 +157,15 @@ def parse_mass(text: str) -> MassProfile:
 def travel_coordinate(mass: MassProfile, x, x0: float, tol: float) -> np.ndarray:
     """mu(x) = int_x0^x sqrt(2 m) dt at every point of a non-empty 1-d x.
 
-    One numerics.integrate call, to tolerance tol, takes the cells between
-    neighbouring sorted points and the interval from the first of them to
-    x0, checking m > 0 at every node; their cumulative sum gives mu.  So
-    the work grows with the number of points, not points times span.  A
-    non-finite x raises ValueError; a mu past the double range is inf or nan.
+    One numerics.integrate call takes the cells between neighbouring
+    sorted points and the interval from the first of them to x0, checking
+    m > 0 at every node; their cumulative sum gives mu.  So the work grows
+    with the number of points, not points times span.  tol is the
+    quadrature's acceptance threshold, not an error bound: a panel is
+    accepted at |err| <= 15 tol (1 + |I|), with that threshold halved per
+    level, so a long cell can end further off than tol (2.9e-9 on
+    [0, 8.25] at tol 1e-10 for exponential-well:0.5).  A non-finite x
+    raises ValueError; a mu past the double range is inf or nan.
     """
     x = np.asarray(x, dtype=float)
     order = np.argsort(x, kind="stable")

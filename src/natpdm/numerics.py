@@ -160,10 +160,15 @@ def bisect(f: Callable, lo, hi):
     is returned, so rising and falling f are treated alike and a root at
     either end is returned exactly.  Scalar ends give a float.
 
-    Raises ValueError if the ends of a bracket share a sign.
+    Raises ValueError, before f is called, if a bracket is reversed
+    (lo > hi), and if the ends of a bracket share a sign.
     """
     # own copies of the ends, updated in place
     lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
+    # a reversed bracket alone would come back unchanged, but beside an
+    # open bracket it would be halved: refusing it keeps brackets independent
+    if np.any(lo > hi):
+        raise ValueError("a bracket has lo > hi")
     side = np.sign(f(lo))
     if np.any(side * np.sign(f(hi)) > 0.0):
         raise ValueError("f has the same sign at both ends of a bracket")
@@ -183,7 +188,8 @@ def integrate(f: Callable, a, b, tol: float):
     Each interval is refined on its own: a panel is accepted when
     |err| <= 15 tol, with tol * (1 + |whole|) for the whole interval
     halved at each level, or when it is narrower than 1e-10 of the
-    interval and its error is finite.  The panels of all intervals that
+    interval and its error is finite.  So tol sets the acceptance test,
+    not a bound on the error of the result.  The panels of all intervals that
     have not converged are split together, one depth level at a time,
     with one call of f per level, and the accepted panels are summed back
     up the same binary tree, so each interval gets the value a recursive
@@ -260,16 +266,21 @@ def integrate(f: Callable, a, b, tol: float):
 def derivative(f: Callable, x, h: float = 1e-2):
     """Central-difference first derivative with one Richardson step (O(h^4)).
 
-    Works on scalars and on numpy arrays as long as f is vectorised.
-    The caller owns the step-size choice.
+    A scalar x makes four scalar calls of f, so f need not be vectorised.
+    An array x makes one call of a vectorised f on the four shifted
+    copies x + h/2, x - h/2, x + h and x - h, stacked along a new leading
+    axis, so an f with a large per-call cost pays it once.  The caller
+    owns the step-size choice.
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
-
-    def d(s):
-        return (f(x + s) - f(x - s)) / (2.0 * s)
-
-    return (4.0 * d(0.5 * h) - d(h)) / 3.0
+    steps = (0.5 * h, -0.5 * h, h, -h)
+    if np.ndim(x) == 0:
+        f_at = [f(x + s) for s in steps]
+    else:
+        f_at = f(np.stack([np.asarray(x) + s for s in steps]))
+    d_half, d_full = ((f_at[i] - f_at[i + 1]) / (2.0 * steps[i]) for i in (0, 2))
+    return (4.0 * d_half - d_full) / 3.0
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from natpdm import cli, numerics
 from natpdm.numerics import (
@@ -88,6 +90,63 @@ class TestFindRoot:
             assert root in (third, np.nextafter(third, 1.0))
         roots = bisect(lambda x: np.array([1.0, -1.0]) * (x - third), [0.0, 0.0], [1.0, 1.0])
         assert roots[0] == roots[1] == bisect(lambda x: x - third, 0.0, 1.0)
+
+    def test_reversed_bracket_refused_before_f_is_called(self):
+        # alone it would come back unchanged, beside an open bracket halved
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 0.3
+
+        with pytest.raises(ValueError):
+            bisect(f, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            bisect(f, [1.0, 0.0], [0.0, 1.0])
+        assert calls == []
+
+
+# the three shapes the batch properties draw: f(x) for a root or jump at r,
+# with r an array (one per bracket) or a scalar
+SHAPES = {
+    "rising": lambda r: lambda x: np.tanh(x - r),
+    "falling": lambda r: lambda x: np.tanh(r - x),
+    "step": lambda r: lambda x: np.sign(x - r),
+}
+_ends = st.floats(-5.0, 5.0, allow_nan=False)
+_widths = st.one_of(st.just(0.0), st.floats(0.0, 10.0, allow_nan=False))
+
+
+class TestBatchIndependence:
+    """Each bracket or interval of an array call gets the value it gets alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.sampled_from(sorted(SHAPES)),
+           brackets=st.lists(st.tuples(_ends, _widths, _widths), min_size=1, max_size=8))
+    def test_bisect(self, shape, brackets):
+        r, below, above = (np.array(v) for v in zip(*brackets))
+        # a zero width puts an end on the root itself
+        lo, hi = r - below, r + above
+        together = bisect(SHAPES[shape](r), lo, hi)
+        for i in range(r.size):
+            assert together[i] == bisect(SHAPES[shape](r[i]), lo[i], hi[i])
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.sampled_from(sorted(SHAPES)), r=_ends,
+           tol=st.sampled_from([1e-6, 1e-10]),
+           intervals=st.lists(
+               st.tuples(_ends, _ends, st.sampled_from(["forward", "reversed", "empty"])),
+               min_size=1, max_size=8))
+    def test_integrate(self, shape, r, tol, intervals):
+        a, b = [], []
+        for x, y, kind in intervals:
+            lo, hi = min(x, y), max(x, y)
+            a.append({"forward": lo, "reversed": hi, "empty": lo}[kind])
+            b.append({"forward": hi, "reversed": lo, "empty": lo}[kind])
+        f = SHAPES[shape](r)
+        together = integrate(f, np.array(a), np.array(b), tol)
+        for i in range(len(a)):
+            assert together[i] == integrate(f, a[i], b[i], tol)
 
 
 def recursive_simpson(f, a, b, tol):
@@ -204,6 +263,24 @@ class TestDerivative:
         x = np.linspace(-1.0, 1.0, 7)
         got = derivative(np.sin, x, 1e-2)
         assert np.allclose(got, np.cos(x), atol=1e-9)
+
+    def test_array_x_calls_f_once(self):
+        x = np.linspace(-1.0, 1.0, 7)
+        h = 1e-2
+        shapes = []
+
+        def counted_sin(t):
+            shapes.append(np.shape(t))
+            return np.sin(t)
+
+        got = derivative(counted_sin, x, h)
+        # the four shifted copies of x, stacked along a new leading axis
+        assert shapes == [(4, x.size)]
+
+        def d(s):
+            return (np.sin(x + s) - np.sin(x - s)) / (2.0 * s)
+
+        assert np.array_equal(got, (4.0 * d(0.5 * h) - d(h)) / 3.0)
 
 
 class TestGridDerivative:
