@@ -13,31 +13,29 @@ best-fit map pairs closed-form level n with numeric level 2n.
 """
 
 from natpdm import pdmsolver
-from natpdm.ginocchio import GinocchioSpec
 from natpdm.masses import constant_mass
 from natpdm.natanzon import BEN_DANIEL_DUKE
 from natpdm.numerics import Grid
 
-report = pdmsolver.verify_spectrum(
-    GinocchioSpec(gamma=1.0, j=2.0), constant_mass(), BEN_DANIEL_DUKE,
-    Grid(-11.0, 11.0, 1201),
-)
+report = pdmsolver.verify_spectrum(1.0, 2.0, constant_mass(), BEN_DANIEL_DUKE,
+                                   Grid(-11.0, 11.0, 1201))
 
-print(f"gamma = {report.gamma}, j = {report.j}")
-print(f"ordering (eta, eps, rho) = {report.ordering}")
+ordering = report["ordering"]
+print(f"gamma = {report['gamma']}, j = {report['j']}")
+print(f"ordering (eta, eps, rho) = ({ordering['eta']}, {ordering['epsilon']}, {ordering['rho']})")
 print()
-print("numeric bound states      :", [f"{e:+.6f}" for e in report.energies_numeric])
+print("numeric bound states      :", [f"{e:+.6f}" for e in report["energies_numeric"]])
 print("quantization-identity roots:", [f"{e:+.6f}" if e == e else "missing"
-                                       for e in report.energies_eq_quant])
-print("closed-form levels (verbatim):", [f"{e:+.6f}" for e in report.energies_closed_form])
+                                       for e in report["energies_eq27"]])
+print("closed-form levels (verbatim):", [f"{e:+.6f}" for e in report["energies_eq34"]])
 print()
-fit = report.best_fit_index_map
+fit = report["best_fit_index_map"]
 print(f"best-fit index map: numeric-n = {fit['alpha']} * analytic-n "
       f"({fit['status']}, worst mismatch {fit['max_mismatch']:.2e})")
 print()
-mi = report.mass_independence
+mi = report["mass_independence"]
 print(f"mass independence, {mi['mass']} vs {mi['partner_mass']}:")
 print("  partner bound states:", [f"{e:+.6f}" for e in mi["partner_energies"]])
 print("  level-by-level drift:", [f"{d:.2e}" for d in mi["level_diffs"]])
 print()
-print("two-grid convergence estimates:", [f"{c:.1e}" for c in report.convergence_estimates])
+print("two-grid convergence estimates:", [f"{c:.1e}" for c in report["convergence_estimates"]])

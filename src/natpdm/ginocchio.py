@@ -30,7 +30,6 @@ from .numerics import Grid
 __all__ = [
     "IndexOutOfRange",
     "InversionFailure",
-    "GinocchioSpec",
     "params_for",
     "mu_closed_form",
     "mass_integral",
@@ -49,20 +48,6 @@ class IndexOutOfRange(ValueError):
 
 class InversionFailure(ValueError):
     """No finite u solves mu_closed_form(gamma, u) = mu."""
-
-
-@dataclass(frozen=True)
-class GinocchioSpec:
-    """Deformation parameter gamma > 0 and potential-strength label j >= 0."""
-
-    gamma: float
-    j: float
-
-    def __post_init__(self) -> None:
-        if self.gamma <= 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.j < 0.0:
-            raise ValueError(f"j must be non-negative, got {self.j}")
 
 
 def params_for(gamma: float, j: float) -> NatanzonParams:

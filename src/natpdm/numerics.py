@@ -198,10 +198,13 @@ def integrate(f: Callable, a, b, tol: float):
     mirror, and an integral past the double range is inf.  Scalar ends
     give a float.
 
-    Raises ValueError for a non-finite end, before f is called, and
+    One level may hold max(QUAD_MAX_PANELS, number of intervals) panels.
+    A batch whose level would hold more is integrated again as two
+    halves, each with a budget of its own, so an interval that converges
+    alone converges in any batch and memory stays bounded.  Raises
+    ValueError for a non-finite end, before f is called, and
     ToleranceNotMet when refinement exhausts its budget: depth
-    QUAD_MAX_DEPTH, or more than max(QUAD_MAX_PANELS, number of
-    intervals) panels at one level.
+    QUAD_MAX_DEPTH, or the panel budget of a lone interval.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -211,8 +214,15 @@ def integrate(f: Callable, a, b, tol: float):
     lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
     out = np.zeros(lo.size)
     todo = np.flatnonzero(lo < hi)
-    lo, hi = lo[todo], hi[todo]
-    budget = max(QUAD_MAX_PANELS, todo.size)
+    out[todo] = _adaptive_simpson(f, lo[todo], hi[todo], tol)
+    out = np.where(b < a, -out.reshape(a.shape), out.reshape(a.shape))
+    return float(out) if out.ndim == 0 else out
+
+
+def _adaptive_simpson(f: Callable, lo0, hi0, tol: float):
+    """integrate over the intervals [lo0, hi0], each with lo0 < hi0."""
+    budget = max(QUAD_MAX_PANELS, lo0.size)
+    lo, hi = lo0, hi0
     m = _midpoint(lo, hi)
     flo, fm, fhi = np.split(np.asarray(f(np.concatenate([lo, m, hi])), dtype=float), 3)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -241,6 +251,11 @@ def integrate(f: Callable, a, b, tol: float):
         n_split = int(split.sum())
         if not n_split:
             break
+        if depth < QUAD_MAX_DEPTH and 2 * n_split > budget and lo0.size > 1:
+            levels.clear()  # free this attempt's tree before the halves build theirs
+            half = lo0.size // 2
+            return np.concatenate([_adaptive_simpson(f, lo0[:half], hi0[:half], tol),
+                                   _adaptive_simpson(f, lo0[half:], hi0[half:], tol)])
         if depth == QUAD_MAX_DEPTH or 2 * n_split > budget:
             i = int(np.argmax(split))
             raise ToleranceNotMet(
@@ -258,27 +273,21 @@ def integrate(f: Callable, a, b, tol: float):
         with np.errstate(over="ignore"):
             value[split] = total[0::2] + total[1::2]
         total = value
-    out[todo] = total
-    out = np.where(b < a, -out.reshape(a.shape), out.reshape(a.shape))
-    return float(out) if out.ndim == 0 else out
+    return total
 
 
 def derivative(f: Callable, x, h: float = 1e-2):
     """Central-difference first derivative with one Richardson step (O(h^4)).
 
-    A scalar x makes four scalar calls of f, so f need not be vectorised.
-    An array x makes one call of a vectorised f on the four shifted
-    copies x + h/2, x - h/2, x + h and x - h, stacked along a new leading
-    axis, so an f with a large per-call cost pays it once.  The caller
-    owns the step-size choice.
+    Makes one call of a vectorised f on the four shifted copies x + h/2,
+    x - h/2, x + h and x - h, stacked along a new leading axis, so an f
+    with a large per-call cost pays it once.  The caller owns the
+    step-size choice.
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
     steps = (0.5 * h, -0.5 * h, h, -h)
-    if np.ndim(x) == 0:
-        f_at = [f(x + s) for s in steps]
-    else:
-        f_at = f(np.stack([np.asarray(x) + s for s in steps]))
+    f_at = f(np.stack([np.asarray(x) + s for s in steps]))
     d_half, d_full = ((f_at[i] - f_at[i + 1]) / (2.0 * steps[i]) for i in (0, 2))
     return (4.0 * d_half - d_full) / 3.0
 

@@ -12,7 +12,9 @@ matrix symmetric (real eigenvalues guaranteed) and is second order in
 the spacing.  Bound-state energies from LAPACK bisection (dstebz), every
 matrix of a request certified by one Sturm sweep
 (numerics.lowest_eigenvalues), then adjudicate every closed-form
-spectrum claim.
+spectrum claim.  verify_spectrum returns its report as the plain dict
+that `natpdm spectrum` prints, under the same keys; the CLI adds only the
+gates and the JSON encoding.
 """
 
 from __future__ import annotations
@@ -22,18 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ginocchio import GinocchioSpec, params_for, potential_on_x_grid, spectrum_closed_form
+from .ginocchio import params_for, potential_on_x_grid, spectrum_closed_form
 from .masses import MassProfile, constant_mass, rational_mass
 from .natanzon import OrderingParams, solve_spectrum
 from .numerics import Grid, TridiagonalSymmetric, lowest_eigenvalues
 
 __all__ = [
     "BoundStateResult",
-    "SpectrumReport",
     "assemble_hamiltonian",
     "solve_bound_states",
     "verify_spectrum",
-    "clean_json",
 ]
 
 
@@ -107,62 +107,6 @@ def solve_bound_states(pairs, k: int) -> list:
             for coarse, fine in zip(levels[0::2], levels[1::2])]
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Side-by-side analytic and numerical spectra with their residuals."""
-
-    gamma: float
-    j: float
-    ordering: tuple
-    energies_numeric: list
-    energies_eq_quant: list
-    energies_closed_form: list
-    residual_matrix: list
-    quant_vs_closed: list
-    best_fit_index_map: dict
-    mass_independence: dict
-    convergence_estimates: list
-    bound_threshold: float
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "j": self.j,
-            "ordering": {"eta": self.ordering[0], "epsilon": self.ordering[1],
-                         "rho": self.ordering[2]},
-            "energies_numeric": clean_json(self.energies_numeric),
-            "energies_eq27": clean_json(self.energies_eq_quant),
-            "energies_eq34": clean_json(self.energies_closed_form),
-            "residuals": {
-                "numeric_vs_eq34_matrix": clean_json(self.residual_matrix),
-                "eq27_vs_eq34": clean_json(self.quant_vs_closed),
-            },
-            "best_fit_index_map": clean_json(self.best_fit_index_map),
-            "mass_independence": clean_json(self.mass_independence),
-            "convergence_estimates": clean_json(self.convergence_estimates),
-            "bound_threshold": clean_json(self.bound_threshold),
-        }
-
-
-def clean_json(obj):
-    """Copy of obj for json.dumps: nan/inf -> None, numpy scalars -> Python ones.
-
-    Reports pass through it so they stay strict JSON.
-    """
-    if isinstance(obj, dict):
-        return {k: clean_json(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [clean_json(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    return obj
-
-
 def _best_fit_index_map(numeric: np.ndarray, closed: list) -> dict:
     """Index map analytic-n -> alpha * n minimizing the worst mismatch.
 
@@ -192,19 +136,18 @@ def _best_fit_index_map(numeric: np.ndarray, closed: list) -> dict:
     return best
 
 
-def _hamiltonian_pair(spec, mass, ordering, grid, quad_tol):
+def _hamiltonian_pair(gamma, j, mass, ordering, grid, quad_tol):
     """Coarse and fine Hamiltonians of one mass, and its bound threshold."""
     fine_grid = grid.refined()
-    v_fine = potential_on_x_grid(spec.gamma, spec.j, mass, ordering, fine_grid,
-                                 tol=quad_tol).v_total
+    v_fine = potential_on_x_grid(gamma, j, mass, ordering, fine_grid, tol=quad_tol).v_total
     # refined() nests its nodes, so every other fine node is a coarse node
     pair = (assemble_hamiltonian(mass, v_fine[::2], ordering, grid),
             assemble_hamiltonian(mass, v_fine, ordering, fine_grid))
     return pair, float(min(v_fine[0], v_fine[-1]))
 
 
-def verify_spectrum(spec: GinocchioSpec, mass: MassProfile, ordering: OrderingParams,
-                    grid: Grid, quad_tol: float = 1e-10) -> SpectrumReport:
+def verify_spectrum(gamma: float, j: float, mass: MassProfile, ordering: OrderingParams,
+                    grid: Grid, quad_tol: float = 1e-10) -> dict:
     """Adjudicate the quantization roots and the closed-form levels numerically.
 
     Runs the Hamiltonian with the potential V_hyp + Um on the grid and
@@ -214,15 +157,25 @@ def verify_spectrum(spec: GinocchioSpec, mass: MassProfile, ordering: OrderingPa
     levels: rational:2 beside a constant mass, the unit mass beside
     any other.  The four matrices (two grids, two masses) are solved in one
     solve_bound_states call, so one Sturm sweep certifies them.
+
+    Returns the report under the keys `natpdm spectrum` prints:
+    energies_eq27 are the quantization roots, energies_eq34 the closed-form
+    levels, and residuals compares them.  A level that the identity or the
+    closed form does not give is nan.  Raises ValueError for gamma <= 0 or
+    j < 0.
     """
-    n_top = int(math.floor(spec.j))
+    if gamma <= 0.0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    if j < 0.0:
+        raise ValueError(f"j must be non-negative, got {j}")
+    n_top = int(math.floor(j))
     k = max(n_top + 2, 2)
 
     partner_mass = rational_mass(2.0) if mass.label.startswith("constant") \
         else constant_mass()
-    pair, threshold = _hamiltonian_pair(spec, mass, ordering, grid, quad_tol)
-    partner_pair, partner_threshold = _hamiltonian_pair(spec, partner_mass, ordering, grid,
-                                                        quad_tol)
+    pair, threshold = _hamiltonian_pair(gamma, j, mass, ordering, grid, quad_tol)
+    partner_pair, partner_threshold = _hamiltonian_pair(gamma, j, partner_mass, ordering,
+                                                        grid, quad_tol)
     result, partner_result = solve_bound_states([pair, partner_pair], k)
     numeric_bound = result.bound_below(threshold)
     partner_bound = partner_result.bound_below(partner_threshold)
@@ -230,31 +183,32 @@ def verify_spectrum(spec: GinocchioSpec, mass: MassProfile, ordering: OrderingPa
     closed = []
     for n in range(n_top + 1):
         try:
-            closed.append(spectrum_closed_form(spec.gamma, spec.j, n))
+            closed.append(spectrum_closed_form(gamma, j, n))
         except ValueError:
             closed.append(float("nan"))
-    quant = solve_spectrum(params_for(spec.gamma, spec.j), n_top)
-
-    residual_matrix = [[abs(float(e_num) - e_cl) if math.isfinite(e_cl) else float("nan")
-                        for e_cl in closed] for e_num in numeric_bound]
-    quant_vs_closed = [abs(q - c) if math.isfinite(q) and math.isfinite(c) else float("nan")
-                       for q, c in zip(quant, closed)]
+    quant = solve_spectrum(params_for(gamma, j), n_top)
 
     n_common = min(numeric_bound.size, partner_bound.size)
     level_diffs = [abs(float(a - b)) for a, b in
                    zip(numeric_bound[:n_common], partner_bound[:n_common])]
 
-    return SpectrumReport(
-        gamma=spec.gamma,
-        j=spec.j,
-        ordering=(ordering.eta, ordering.epsilon, ordering.rho),
-        energies_numeric=[float(e) for e in numeric_bound],
-        energies_eq_quant=[float(e) for e in quant],
-        energies_closed_form=[float(e) for e in closed],
-        residual_matrix=residual_matrix,
-        quant_vs_closed=quant_vs_closed,
-        best_fit_index_map=_best_fit_index_map(numeric_bound, closed),
-        mass_independence={
+    return {
+        "gamma": gamma,
+        "j": j,
+        "ordering": {"eta": ordering.eta, "epsilon": ordering.epsilon, "rho": ordering.rho},
+        "energies_numeric": [float(e) for e in numeric_bound],
+        "energies_eq27": [float(e) for e in quant],
+        "energies_eq34": closed,
+        "residuals": {
+            "numeric_vs_eq34_matrix": [
+                [abs(float(e_num) - e_cl) if math.isfinite(e_cl) else float("nan")
+                 for e_cl in closed] for e_num in numeric_bound],
+            "eq27_vs_eq34": [
+                abs(q - c) if math.isfinite(q) and math.isfinite(c) else float("nan")
+                for q, c in zip(quant, closed)],
+        },
+        "best_fit_index_map": _best_fit_index_map(numeric_bound, closed),
+        "mass_independence": {
             "mass": mass.label,
             "partner_mass": partner_mass.label,
             "partner_energies": [float(e) for e in partner_bound],
@@ -262,7 +216,7 @@ def verify_spectrum(spec: GinocchioSpec, mass: MassProfile, ordering: OrderingPa
             "max_diff": max(level_diffs) if level_diffs else None,
         },
         # the bound levels lead the ascending energies: one estimate each
-        convergence_estimates=[float(c) for c in
-                               result.convergence_estimate[:numeric_bound.size]],
-        bound_threshold=threshold,
-    )
+        "convergence_estimates": [float(c) for c in
+                                  result.convergence_estimate[:numeric_bound.size]],
+        "bound_threshold": threshold,
+    }

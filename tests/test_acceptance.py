@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from natpdm import algebra, cli, conformal, ginocchio, natanzon, numerics, pdmsolver
-from natpdm.ginocchio import GinocchioSpec
 from natpdm.masses import constant_mass, rational_mass
 from natpdm.natanzon import BEN_DANIEL_DUKE
 from natpdm.numerics import Grid
@@ -96,15 +95,14 @@ def test_criterion_3_potential_equivalence():
 def test_criterion_4_poschl_teller_reduction():
     start = time.perf_counter()
     report = pdmsolver.verify_spectrum(
-        GinocchioSpec(1.0, 2.0), constant_mass(), BEN_DANIEL_DUKE,
-        Grid(-12.0, 12.0, 2001),
+        1.0, 2.0, constant_mass(), BEN_DANIEL_DUKE, Grid(-12.0, 12.0, 2001),
     )
-    nums = report.energies_numeric
+    nums = report["energies_numeric"]
     assert len(nums) >= 2
     assert abs(nums[0] + 4.0) <= 1e-3
     assert abs(nums[1] + 1.0) <= 1e-3
-    assert report.energies_closed_form == pytest.approx([-4.0, 0.0, -4.0])
-    fit = report.best_fit_index_map
+    assert report["energies_eq34"] == pytest.approx([-4.0, 0.0, -4.0])
+    fit = report["best_fit_index_map"]
     assert fit["status"] == "MATCHED" and fit["alpha"] == 2
 
     elapsed = time.perf_counter() - start
@@ -135,10 +133,9 @@ def test_criterion_5_analytic_self_consistency():
 def test_criterion_6_mass_independence():
     start = time.perf_counter()
     report = pdmsolver.verify_spectrum(
-        GinocchioSpec(1.0, 2.0), constant_mass(), BEN_DANIEL_DUKE,
-        Grid(-12.0, 12.0, 2001),
+        1.0, 2.0, constant_mass(), BEN_DANIEL_DUKE, Grid(-12.0, 12.0, 2001),
     )
-    diffs = report.mass_independence["level_diffs"]
+    diffs = report["mass_independence"]["level_diffs"]
     assert len(diffs) >= 2
     assert max(diffs) <= 2e-3
 

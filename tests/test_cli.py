@@ -15,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import natpdm
-from natpdm import cli, ginocchio, numerics
-from natpdm.masses import MASS_REGISTRY
+from natpdm import cli, ginocchio, numerics, pdmsolver
+from natpdm.masses import MASS_REGISTRY, parse_mass
+from natpdm.natanzon import OrderingParams
+from natpdm.numerics import Grid
 
 RANGE_ENDS = [f"{name}:{end!r}" for name, (_, ends) in MASS_REGISTRY.items() for end in ends]
 
@@ -121,6 +123,18 @@ class TestSpectrum:
         assert payload["best_fit_index_map"]["alpha"] == 2
         gates = {g["name"]: g for g in payload["gates"]}
         assert gates["coverage"]["passed"] and gates["coverage"]["measured"] >= 1
+
+    def test_report_is_the_verify_spectrum_dict(self, capsys):
+        # one name per quantity: the CLI adds the gates and nothing else
+        code, out, _ = run_cli(["spectrum", "--gamma=0.8", "--j=2", "--mass=rational:2",
+                                "--ordering=-0.5,0", "--grid=-12,12,401"], capsys)
+        assert code == 0
+        printed = json.loads(out)
+        del printed["gates"]
+        report = pdmsolver.verify_spectrum(0.8, 2.0, parse_mass("rational:2"),
+                                           OrderingParams(-0.5, 0.0), Grid(-12.0, 12.0, 401))
+        assert None in printed["energies_eq27"]  # a nan of the report prints as null
+        assert printed == json.loads(cli._json_text(report))
 
     @pytest.mark.parametrize("args", [
         ["spectrum", "--gamma=1e-8", "--grid=-12,12,201"],

@@ -5,7 +5,6 @@ import pytest
 
 from natpdm import ginocchio, natanzon, numerics
 from natpdm.ginocchio import (
-    GinocchioSpec,
     IndexOutOfRange,
     invert_mu,
     mass_integral,
@@ -20,6 +19,7 @@ from natpdm.ginocchio import (
 from natpdm.masses import constant_mass, exponential_well_mass, rational_mass
 from natpdm.natanzon import BEN_DANIEL_DUKE
 from natpdm.numerics import Grid
+from natpdm.pdmsolver import verify_spectrum
 
 GAMMAS = (0.5, 0.8, 1.0, 1.5, 2.0)
 
@@ -308,7 +308,8 @@ class TestPotentialTable:
 
 class TestSpec:
     def test_validation(self):
+        grid = Grid(-10.0, 10.0, 201)
         with pytest.raises(ValueError):
-            GinocchioSpec(0.0, 2.0)
+            verify_spectrum(0.0, 2.0, constant_mass(), BEN_DANIEL_DUKE, grid)
         with pytest.raises(ValueError):
-            GinocchioSpec(1.0, -1.0)
+            verify_spectrum(1.0, -1.0, constant_mass(), BEN_DANIEL_DUKE, grid)

@@ -227,6 +227,16 @@ class TestIntegrate:
             integrate(nan, np.zeros(8), np.ones(8), 1e-10)
         assert max(calls) <= 2 * numerics.QUAD_MAX_PANELS
 
+    def test_batch_past_the_panel_budget_gets_each_value_alone(self):
+        # exp converges in three levels alone; 40,000 copies split their
+        # first level into 80,000 panels, past the 65,536 budget, so the
+        # batch is integrated in halves that each fit it
+        n = 40_000
+        assert 2 * n > numerics.QUAD_MAX_PANELS
+        alone = integrate(np.exp, 0.0, 1.0, 1e-6)
+        together = integrate(np.exp, np.zeros(n), np.ones(n), 1e-6)
+        assert np.all(together == alone)
+
     def test_smooth_oscillatory(self):
         val = integrate(np.sin, 0.0, math.pi, 1e-11)
         assert val == pytest.approx(2.0, rel=1e-10)
@@ -250,13 +260,13 @@ class TestIntegrate:
 
 class TestDerivative:
     def test_first_order(self):
-        assert derivative(math.sin, 0.0, 1e-2) == pytest.approx(1.0, abs=1e-9)
+        assert derivative(np.sin, 0.0, 1e-2) == pytest.approx(1.0, abs=1e-9)
 
     def test_tanh_squared(self):
         # oracle: d/dx tanh^2 = 2 tanh sech^2
         x = 0.7
         expected = 2.0 * math.tanh(x) / math.cosh(x) ** 2
-        assert derivative(lambda t: math.tanh(t) ** 2, x, 1e-2) == pytest.approx(
+        assert derivative(lambda t: np.tanh(t) ** 2, x, 1e-2) == pytest.approx(
             expected, abs=1e-9)
 
     def test_vectorised(self):
