@@ -247,9 +247,8 @@ def commutator_residual(realization: Su11Realization, psi: SectorFunction):
 
     j0psi = ladder_apply(realization, "J0", psi)
     res2 = 0.0
-    for which, shift, sign in (("J+", 1.0, 1.0), ("J-", -1.0, -1.0)):
-        jpm = ladder_apply(realization, which, psi)
-        j0_after = (psi.sector + shift) * jpm.values
+    for which, jpm, sign in (("J+", jp, 1.0), ("J-", jm, -1.0)):
+        j0_after = (psi.sector + sign) * jpm.values
         after_j0 = ladder_apply(realization, which, j0psi).values
         resid = j0_after - after_j0 - sign * jpm.values
         res2 = max(res2, float(np.max(np.abs(_interior(resid)))) / scale)

@@ -13,12 +13,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import conformal, ginocchio, natanzon, numerics, pdmsolver, verify
+from . import conformal, ginocchio, numerics, pdmsolver, verify
 from .masses import MASS_REGISTRY, NonpositiveMass, parse_mass
 from .natanzon import OrderingParams
 from .numerics import Grid
@@ -81,18 +80,16 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    gamma: float = 1.0
-    j: float = 2.0
-    ordering: OrderingParams = field(default_factory=lambda: natanzon.BEN_DANIEL_DUKE)
-    mass: str = "constant"
-    grid: Grid = field(default_factory=lambda: Grid(-12.0, 12.0, 1201))
-    fmt: str | None = None
-    tolerances: dict = field(default_factory=dict)
-    only: str | None = None
-    seed: int = 0
-    output: str | None = None
+def _number(text: str, name: str, lo: float, hi: float, kind=float):
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {text!r}") from None
+    # a nan fails both comparisons
+    if not lo <= value <= hi:
+        raise ConfigError(f"{name} must lie in [{lo:g}, {hi:g}], got {value}")
+    return value
 
 
 def _parse_ordering(text: str) -> OrderingParams:
@@ -110,6 +107,14 @@ def _parse_ordering(text: str) -> OrderingParams:
     return OrderingParams(eta, epsilon)
 
 
+def _checked_mass(text: str) -> str:
+    try:
+        parse_mass(text)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return text
+
+
 def _parse_grid(text: str) -> Grid:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
@@ -118,6 +123,12 @@ def _parse_grid(text: str) -> Grid:
         return Grid(float(parts[0]), float(parts[1]), int(parts[2]))
     except ValueError as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
+
+
+def _one_of(text: str, name: str, choices) -> str:
+    if text not in choices:
+        raise ConfigError(f"{name} must be one of {', '.join(choices)}, got {text!r}")
+    return text
 
 
 def _parse_tols(items, command: str) -> dict:
@@ -140,7 +151,8 @@ def _parse_tols(items, command: str) -> dict:
     return out
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
+def _build_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Each flag of the command, read from the command line, else the file, else its default."""
     file_values = {}
     if args.config:
         try:
@@ -161,45 +173,29 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config file keys {unknown} name no flag of {args.command} "
                               f"(known: {', '.join(sorted(flags))})")
 
-    def pick(name, default):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in file_values:
-            return file_values[name]
-        return default
+    file_tols = file_values.get("tol", {})
+    if not isinstance(file_tols, dict):
+        raise ConfigError(f"config file tol must be a JSON object of name: value, "
+                          f"got {file_tols!r}")
+    file_tols = [f"{k}={v}" for k, v in file_tols.items()]
+    cfg = argparse.Namespace()
+    for name in COMMANDS[args.command].flags:
+        flag, text = _FLAGS[name], getattr(args, name)
+        if name == "tol":
+            cfg.tol = _parse_tols([*file_tols, *(text or [])], args.command)
+            continue
+        if text is None:
+            text = file_values.get(name, flag.default)
+            # a JSON number stands for its JSON text; true and false are bools, not numbers
+            if flag.number and type(text) in (int, float):
+                text = json.dumps(text)
+            if name in file_values and not isinstance(text, str):
+                kind = "string or number" if flag.number else "string"
+                raise ConfigError(f"{name} must be a JSON {kind}, got {json.dumps(text)}")
+        setattr(cfg, name, None if text is None else flag.read(text))
 
-    def pick_number(name, default):
-        value = pick(name, default)
-        # JSON true and false load as Python ints; no number is read from them
-        if isinstance(value, bool):
-            raise ConfigError(f"{name} must be a number, got {json.dumps(value)}")
-        return value
-
-    cfg = RunConfig()
-    gamma, j = pick_number("gamma", cfg.gamma), pick_number("j", cfg.j)
-    try:
-        cfg.gamma, cfg.j = float(gamma), float(j)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"gamma and j must be numeric: {exc}") from exc
-    if not GAMMA_MIN <= cfg.gamma <= GAMMA_MAX:
-        raise ConfigError(f"gamma must lie in [{GAMMA_MIN:g}, {GAMMA_MAX:g}], got {cfg.gamma}")
-    if not 0.0 <= cfg.j <= J_MAX:
-        raise ConfigError(f"j must lie in [0, {J_MAX:g}], got {cfg.j}")
-
-    ordering = pick("ordering", None)
-    if ordering is not None:
-        cfg.ordering = _parse_ordering(str(ordering))
-    cfg.mass = str(pick("mass", cfg.mass))
-    try:
-        parse_mass(cfg.mass)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    grid = pick("grid", None)
-    if grid is not None:
-        cfg.grid = _parse_grid(str(grid))
     # only potential and spectrum take a grid, and both anchor mu at x = 0
-    if not cfg.grid.x_min <= 0.0 <= cfg.grid.x_max:
+    if "grid" in vars(cfg) and not cfg.grid.x_min <= 0.0 <= cfg.grid.x_max:
         raise ConfigError(f"grid [{cfg.grid.x_min}, {cfg.grid.x_max}] must contain "
                           f"the anchor x = 0")
     # spectrum assembles the grid and its refinement at half the spacing
@@ -210,38 +206,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     if args.command == "spectrum" and cfg.grid.n_points - 2 < math.floor(cfg.j) + 2:
         raise ConfigError(f"grid has {cfg.grid.n_points - 2} interior nodes; spectrum "
                           f"at j = {cfg.j} needs at least {math.floor(cfg.j) + 2}")
-    fmt = pick("format", None)
-    if fmt is not None:
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {fmt!r}")
-        cfg.fmt = fmt
-    file_tols = file_values.get("tol", {})
-    if not isinstance(file_tols, dict):
-        raise ConfigError(f"config file tol must be a JSON object of name: value, "
-                          f"got {file_tols!r}")
-    file_tols = [f"{k}={v}" for k, v in file_tols.items()]
-    cfg.tolerances = _parse_tols([*file_tols, *(getattr(args, "tol", None) or [])],
-                                 args.command)
-    only = pick("only", None)
-    if only is not None:
-        suites = tuple(verify.SUITES)
-        if only not in suites:
-            raise ConfigError(f"--only must name one of {suites}, got {only!r}")
-        cfg.only = only
-    seed = pick_number("seed", cfg.seed)
-    # int() would truncate a config file's 1.5 and read 3.0 as 3; --seed refuses both
-    if isinstance(seed, float):
-        raise ConfigError(f"seed must be an integer, got {json.dumps(seed)}")
-    try:
-        cfg.seed = int(seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"seed must be an integer: {exc}") from exc
-    # numpy seeds its generators from non-negative integers only
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
-    cfg.output = pick("output", None)
-    if cfg.output is not None and not isinstance(cfg.output, str):
-        raise ConfigError(f"output must be a file name, got {cfg.output!r}")
     return cfg
 
 
@@ -288,7 +252,7 @@ def _json_text(payload) -> str:
 # map
 
 
-def cmd_map(cfg: RunConfig) -> int:
+def cmd_map(cfg: argparse.Namespace) -> int:
     half = conformal.BAND_HALF_WIDTH
     n_re, n_im, im_max = 21, 21, 2.0
     points = [complex(re, im) for re in np.linspace(-half, half, n_re)
@@ -308,18 +272,18 @@ def cmd_map(cfg: RunConfig) -> int:
 # potential
 
 
-def cmd_potential(cfg: RunConfig) -> int:
+def cmd_potential(cfg: argparse.Namespace) -> int:
     try:
         table = ginocchio.potential_on_x_grid(
             cfg.gamma, cfg.j, parse_mass(cfg.mass), cfg.ordering, cfg.grid,
-            tol=cfg.tolerances["quad"],
+            tol=cfg.tol["quad"],
         )
     except _FAILURES as exc:
         return _failure_exit(exc)
     header = ("x", "m", "mu", "u", "z", "V_hyp", "V_poly", "Um", "V_total")
     columns = (table.x, table.m, table.mu, table.u, table.z,
                table.v_hyp, table.v_poly, table.um, table.v_total)
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         payload = {name: col.tolist() for name, col in zip(header, columns)}
         payload.update({"gamma": cfg.gamma, "j": cfg.j, "mass": cfg.mass})
         _emit(_json_text(payload), cfg.output)
@@ -332,16 +296,16 @@ def cmd_potential(cfg: RunConfig) -> int:
 # spectrum
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
+def cmd_spectrum(cfg: argparse.Namespace) -> int:
     try:
         report = pdmsolver.verify_spectrum(
             cfg.gamma, cfg.j, parse_mass(cfg.mass), cfg.ordering, cfg.grid,
-            quad_tol=cfg.tolerances["quad"],
+            quad_tol=cfg.tol["quad"],
         )
     except _FAILURES as exc:
         return _failure_exit(exc)
 
-    tol = cfg.tolerances
+    tol = cfg.tol
     fit = report["best_fit_index_map"]
     matched = fit["pairs"] if fit.get("status") == "MATCHED" else []
     gates = []
@@ -370,14 +334,14 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 # verify
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     modules = (cfg.only,) if cfg.only else verify.SUITES
     report = {"seed": cfg.seed, "modules": {}}
     all_hard = True
     for name in modules:
         rng = np.random.default_rng(cfg.seed)
         try:
-            checks = verify.SUITES[name](cfg.tolerances, rng)
+            checks = verify.SUITES[name](cfg.tol, rng)
         except _FAILURES as exc:
             return _failure_exit(exc, f" in the {name} suite")
         hard_ok = all(c["passed"] for c in checks if c["kind"] == "hard")
@@ -392,31 +356,44 @@ def cmd_verify(cfg: RunConfig) -> int:
 # argument parsing
 
 
-# each flag's option strings and argparse keywords
+class Flag(NamedTuple):
+    options: tuple
+    help: str
+    # the text read when neither the command line nor the config file gives one
+    default: str | None
+    read: Callable[[str], object] = str
+    # a config file may give the value as a JSON number instead of a string
+    number: bool = False
+
+
 _FLAGS = {
-    "gamma": (("--gamma",), dict(type=float, help=f"deformation parameter gamma in "
-                                                f"[{GAMMA_MIN:g}, {GAMMA_MAX:g}]")),
-    "j": (("--j",), dict(type=float, help=f"potential-strength label j in [0, {J_MAX:g}]")),
-    "ordering": (("--ordering",), dict(
-        help=f"von Roos parameters 'eta,epsilon' (rho = -1 - eta - epsilon); "
-             f"|eta|, |epsilon| <= {ORDERING_MAX:g}")),
-    "mass": (("--mass",), dict(
-        help="mass profile 'name' or 'name:param' with the param in "
-             + ", ".join(f"[{lo:g}, {hi:g}] for {name}"
-                         for name, (_, (lo, hi)) in MASS_REGISTRY.items()))),
-    "grid": (("--grid",), dict(help="grid 'xmin,xmax,N'")),
-    "format": (("--format",), dict(choices=("csv", "json"), help="output format")),
-    "tol": (("--tol",), dict(action="append", metavar="NAME=VALUE",
-                             help="tolerance override, repeatable")),
-    "only": (("--only",), dict(help="restrict verify to one module suite")),
-    "seed": (("--seed",), dict(type=int, help="seed for sampled checks (reports embed it)")),
-    "config": (("--config",), dict(help="JSON file of flag values; explicit flags win")),
-    "output": (("--output", "-o"), dict(help="output file (default: stdout)")),
+    "gamma": Flag(("--gamma",), f"deformation parameter gamma in [{GAMMA_MIN:g}, {GAMMA_MAX:g}]",
+                  "1", lambda text: _number(text, "gamma", GAMMA_MIN, GAMMA_MAX), number=True),
+    "j": Flag(("--j",), f"potential-strength label j in [0, {J_MAX:g}]", "2",
+              lambda text: _number(text, "j", 0.0, J_MAX), number=True),
+    "ordering": Flag(("--ordering",), f"von Roos parameters 'eta,epsilon' (rho = -1 - eta - "
+                                      f"epsilon); |eta|, |epsilon| <= {ORDERING_MAX:g}",
+                     "0,-1", _parse_ordering),
+    "mass": Flag(("--mass",), "mass profile 'name' or 'name:param' with the param in "
+                 + ", ".join(f"[{lo:g}, {hi:g}] for {name}"
+                             for name, (_, (lo, hi)) in MASS_REGISTRY.items()),
+                 "constant", _checked_mass),
+    "grid": Flag(("--grid",), "grid 'xmin,xmax,N'", "-12,12,1201", _parse_grid),
+    "format": Flag(("--format",), "output format: csv or json", None,
+                   lambda text: _one_of(text, "format", ("csv", "json"))),
+    "tol": Flag(("--tol",), "tolerance override, repeatable", None),
+    "only": Flag(("--only",), f"restrict verify to one module suite: {', '.join(verify.SUITES)}",
+                 None, lambda text: _one_of(text, "only", verify.SUITES)),
+    # numpy seeds its generators from non-negative integers only
+    "seed": Flag(("--seed",), "seed for sampled checks (reports embed it)", "0",
+                 lambda text: _number(text, "seed", 0, math.inf, int), number=True),
+    "config": Flag(("--config",), "JSON file of flag values; explicit flags win", None),
+    "output": Flag(("--output", "-o"), "output file (default: stdout)", None),
 }
 
 
 class Command(NamedTuple):
-    run: Callable[[RunConfig], int]
+    run: Callable[[argparse.Namespace], int]
     help: str
     flags: tuple
     tols: tuple = ()
@@ -448,11 +425,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        for flag in command.flags:
-            option_strings, kwargs = _FLAGS[flag]
-            if flag == "tol":
-                kwargs = dict(kwargs, help=f"{kwargs['help']}; names: {', '.join(command.tols)}")
-            p.add_argument(*option_strings, default=None, **kwargs)
+        for name in command.flags:
+            flag = _FLAGS[name]
+            if name == "tol":
+                p.add_argument(*flag.options, action="append", metavar="NAME=VALUE",
+                               help=f"{flag.help}; names: {', '.join(command.tols)}")
+            else:
+                p.add_argument(*flag.options, help=flag.help)
     return parser
 
 

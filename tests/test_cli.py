@@ -380,6 +380,35 @@ class TestConfigErrors:
         assert code == 2 and out == ""
         assert err.startswith(f"config error: {key} ")
 
+    @pytest.mark.parametrize("key,command", [
+        ("gamma", "potential"), ("j", "potential"), ("ordering", "potential"),
+        ("mass", "potential"), ("grid", "potential"), ("format", "potential"),
+        ("only", "verify"), ("seed", "verify"), ("output", "map"),
+    ])
+    def test_null_config_value_refused(self, key, command, tmp_path, capsys):
+        # null is no flag's text: {"only": null} must not run all five suites
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: None}))
+        code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: {key} ")
+
+    @pytest.mark.parametrize("command,name,value", [
+        ("verify", "seed", 1.5), ("potential", "gamma", "x"), ("potential", "format", "xml"),
+        ("verify", "only", "nosuch"), ("potential", "ordering", "0,0,-1"),
+    ])
+    def test_flag_and_config_value_read_alike(self, command, name, value, tmp_path, capsys):
+        # one reader per flag: the command line's text and the file's value
+        # fail with the same message
+        flag_result = run_cli([command, f"--{name}={value}"], capsys)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({name: value}))
+        file_result = run_cli([command, "--config", str(cfg)], capsys)
+        assert flag_result == file_result
+        code, out, err = flag_result
+        assert code == 2 and out == ""
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "table.csv"
         code, out, _ = run_cli(
@@ -551,7 +580,8 @@ FUZZ_VALUES = {
     "seed": ["0", "5", "-1", "x"],
     "config": ["<valid>", "<foreign>", "<empty>", "<tol>", "<tol-foreign>", "<seed-inf>",
                "<seed-float>", "<seed-integral-float>", "<bool>", "<output-nul>",
-               "<output-unwritable>", "<bad-json>", "<not-utf8>", "<list>", "<missing>"],
+               "<output-unwritable>", "<bad-json>", "<not-utf8>", "<list>", "<null>",
+               "<missing>"],
     "output": ["-", "<file>", "<unwritable>", "<dir>"],
 }
 FUZZ_FILES = {
@@ -569,6 +599,7 @@ FUZZ_FILES = {
     "<bad-json>": b"{not json",
     "<not-utf8>": b"\xff\xfe{",
     "<list>": b"[1, 2]",
+    "<null>": b'{"only": null}',
 }
 
 

@@ -446,7 +446,47 @@ def sturm_count_one(matrix: TridiagonalSymmetric, lam) -> np.ndarray:
     return count
 
 
+@st.composite
+def graded_batches(draw):
+    """1-4 matrices of 1-300 rows and the shifts of one sweep over them.
+
+    Entries are signed powers of ten whose exponents span up to 1e-300 to
+    1e300, with some exactly zero.  Couplings reach below sqrt(pivmin), so
+    their squares fall under pivmin.  Shifts mix +-inf, zero, graded values
+    and diagonal entries, which make exact zero pivots.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def graded(size, lo, hi):
+        values = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(lo, hi, size)
+        values[rng.random(size) < draw(st.sampled_from([0.0, 0.2, 0.9]))] = 0.0
+        return values
+
+    def exponents(lo, hi):
+        a, b = draw(st.integers(lo, hi)), draw(st.integers(lo, hi))
+        return min(a, b), max(a, b)
+
+    matrices = []
+    for n in draw(st.lists(st.integers(1, 300), min_size=1, max_size=4)):
+        matrices.append(TridiagonalSymmetric(graded(n, *exponents(-300, 300)),
+                                             graded(n - 1, *exponents(-300, 150))))
+    pool = np.concatenate([[-np.inf, np.inf, 0.0], graded(4, *exponents(-300, 300)),
+                           *(m.diagonal[:3] for m in matrices)])
+    n_shifts = draw(st.integers(1, 8))
+    shape = (len(matrices), n_shifts) if draw(st.booleans()) else (n_shifts,)
+    return matrices, rng.choice(pool, shape)
+
+
 class TestBatchedCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(batch=graded_batches())
+    def test_sweep_equals_the_one_matrix_oracle(self, batch):
+        matrices, shifts = batch
+        got = sturm_count(matrices, shifts)
+        rows = np.broadcast_to(shifts, got.shape)
+        for matrix, row, counts in zip(matrices, rows, got):
+            assert counts.tolist() == sturm_count_one(matrix, row).tolist()
+
     SHIFTS = [-np.inf, -1.0, 0.0, 0.3, 2.0, np.inf]
 
     def matrices(self):

@@ -241,6 +241,17 @@ class TestVerifySpectrum:
         assert np.max(np.abs(constant["v_hyp"] - rational["v_hyp"])) > 10.0 * gate
         assert np.max(np.abs(constant["v_total"] - rational["v_total"])) < 1e-6
 
+    @pytest.mark.parametrize("mass", ["rational:2", "exponential-well:0.5"])
+    def test_levels_do_not_depend_on_the_ordering(self, mass):
+        # Um plus the assembled ordering terms is m''/(8 m^2) - 7 m'^2/(32 m^3)
+        # for every (eta, epsilon), so the levels agree to rounding
+        levels = [verify_spectrum(0.8, 2.0, parse_mass(mass), OrderingParams(eta, epsilon),
+                                  Grid(-12.0, 12.0, 1201))["energies_numeric"]
+                  for eta, epsilon in ((0.0, -1.0), (-0.5, 0.0), (0.0, 0.0), (3.0, -7.0))]
+        assert [len(e) for e in levels] == [2] * 4
+        for other in levels[1:]:
+            assert np.max(np.abs(np.subtract(other, levels[0]))) < 1e-12
+
     def test_report_serializes(self, report):
         payload = cli._json_text(report)
         assert "energies_eq34" in payload
