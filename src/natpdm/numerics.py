@@ -344,12 +344,20 @@ def sturm_count(matrices, shifts) -> np.ndarray:
 
     One LDL^T recurrence runs over the rows of the longest matrix, with
     every (matrix, shift) pair as a column of in-place operations on
-    preallocated buffers.  Each matrix keeps its own pivmin, the guard
-    against division by an exactly zero pivot.  Shorter matrices are
-    padded at the end with a diagonal of +inf and zero coupling: their
-    real rows come first, so those pivots are the ones a sweep of that
-    matrix alone would give, and a padded pivot is inf or NaN at every
-    shift, infinite shifts included, so it never counts.
+    preallocated buffers.  Each matrix keeps its own pivmin and, as in
+    LAPACK dlaebz, a pivot below pivmin in magnitude is taken as -pivmin,
+    so it counts as negative and the next row never divides by zero.
+    The rows run unguarded in blocks of 64, the IEEE recurrence of LAPACK
+    dlaneg (Marques, Riedy & Voemel, SIAM J. Sci. Comput. 28 (2006)
+    1613): one division and one subtraction per row, then one test per
+    block for a tiny pivot.  The first one found is replaced and the rows
+    after it are formed again, so every pivot is the float of the
+    row-by-row guarded recurrence.  A NaN pivot is never tiny and never
+    counts.  Shorter matrices are padded at the end with a diagonal of
+    +inf and zero coupling: their real rows come first, so those pivots
+    are the ones a sweep of that matrix alone would give, and a padded
+    pivot is inf or NaN at every shift, infinite shifts included, so it
+    never counts.
     """
     lam = np.atleast_2d(np.asarray(shifts, dtype=float))
     lam = np.broadcast_to(lam, (len(matrices), lam.shape[-1]))
@@ -361,29 +369,40 @@ def sturm_count(matrices, shifts) -> np.ndarray:
         e2[1:matrix.size, r, 0] = matrix.offdiagonal * matrix.offdiagonal
     pivmin = np.maximum(e2.max(axis=0, initial=1.0), 1.0) * 2.3e-308
     counts = np.zeros(lam.shape, dtype=np.int64)
-    # the pivots are kept and counted once at the end: counting each row
-    # as it is formed, with two row buffers, takes three more ufunc calls
-    # per row and raised perfbench spectrum-mix latency_p50 from 0.045 to
-    # 0.055 s (2-vCPU host).  Shift columns per pass over the rows bound
-    # the pivot buffer near 16 MB, so a request for more levels than fit
-    # takes a few passes
-    step = max(1, 2 ** 21 // max(n * len(matrices), 1))
+    # the pivots are kept and counted once at the end.  The couplings are
+    # copied out to the pivots' shape because a row's call that
+    # broadcasts (m, 1) against (m, s) costs two to three times one on
+    # equal shapes (1.3-1.6 against 0.5-0.9 us at 4 x 8, 2-vCPU host).
+    # Shift columns per pass bound the pivot and coupling buffers near
+    # 16 MB together, so a request for more levels than fit takes a few
+    # passes
+    step = max(1, 2 ** 20 // max(n * len(matrices), 1))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # a pivot smaller than pivmin is replaced by -pivmin: its quotient
-        e2_tiny = e2 / -pivmin
         for lo in range(0, lam.shape[1], step):
+            shift = lam[np.newaxis, :, lo:lo + step]
             # the shifted diagonal, overwritten row by row with the pivots
-            q = d - lam[np.newaxis, :, lo:lo + step]
+            q = d - shift
+            c = np.ascontiguousarray(np.broadcast_to(e2, q.shape))
             t = np.empty(q.shape[1:])
-            tiny = np.empty(q.shape[1:], dtype=bool)
-            rows = list(q)
-            for prev, row, e2_row, tiny_row in zip(rows, rows[1:], e2[1:], e2_tiny[1:]):
-                np.abs(prev, out=t)
-                np.less(t, pivmin, out=tiny)
-                np.divide(e2_row, prev, out=t)
-                np.copyto(t, tiny_row, where=tiny)
-                np.subtract(row, t, out=row)
-            # zero pivots count as negative, consistent with -pivmin
+            rows, couplings = list(q), list(c)
+            start, block = 0, 64
+            while start < n:
+                stop = min(start + block, n)
+                for i in range(max(start, 1), stop):
+                    np.divide(couplings[i], rows[i - 1], t)
+                    np.subtract(rows[i], t, rows[i])
+                tiny = np.abs(q[start:stop]) < pivmin
+                if not tiny.any():
+                    start, block = stop, min(2 * block, 64)
+                    continue
+                # the rows after the first tiny pivot divided by it: form
+                # them again from the shifted diagonal, in a block that
+                # starts at one row and doubles, so that tiny pivots in
+                # quick succession cost a few rows each, not 64
+                i = start + int(tiny.any(axis=(1, 2)).argmax())
+                np.copyto(rows[i], -pivmin, where=tiny[i - start])
+                np.subtract(d[i + 1:stop], shift, out=q[i + 1:stop])
+                start, block = i + 1, 1
             counts[:, lo:lo + step] = np.count_nonzero(q <= 0.0, axis=0)
     return counts
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -437,11 +438,13 @@ def sturm_count_one(matrix: TridiagonalSymmetric, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     pivmin = max(float(e2.max()) if e2.size else 1.0, 1.0) * 2.3e-308
     q = d[0] - lam
-    count = (q <= 0.0).astype(np.int64)
+    count = np.zeros(q.shape, dtype=np.int64)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(1, d.size):
+        for i in range(d.size):
+            if i:
+                q = d[i] - lam - e2[i - 1] / q
+            # as in LAPACK dlaebz: a pivot below pivmin is -pivmin, and counted so
             q = np.where(np.abs(q) < pivmin, -pivmin, q)
-            q = d[i] - lam - e2[i - 1] / q
             count += q <= 0.0
     return count
 
@@ -520,6 +523,49 @@ class TestBatchedCertificate:
         for matrix, row, counts in zip(matrices, shifts, got):
             assert counts.tolist() == sturm_count_one(matrix, row).tolist()
 
+    def test_pivot_below_pivmin_counts_as_the_negative_it_is_taken_for(self):
+        # eigenvalues -1 and 1; the next row divides by -pivmin, so the
+        # first pivot, 1e-310 at the shift 0, counts as negative too
+        t = TridiagonalSymmetric(np.array([1e-310, 0.0]), np.ones(1))
+        assert sturm_count([t], [0.0]).tolist() == [[1]]
+        assert sturm_count_one(t, [0.0]).tolist() == [1]
+
+    BIG = TridiagonalSymmetric(np.random.default_rng(31).normal(size=2399),
+                               np.random.default_rng(37).normal(size=2398))
+
+    # the sweep checks its pivots once per block of 64 rows
+    @pytest.mark.parametrize("batched", [False, True], ids=["alone", "batched"])
+    @pytest.mark.parametrize("pivot", [0.0, 1e-310], ids=["zero", "tiny"])
+    @pytest.mark.parametrize("n, row", [
+        (n, row) for n in (1, 63, 64, 65, 130) for row in sorted({0, 63, 64, 65, n - 1})
+        if row < n])
+    def test_planted_pivot_at_a_block_edge(self, n, row, pivot, batched):
+        # a zero coupling into the row makes its pivot at the shift 0 the
+        # diagonal entry itself; the coupling out of it stays, so the next
+        # row divides by the replaced pivot
+        rng = np.random.default_rng(n * 1000 + row)
+        d, e = rng.normal(size=n), rng.normal(size=n - 1)
+        d[row] = pivot
+        if row:
+            e[row - 1] = 0.0
+        planted = TridiagonalSymmetric(d, e)
+        shifts = [0.0, -0.5, 0.5]
+        matrices = [planted, self.BIG] if batched else [planted]
+        got = sturm_count(matrices, shifts)
+        assert got[0].tolist() == sturm_count_one(planted, shifts).tolist()
+        if batched:
+            assert got[1].tolist() == sturm_count_one(self.BIG, shifts).tolist()
+
+    def test_every_other_pivot_zero_across_blocks(self):
+        # 65 blocks [[0, 1], [1, 0]] on the diagonal: at the shift 0 every
+        # even row's pivot is exactly zero, and each block has one
+        # eigenvalue, -1, below it
+        e = np.zeros(129)
+        e[::2] = 1.0
+        t = TridiagonalSymmetric(np.zeros(130), e)
+        assert sturm_count([t, self.BIG], [0.0])[0].tolist() == [65]
+        assert sturm_count_one(t, [0.0]).tolist() == [65]
+
     def test_levels_of_every_matrix(self):
         matrices = self.matrices()
         got = lowest_eigenvalues(matrices, 1)
@@ -543,3 +589,37 @@ class TestBatchedCertificate:
         with pytest.raises(EigensolverFailure, match="level 1 of 3 of matrix 3 of 4"):
             lowest_eigenvalues(matrices, 3)
         assert len(calls) == 4
+
+
+class TestCertificateLevels:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           sizes=st.lists(st.integers(1, 120), min_size=1, max_size=4),
+           k=st.integers(1, 120))
+    def test_levels_within_delta_of_dense_on_well_scaled_batches(self, seed, sizes, k):
+        rng = np.random.default_rng(seed)
+        matrices = []
+        for n in sizes:
+            scale = 10.0 ** rng.uniform(-2, 2)
+            matrices.append(TridiagonalSymmetric(scale * rng.normal(size=n),
+                                                 scale * rng.normal(size=n - 1)))
+        k = min(k, *sizes)
+        got = lowest_eigenvalues(matrices, k)
+        for matrix, levels in zip(matrices, got):
+            radius = np.abs(matrix.to_dense()).sum(axis=1).max()
+            delta = max(numerics.EIG_ATOL, 8.0 * np.finfo(float).eps * radius)
+            dense = np.linalg.eigvalsh(matrix.to_dense())[:k]
+            assert np.max(np.abs(levels - dense)) <= delta
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch=graded_batches(), k=st.integers(1, 300))
+    def test_graded_batches_give_levels_or_refuse(self, batch, k):
+        matrices, _ = batch
+        k = min(k, *(m.size for m in matrices))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                got = lowest_eigenvalues(matrices, k)
+            except EigensolverFailure:
+                return
+        assert got.shape == (len(matrices), k)
