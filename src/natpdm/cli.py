@@ -3,8 +3,10 @@
 Exit codes are a stable contract: 0 success, 1 residual-gate failure,
 2 invalid configuration, 3 coordinate-inversion failure, 4 solver failure.
 Reports are regression fixtures: identical configuration (including the
-seed) produces byte-identical output, CSV numbers carry 17 significant
-digits, and JSON output is strict (no NaN tokens; missing values are null).
+seed) produces byte-identical output, and CSV numbers carry 17 significant
+digits.  JSON text is exactly what json.dumps(report, sort_keys=True,
+indent=2) would write with nan and +-inf written as null, so it is strict
+JSON (no NaN or Infinity tokens).
 """
 
 from __future__ import annotations
@@ -222,30 +224,60 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _csv_text(header, columns) -> str:
-    row = ",".join(["{:.17g}"] * len(header)) + "\n"
+    # "%.17g" % v is the text of "{:.17g}".format(v), nan and inf included
+    row = ",".join(["%.17g"] * len(header)) + "\n"
     rows = np.column_stack(columns).tolist()
-    return ",".join(header) + "\n" + "".join(row.format(*values) for values in rows)
+    return ",".join(header) + "\n" + "".join([row % tuple(values) for values in rows])
 
 
-def _clean_json(obj):
-    """Copy of obj for json.dumps: nan/inf -> None, numpy scalars -> Python ones."""
-    if isinstance(obj, dict):
-        return {k: _clean_json(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean_json(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    return obj
+_json_str = json.encoder.encode_basestring_ascii
 
 
 def _json_text(payload) -> str:
-    """Every JSON report goes through here, so each one is strict JSON."""
-    return json.dumps(_clean_json(payload), sort_keys=True, indent=2) + "\n"
+    """Every JSON report goes through here, so each one is strict JSON.
+
+    The text is exactly what json.dumps(payload, sort_keys=True, indent=2)
+    writes once nan and +-inf are replaced by null, numpy scalars by
+    their Python values and arrays by lists, in one pass.  Keys are
+    strings.
+    """
+    return _json_value(payload, "\n") + "\n"
+
+
+def _json_value(obj, newline: str) -> str:
+    """obj as json.dumps writes it; newline is a line break and the indent obj starts at."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, str):
+        return _json_str(obj)
+    # bool before int: True is an int
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        value = float(obj)
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    if isinstance(obj, np.ndarray) and not (obj.ndim == 1 and obj.dtype.kind == "f"):
+        return _json_value(obj.tolist(), newline)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        brackets = "{}"
+        items = [f"{_json_str(key)}: {_json_value(obj[key], inner)}" for key in sorted(obj)]
+    elif isinstance(obj, np.ndarray):
+        # a float column: the float.__repr__ json writes, null where not finite
+        brackets = "[]"
+        items = list(map(float.__repr__, obj.tolist()))
+        for i in np.flatnonzero(~np.isfinite(obj)).tolist():
+            items[i] = "null"
+    elif isinstance(obj, (list, tuple)):
+        brackets = "[]"
+        items = [_json_value(v, inner) for v in obj]
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +316,7 @@ def cmd_potential(cfg: argparse.Namespace) -> int:
     columns = (table.x, table.m, table.mu, table.u, table.z,
                table.v_hyp, table.v_poly, table.um, table.v_total)
     if cfg.format == "json":
-        payload = {name: col.tolist() for name, col in zip(header, columns)}
+        payload = dict(zip(header, columns))
         payload.update({"gamma": cfg.gamma, "j": cfg.j, "mass": cfg.mass})
         _emit(_json_text(payload), cfg.output)
     else:

@@ -357,16 +357,25 @@ def sturm_count(matrices, shifts) -> np.ndarray:
     +inf and zero coupling: their real rows come first, so those pivots
     are the ones a sweep of that matrix alone would give, and a padded
     pivot is inf or NaN at every shift, infinite shifts included, so it
-    never counts.
+    never counts.  A matrix whose couplings reach 2^500 is swept scaled,
+    with its shifts, by a power of two, so no coupling squares to inf.
     """
     lam = np.atleast_2d(np.asarray(shifts, dtype=float))
     lam = np.broadcast_to(lam, (len(matrices), lam.shape[-1]))
     n = max((matrix.size for matrix in matrices), default=0)
     d = np.full((n, len(matrices), 1), np.inf)
     e2 = np.zeros((n, len(matrices), 1))  # e2[i] couples rows i - 1 and i
+    scale = np.ones((len(matrices), 1))
     for r, matrix in enumerate(matrices):
-        d[:matrix.size, r, 0] = matrix.diagonal
-        e2[1:matrix.size, r, 0] = matrix.offdiagonal * matrix.offdiagonal
+        # a coupling of 2^512 or more would square to inf: the matrix and
+        # its shifts are scaled by the power of two that brings its largest
+        # coupling below 2^500, which leaves every count unchanged
+        top = float(np.max(np.abs(matrix.offdiagonal), initial=0.0))
+        scale[r] = math.ldexp(1.0, min(0, 500 - math.frexp(top)[1]))
+        e = matrix.offdiagonal * scale[r]
+        d[:matrix.size, r, 0] = matrix.diagonal * scale[r]
+        e2[1:matrix.size, r, 0] = e * e
+    lam = lam * scale
     pivmin = np.maximum(e2.max(axis=0, initial=1.0), 1.0) * 2.3e-308
     counts = np.zeros(lam.shape, dtype=np.int64)
     # the pivots are kept and counted once at the end.  The couplings are

@@ -21,6 +21,10 @@ from natpdm.natanzon import OrderingParams
 from natpdm.numerics import Grid
 
 RANGE_ENDS = [f"{name}:{end!r}" for name, (_, ends) in MASS_REGISTRY.items() for end in ends]
+# every double class: nan, +-inf, -0.0, subnormals, 1e+-300
+DOUBLES = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.5e-320, 1e-300, -1e300, 1e16, 0.1])
+SINGLES = st.floats(width=32) | st.sampled_from([math.nan, math.inf, -0.0, 1e-45, 3e38])
 
 
 def run_cli(args, capsys):
@@ -83,15 +87,21 @@ class TestPotential:
         assert set(payload) >= {"x", "V_total", "gamma", "j"}
         assert len(payload["x"]) == 21
 
-    def test_csv_text_matches_the_csv_module(self):
+    @settings(max_examples=100, deadline=None)
+    @given(table=st.integers(1, 6).flatmap(lambda width: st.lists(
+        st.tuples(*[DOUBLES] * width), max_size=20).map(lambda rows: (width, rows))))
+    def test_csv_text_matches_the_csv_module(self, table):
         # reference: the csv module with one 17-digit cell at a time
-        columns = (np.array([0.1, -0.0, 1e-300, np.inf]), np.array([np.nan, -np.inf, 2.0, 1e300]),
-                   [1.0 / 3.0, 5e-324, -1.5, 123456789.123456789])
+        width, rows = table
+        columns = [np.array([row[i] for row in rows], dtype=float) for i in range(width)]
+        # the map command passes a column as a list
+        columns[-1] = columns[-1].tolist()
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("a", "b", "c"))
-        writer.writerows([f"{float(v):.17g}" for v in row] for row in zip(*columns))
-        assert cli._csv_text(("a", "b", "c"), columns) == buf.getvalue()
+        header = tuple("abcdef"[:width])
+        writer.writerow(header)
+        writer.writerows([f"{float(v):.17g}" for v in row] for row in rows)
+        assert cli._csv_text(header, columns) == buf.getvalue()
 
     def test_large_u_round_trip(self, capsys):
         # gamma = 6 drives |u| past 355 on the default box, where sinh^2 u
@@ -105,6 +115,71 @@ class TestPotential:
         assert np.max(np.abs(u)) > 355.0
         assert np.max(np.abs(ginocchio.mu_closed_form(6.0, u) - mu)) < 1e-10
         assert np.max(np.abs(np.array(payload["V_hyp"]) - np.array(payload["V_poly"]))) < 1e-10
+
+
+def oracle_clean(obj):
+    """The two-pass JSON route: a copy of obj for json.dumps, nan/inf -> None,
+    numpy scalars -> Python ones, arrays -> lists."""
+    if isinstance(obj, np.ndarray):
+        return oracle_clean(obj.tolist())
+    if isinstance(obj, dict):
+        return {k: oracle_clean(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [oracle_clean(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        return v if math.isfinite(v) else None
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    return obj
+
+
+def oracle_json_text(obj):
+    return json.dumps(oracle_clean(obj), sort_keys=True, indent=2) + "\n"
+
+
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | DOUBLES | st.text()
+    | st.builds(np.bool_, st.booleans())
+    | st.builds(np.int64, st.integers(-2 ** 63, 2 ** 63 - 1))
+    | st.builds(np.int32, st.integers(-2 ** 31, 2 ** 31 - 1))
+    | st.builds(np.float64, DOUBLES) | st.builds(np.float32, SINGLES)
+    | st.lists(DOUBLES, max_size=12).map(np.array)
+    | st.lists(SINGLES, max_size=6).map(lambda v: np.array(v, dtype=np.float32))
+    | st.lists(st.integers(-2 ** 40, 2 ** 40), max_size=6).map(np.array)
+    | st.lists(st.booleans(), max_size=6).map(np.array)
+    | st.lists(DOUBLES, min_size=4, max_size=4).map(lambda v: np.array(v).reshape(2, 2)))
+JSON_PAYLOADS = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=5)),
+    max_leaves=40)
+
+
+class TestJsonText:
+    @settings(max_examples=120, deadline=None)
+    @given(payload=JSON_PAYLOADS)
+    def test_matches_json_dumps_of_the_cleaned_copy(self, payload):
+        assert cli._json_text(payload) == oracle_json_text(payload)
+
+    def test_potential_table_matches_json_dumps(self, capsys):
+        grid = Grid(-12.0, 12.0, 2401)
+        code, out, _ = run_cli(["potential", "--gamma=0.8", "--j=2", "--mass=rational:2",
+                                "--ordering=-0.5,0", "--grid=-12,12,2401", "--format=json"],
+                               capsys)
+        assert code == 0
+        table = ginocchio.potential_on_x_grid(0.8, 2.0, parse_mass("rational:2"),
+                                              OrderingParams(-0.5, 0.0), grid, tol=1e-10)
+        payload = {"x": table.x, "m": table.m, "mu": table.mu, "u": table.u, "z": table.z,
+                   "V_hyp": table.v_hyp, "V_poly": table.v_poly, "Um": table.um,
+                   "V_total": table.v_total, "gamma": 0.8, "j": 2.0, "mass": "rational:2"}
+        assert out == oracle_json_text(payload)
+
+    def test_refuses_what_json_refuses(self):
+        with pytest.raises(TypeError):
+            cli._json_text({"a": [object()]})
 
 
 class TestSpectrum:

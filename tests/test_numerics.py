@@ -92,6 +92,25 @@ class TestFindRoot:
         roots = bisect(lambda x: np.array([1.0, -1.0]) * (x - third), [0.0, 0.0], [1.0, 1.0])
         assert roots[0] == roots[1] == bisect(lambda x: x - third, 0.0, 1.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.sampled_from(["rising", "falling", "step"]),
+           brackets=st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(0.0, 10.0),
+                                       st.floats(0.0, 10.0)), min_size=1, max_size=8))
+    def test_ends_on_adjacent_floats_under_the_sign_rule(self, shape, brackets):
+        # the returned root is the first float at which f leaves the sign
+        # it has at lo: the float just below it still has that sign
+        r, below, above = (np.array(v) for v in zip(*brackets))
+        lo, hi = r - below, r + above
+        f = SHAPES[shape](r)
+        root = bisect(f, lo, hi)
+        assert np.all((lo <= root) & (root <= hi))
+        side = np.sign(f(lo))
+        assert np.all(root[side == 0.0] == lo[side == 0.0])
+        moved = side != 0.0
+        assert np.all(np.sign(f(root))[moved] != side[moved])
+        below_root = np.nextafter(root, -np.inf)
+        assert np.all(np.sign(f(below_root))[moved] == side[moved])
+
     def test_reversed_bracket_refused_before_f_is_called(self):
         # alone it would come back unchanged, beside an open bracket halved
         calls = []
@@ -185,6 +204,35 @@ class TestIntegrate:
         val = integrate(lambda x: 3.0 * x ** 3 - 2.0 * x + 1.0, -1.0, 2.0, 1e-14)
         exact = (3.0 / 4.0) * (2.0 ** 4 - 1.0) - (2.0 ** 2 - 1.0) + 3.0
         assert val == pytest.approx(exact, rel=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(coeffs=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+           a=st.floats(-5.0, 5.0), b=st.floats(-5.0, 5.0), tol=st.sampled_from([1e-6, 1e-10]))
+    def test_exact_on_random_cubics(self, coeffs, a, b, tol):
+        # Simpson's rule is exact on cubics: only rounding is left, far
+        # inside the acceptance rule tol * (1 + |integral|)
+        c0, c1, c2, c3 = coeffs
+
+        def antiderivative(x):
+            return x * (c0 + x * (c1 / 2.0 + x * (c2 / 3.0 + x * c3 / 4.0)))
+
+        exact = antiderivative(b) - antiderivative(a)
+        got = integrate(lambda x: c0 + x * (c1 + x * (c2 + x * c3)), a, b, tol)
+        assert abs(got - exact) <= tol * (1.0 + abs(exact))
+
+    @settings(max_examples=60, deadline=None)
+    @given(coeffs=st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6),
+           ends=st.lists(_ends, min_size=3, max_size=3), tol=st.sampled_from([1e-6, 1e-10]))
+    def test_additive_under_splitting(self, coeffs, ends, tol):
+        # a panel's value, Simpson plus its error over 15, is Boole's rule,
+        # exact on quintics whether the panel is accepted or split.  On a
+        # smooth f whose five first samples miss its shape (tanh or a
+        # gaussian far from the middle, sin over a few periods) the
+        # acceptance test passes too early and the sums differ by far more
+        a, c, b = sorted(ends)
+        parts = integrate(lambda x: sum(ck * x ** k for k, ck in enumerate(coeffs)),
+                          np.array([a, c, a]), np.array([c, b, b]), tol)
+        assert abs(parts[0] + parts[1] - parts[2]) <= tol * (3.0 + np.abs(parts).sum())
 
     def test_reversed_limits(self):
         assert integrate(lambda x: x, 1.0, 0.0, 1e-12) == pytest.approx(-0.5, abs=1e-12)
@@ -432,10 +480,16 @@ class TestEigensolver:
 
 
 def sturm_count_one(matrix: TridiagonalSymmetric, lam) -> np.ndarray:
-    """Reference: the LDL^T Sturm count of one matrix, one row at a time."""
-    d = matrix.diagonal
-    e2 = matrix.offdiagonal * matrix.offdiagonal
-    lam = np.asarray(lam, dtype=float)
+    """Reference: the LDL^T Sturm count of one matrix, one row at a time.
+
+    Couplings of 2^500 and above are scaled, with the shifts, by the
+    power of two the sweep uses, so their squares stay finite.
+    """
+    top = float(np.abs(matrix.offdiagonal).max()) if matrix.size > 1 else 0.0
+    scale = 2.0 ** min(0, 500 - math.frexp(top)[1])
+    d = scale * matrix.diagonal
+    e2 = (scale * matrix.offdiagonal) ** 2
+    lam = scale * np.asarray(lam, dtype=float)
     pivmin = max(float(e2.max()) if e2.size else 1.0, 1.0) * 2.3e-308
     q = d[0] - lam
     count = np.zeros(q.shape, dtype=np.int64)
@@ -455,7 +509,8 @@ def graded_batches(draw):
 
     Entries are signed powers of ten whose exponents span up to 1e-300 to
     1e300, with some exactly zero.  Couplings reach below sqrt(pivmin), so
-    their squares fall under pivmin.  Shifts mix +-inf, zero, graded values
+    their squares fall under pivmin, and above sqrt(DBL_MAX), so their
+    squares would overflow.  Shifts mix +-inf, zero, graded values
     and diagonal entries, which make exact zero pivots.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -472,7 +527,7 @@ def graded_batches(draw):
     matrices = []
     for n in draw(st.lists(st.integers(1, 300), min_size=1, max_size=4)):
         matrices.append(TridiagonalSymmetric(graded(n, *exponents(-300, 300)),
-                                             graded(n - 1, *exponents(-300, 150))))
+                                             graded(n - 1, *exponents(-300, 300))))
     pool = np.concatenate([[-np.inf, np.inf, 0.0], graded(4, *exponents(-300, 300)),
                            *(m.diagonal[:3] for m in matrices)])
     n_shifts = draw(st.integers(1, 8))
@@ -529,6 +584,23 @@ class TestBatchedCertificate:
         t = TridiagonalSymmetric(np.array([1e-310, 0.0]), np.ones(1))
         assert sturm_count([t], [0.0]).tolist() == [[1]]
         assert sturm_count_one(t, [0.0]).tolist() == [1]
+
+    def test_couplings_whose_squares_overflow(self):
+        # eigenvalues -1e200 and 1e200: 1e200 squared is past DBL_MAX
+        t = TridiagonalSymmetric(np.zeros(2), np.array([1e200]))
+        shifts = [-1e300, -1.0, 0.5, 1e300]
+        assert sturm_count([t], shifts).tolist() == [[0, 1, 1, 2]]
+        assert sturm_count_one(t, shifts).tolist() == [0, 1, 1, 2]
+
+    @pytest.mark.parametrize("power", [300, 511, 512, 700, 1000])
+    def test_counts_do_not_change_under_scaling_by_a_power_of_two(self, power):
+        rng = np.random.default_rng(power)
+        t = TridiagonalSymmetric(rng.normal(size=200), rng.normal(size=199))
+        shifts = np.linspace(-3.0, 3.0, 61)
+        big = TridiagonalSymmetric(np.ldexp(t.diagonal, power), np.ldexp(t.offdiagonal, power))
+        expected = sturm_count([t], shifts)
+        assert np.array_equal(sturm_count([big, t], np.ldexp(shifts, power))[0], expected[0])
+        assert expected[0, -1] == 200 - np.sum(np.linalg.eigvalsh(t.to_dense()) >= 3.0)
 
     BIG = TridiagonalSymmetric(np.random.default_rng(31).normal(size=2399),
                                np.random.default_rng(37).normal(size=2398))
