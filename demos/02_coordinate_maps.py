@@ -50,14 +50,15 @@ print("\nSame map for a position-dependent mass (the two routes must agree):")
 mass = rational_mass(2.0)
 grid = Grid(-3.0, 3.0, 601)
 table = ginocchio.potential_on_x_grid(0.8, 2.0, mass, natanzon.BEN_DANIEL_DUKE, grid)
+x, z = table["x"], table["z"]
 # anchor the map on the forward branch: x = 0 is the z = 0 fold of the
 # table, and z = 0 is a fixed point of the map equation, so the anchor
 # must sit to its right
 idx = int(np.argmin(np.abs(grid.points - 1.0)))
 cmap2 = natanzon.solve_coordinate_map(ginocchio.params_for(0.8, 2.0), mass,
-                                      x0=float(grid.points[idx]), z0=float(table.z[idx]))
-sel = (table.x > 0.2) & (table.x < 2.5)
-diff = np.max(np.abs(cmap2.z(table.x[sel]) - table.z[sel]))
+                                      x0=float(grid.points[idx]), z0=float(z[idx]))
+sel = (x > 0.2) & (x < 2.5)
+diff = np.max(np.abs(cmap2.z(x[sel]) - z[sel]))
 print(f"  max |z_G - z_u| on the forward branch: {diff:.2e}")
 print(f"  left of the fold the map stays at z = 0: "
-      f"{bool(np.all(cmap2.z(table.x[table.x < 0.0]) == 0.0))}")
+      f"{bool(np.all(cmap2.z(x[x < 0.0]) == 0.0))}")

@@ -44,6 +44,5 @@ from natpdm.numerics import Grid
 table = ginocchio.potential_on_x_grid(0.9, J, mass, BEN_DANIEL_DUKE,
                                       Grid(-2.0, 2.0, 9))
 print(f"{'x':>6} {'m':>8} {'mu':>9} {'u':>9} {'z':>8} {'V_total':>12}")
-for i in range(table.x.size):
-    print(f"{table.x[i]:6.2f} {table.m[i]:8.4f} {table.mu[i]:9.4f} "
-          f"{table.u[i]:9.4f} {table.z[i]:8.4f} {table.v_total[i]:12.6f}")
+for x, m, mu, u, z, v in zip(*(table[k] for k in ("x", "m", "mu", "u", "z", "V_total"))):
+    print(f"{x:6.2f} {m:8.4f} {mu:9.4f} {u:9.4f} {z:8.4f} {v:12.6f}")

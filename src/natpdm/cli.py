@@ -223,11 +223,12 @@ def _emit(text: str, output: str | None) -> None:
         raise ConfigError(f"cannot write output file {output!r}: {exc}") from exc
 
 
-def _csv_text(header, columns) -> str:
+def _csv_text(columns: dict) -> str:
+    """The columns as CSV, one per key in order, under a header of their keys."""
     # "%.17g" % v is the text of "{:.17g}".format(v), nan and inf included
-    row = ",".join(["%.17g"] * len(header)) + "\n"
-    rows = np.column_stack(columns).tolist()
-    return ",".join(header) + "\n" + "".join([row % tuple(values) for values in rows])
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = np.column_stack(list(columns.values())).tolist()
+    return ",".join(columns) + "\n" + "".join([row % tuple(values) for values in rows])
 
 
 _json_str = json.encoder.encode_basestring_ascii
@@ -294,8 +295,8 @@ def cmd_map(cfg: argparse.Namespace) -> int:
     res = [conformal.conformality_residual(conformal.strip_to_disk, p, h=1e-5)
            for p in points]
     z, w = np.array(points), np.array([conformal.strip_to_disk(p) for p in points])
-    text = _csv_text(("z_re", "z_im", "w_re", "w_im", "cr_residual"),
-                     (z.real, z.imag, w.real, w.imag, res))
+    text = _csv_text({"z_re": z.real, "z_im": z.imag, "w_re": w.real, "w_im": w.imag,
+                      "cr_residual": res})
     _emit(text, cfg.output)
     return EXIT_OK
 
@@ -312,15 +313,9 @@ def cmd_potential(cfg: argparse.Namespace) -> int:
         )
     except _FAILURES as exc:
         return _failure_exit(exc)
-    header = ("x", "m", "mu", "u", "z", "V_hyp", "V_poly", "Um", "V_total")
-    columns = (table.x, table.m, table.mu, table.u, table.z,
-               table.v_hyp, table.v_poly, table.um, table.v_total)
-    if cfg.format == "json":
-        payload = dict(zip(header, columns))
-        payload.update({"gamma": cfg.gamma, "j": cfg.j, "mass": cfg.mass})
-        _emit(_json_text(payload), cfg.output)
-    else:
-        _emit(_csv_text(header, columns), cfg.output)
+    text = _json_text({**table, "gamma": cfg.gamma, "j": cfg.j, "mass": cfg.mass}) \
+        if cfg.format == "json" else _csv_text(table)
+    _emit(text, cfg.output)
     return EXIT_OK
 
 

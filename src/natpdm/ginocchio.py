@@ -18,7 +18,6 @@ construction variable in [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,6 @@ __all__ = [
     "y_of_u",
     "v_polynomial",
     "spectrum_closed_form",
-    "PotentialTable",
     "potential_on_x_grid",
 ]
 
@@ -206,32 +204,17 @@ def spectrum_closed_form(gamma: float, j: float, n: int) -> float:
     return -(math.sqrt(radicand) - half_odd) ** 2
 
 
-@dataclass(frozen=True)
-class PotentialTable:
-    """Sampled potential on a physical grid; v_total = v_hyp + um."""
-
-    gamma: float
-    j: float
-    x: np.ndarray
-    m: np.ndarray
-    mu: np.ndarray
-    u: np.ndarray
-    z: np.ndarray
-    v_hyp: np.ndarray
-    v_poly: np.ndarray
-    um: np.ndarray
-    v_total: np.ndarray
-
-
 def potential_on_x_grid(gamma: float, j: float, mass: MassProfile,
                         ordering: OrderingParams, grid: Grid,
-                        tol: float = 1e-10) -> PotentialTable:
+                        tol: float = 1e-10) -> dict:
     """Tabulate the full position-dependent-mass potential on a grid.
 
     mu from travel_coordinate, anchored at x = 0, to tolerance tol; u
     from one inversion of the whole mu column; then the total V_hyp + Um,
     the hyperbolic form plus the von Roos mass term Um, whose bound
-    levels do not depend on the mass.
+    levels do not depend on the mass.  Returns the columns `natpdm
+    potential` prints, in print order, as arrays keyed by their printed
+    names: x, m, mu, u, z, V_hyp, V_poly, Um, V_total.
     """
     pts = grid.points
     # a mu past the double range comes out inf or nan; invert_mu rejects it
@@ -241,9 +224,7 @@ def potential_on_x_grid(gamma: float, j: float, mass: MassProfile,
     # so round toward the open interval instead
     z = np.minimum(np.tanh(u) ** 2, np.nextafter(1.0, 0.0))
     vhyp = v_hyperbolic(gamma, j, u)
-    vpoly = v_polynomial(gamma, j, y_of_u(gamma, u))
     _, um = mass_correction_terms(mass, ordering, pts)
-    return PotentialTable(
-        gamma=gamma, j=j, x=pts, m=np.asarray(mass.m(pts), dtype=float),
-        mu=mu, u=u, z=z, v_hyp=vhyp, v_poly=vpoly, um=um, v_total=vhyp + um,
-    )
+    return {"x": pts, "m": np.asarray(mass.m(pts), dtype=float), "mu": mu, "u": u, "z": z,
+            "V_hyp": vhyp, "V_poly": v_polynomial(gamma, j, y_of_u(gamma, u)),
+            "Um": um, "V_total": vhyp + um}

@@ -202,12 +202,13 @@ def integrate(f: Callable, a, b, tol: float):
     A batch whose level would hold more is integrated again as two
     halves, each with a budget of its own, so an interval that converges
     alone converges in any batch and memory stays bounded.  Raises
-    ValueError for a non-finite end, before f is called, and
-    ToleranceNotMet when refinement exhausts its budget: depth
-    QUAD_MAX_DEPTH, or the panel budget of a lone interval.
+    ValueError for a tol that is not positive and finite or a non-finite
+    end, before f is called, and ToleranceNotMet when refinement exhausts
+    its budget: depth QUAD_MAX_DEPTH, or the panel budget of a lone
+    interval.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("integration ends must be finite")
@@ -282,10 +283,11 @@ def derivative(f: Callable, x, h: float = 1e-2):
     Makes one call of a vectorised f on the four shifted copies x + h/2,
     x - h/2, x + h and x - h, stacked along a new leading axis, so an f
     with a large per-call cost pays it once.  The caller owns the
-    step-size choice.
+    step-size choice; an h that is not positive and finite raises
+    ValueError.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
     steps = (0.5 * h, -0.5 * h, h, -h)
     f_at = f(np.stack([np.asarray(x) + s for s in steps]))
     d_half, d_full = ((f_at[i] - f_at[i + 1]) / (2.0 * steps[i]) for i in (0, 2))

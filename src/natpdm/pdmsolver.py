@@ -20,7 +20,6 @@ gates and the JSON encoding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,9 +29,8 @@ from .natanzon import OrderingParams, solve_spectrum
 from .numerics import Grid, TridiagonalSymmetric, lowest_eigenvalues
 
 __all__ = [
-    "BoundStateResult",
     "assemble_hamiltonian",
-    "solve_bound_states",
+    "richardson",
     "verify_spectrum",
 ]
 
@@ -69,81 +67,42 @@ def assemble_hamiltonian(mass: MassProfile, potential: np.ndarray,
     return TridiagonalSymmetric(diag, off)
 
 
-@dataclass(frozen=True)
-class BoundStateResult:
-    """Richardson-extrapolated lowest eigenvalues of one problem, ascending.
+def richardson(coarse, fine):
+    """(levels, |fine - coarse|) of (4 fine - coarse)/3, each row ascending.
 
-    convergence_estimate holds the observed two-grid change of each level.
+    coarse and fine hold the levels of matrices assembled on a grid and on
+    its Grid.refined() twin (exactly half the spacing), one matrix per row;
+    second-order convergence then cancels the leading error term.  One
+    stable permutation per row sorts the levels and keeps each two-grid
+    change with its level.
     """
-
-    energies: np.ndarray
-    convergence_estimate: np.ndarray
-
-    @classmethod
-    def extrapolated(cls, coarse, fine) -> "BoundStateResult":
-        """(4 fine - coarse)/3 from the levels of a matrix and of its refined twin."""
-        extrapolated = (4.0 * fine - coarse) / 3.0
-        # one permutation sorts the levels and keeps each estimate with its level
-        order = np.argsort(extrapolated, kind="stable")
-        return cls(energies=extrapolated[order],
-                   convergence_estimate=np.abs(fine - coarse)[order])
-
-    def bound_below(self, threshold: float) -> np.ndarray:
-        return self.energies[self.energies < threshold]
+    levels = (4.0 * fine - coarse) / 3.0
+    order = np.argsort(levels, axis=-1, kind="stable")
+    return (np.take_along_axis(levels, order, axis=-1),
+            np.take_along_axis(np.abs(fine - coarse), order, axis=-1))
 
 
-def solve_bound_states(pairs, k: int) -> list:
-    """k lowest eigenvalues of each (coarse, fine) pair, Richardson extrapolated.
-
-    In each pair, fine must be assembled on Grid.refined() of the grid
-    coarse was assembled on (exactly half the spacing); second-order
-    convergence then cancels the leading error term as
-    (4 E_fine - E_coarse)/3.  Every matrix of every pair goes to one
-    lowest_eigenvalues call, so one Sturm sweep certifies them all.
-    Returns one BoundStateResult per pair, in order.
-    """
-    levels = lowest_eigenvalues([matrix for pair in pairs for matrix in pair], k)
-    return [BoundStateResult.extrapolated(coarse, fine)
-            for coarse, fine in zip(levels[0::2], levels[1::2])]
-
-
-def _best_fit_index_map(numeric: np.ndarray, closed: list) -> dict:
+def _best_fit_index_map(mismatch: np.ndarray) -> dict:
     """Index map analytic-n -> alpha * n minimizing the worst mismatch.
 
-    Only alpha in {1, 2} is searched; anything that still mismatches
-    badly is reported as UNMATCHED rather than forced.
+    mismatch[i, n] is |numeric level i - closed-form level n|, nan where
+    the closed form gives no level n.  Only alpha in {1, 2} is searched;
+    anything that still mismatches badly is reported as UNMATCHED rather
+    than forced.
     """
     best = {"alpha": None, "max_mismatch": None, "pairs": [], "status": "UNMATCHED"}
+    n_numeric, n_closed = mismatch.shape
     for alpha in (1, 2):
-        pairs = []
-        for n, e_closed in enumerate(closed):
-            idx = alpha * n
-            if e_closed is None or not math.isfinite(e_closed):
-                continue
-            if idx >= numeric.size:
-                continue
-            pairs.append((n, idx, abs(float(numeric[idx]) - e_closed)))
+        pairs = [{"analytic_n": n, "numeric_n": alpha * n,
+                  "mismatch": float(mismatch[alpha * n, n])} for n in range(n_closed)
+                 if alpha * n < n_numeric and math.isfinite(mismatch[alpha * n, n])]
         if not pairs:
             continue
-        worst = max(p[2] for p in pairs)
+        worst = max(p["mismatch"] for p in pairs)
         if best["max_mismatch"] is None or worst < best["max_mismatch"]:
-            best = {"alpha": alpha, "max_mismatch": worst,
-                    "pairs": [{"analytic_n": p[0], "numeric_n": p[1], "mismatch": p[2]}
-                              for p in pairs],
-                    "status": "MATCHED"}
-    if best["max_mismatch"] is not None and best["max_mismatch"] > 0.05:
-        best["status"] = "UNMATCHED"
+            best = {"alpha": alpha, "max_mismatch": worst, "pairs": pairs,
+                    "status": "MATCHED" if worst <= 0.05 else "UNMATCHED"}
     return best
-
-
-def _hamiltonian_pair(gamma, j, mass, ordering, grid, quad_tol):
-    """Coarse and fine Hamiltonians of one mass, and its bound threshold."""
-    fine_grid = grid.refined()
-    v_fine = potential_on_x_grid(gamma, j, mass, ordering, fine_grid, tol=quad_tol).v_total
-    # refined() nests its nodes, so every other fine node is a coarse node
-    pair = (assemble_hamiltonian(mass, v_fine[::2], ordering, grid),
-            assemble_hamiltonian(mass, v_fine, ordering, fine_grid))
-    return pair, float(min(v_fine[0], v_fine[-1]))
 
 
 def verify_spectrum(gamma: float, j: float, mass: MassProfile, ordering: OrderingParams,
@@ -156,7 +115,8 @@ def verify_spectrum(gamma: float, j: float, mass: MassProfile, ordering: Orderin
     with a second mass profile to measure mass independence of the bound
     levels: rational:2 beside a constant mass, the unit mass beside
     any other.  The four matrices (two grids, two masses) are solved in one
-    solve_bound_states call, so one Sturm sweep certifies them.
+    lowest_eigenvalues call, so one Sturm sweep certifies them, and each
+    mass's two grids are Richardson extrapolated.
 
     Returns the report under the keys `natpdm spectrum` prints:
     energies_eq27 are the quantization roots, energies_eq34 the closed-form
@@ -173,12 +133,17 @@ def verify_spectrum(gamma: float, j: float, mass: MassProfile, ordering: Orderin
 
     partner_mass = rational_mass(2.0) if mass.label.startswith("constant") \
         else constant_mass()
-    pair, threshold = _hamiltonian_pair(gamma, j, mass, ordering, grid, quad_tol)
-    partner_pair, partner_threshold = _hamiltonian_pair(gamma, j, partner_mass, ordering,
-                                                        grid, quad_tol)
-    result, partner_result = solve_bound_states([pair, partner_pair], k)
-    numeric_bound = result.bound_below(threshold)
-    partner_bound = partner_result.bound_below(partner_threshold)
+    fine_grid = grid.refined()
+    matrices, thresholds = [], []
+    for m in (mass, partner_mass):
+        v_fine = potential_on_x_grid(gamma, j, m, ordering, fine_grid, tol=quad_tol)["V_total"]
+        # refined() nests its nodes, so every other fine node is a coarse node
+        matrices += [assemble_hamiltonian(m, v_fine[::2], ordering, grid),
+                     assemble_hamiltonian(m, v_fine, ordering, fine_grid)]
+        thresholds.append(float(min(v_fine[0], v_fine[-1])))
+    levels = lowest_eigenvalues(matrices, k)
+    energies, changes = richardson(levels[0::2], levels[1::2])
+    numeric_bound, partner_bound = (e[e < t] for e, t in zip(energies, thresholds))
 
     closed = []
     for n in range(n_top + 1):
@@ -187,36 +152,32 @@ def verify_spectrum(gamma: float, j: float, mass: MassProfile, ordering: Orderin
         except ValueError:
             closed.append(float("nan"))
     quant = solve_spectrum(params_for(gamma, j), n_top)
+    # nan wherever the closed form gives no level
+    mismatch = np.abs(numeric_bound[:, None] - np.array(closed))
 
     n_common = min(numeric_bound.size, partner_bound.size)
-    level_diffs = [abs(float(a - b)) for a, b in
-                   zip(numeric_bound[:n_common], partner_bound[:n_common])]
+    level_diffs = np.abs(numeric_bound[:n_common] - partner_bound[:n_common]).tolist()
 
     return {
         "gamma": gamma,
         "j": j,
         "ordering": {"eta": ordering.eta, "epsilon": ordering.epsilon, "rho": ordering.rho},
-        "energies_numeric": [float(e) for e in numeric_bound],
-        "energies_eq27": [float(e) for e in quant],
+        "energies_numeric": numeric_bound.tolist(),
+        "energies_eq27": quant.tolist(),
         "energies_eq34": closed,
         "residuals": {
-            "numeric_vs_eq34_matrix": [
-                [abs(float(e_num) - e_cl) if math.isfinite(e_cl) else float("nan")
-                 for e_cl in closed] for e_num in numeric_bound],
-            "eq27_vs_eq34": [
-                abs(q - c) if math.isfinite(q) and math.isfinite(c) else float("nan")
-                for q, c in zip(quant, closed)],
+            "numeric_vs_eq34_matrix": mismatch.tolist(),
+            "eq27_vs_eq34": np.abs(quant - closed).tolist(),
         },
-        "best_fit_index_map": _best_fit_index_map(numeric_bound, closed),
+        "best_fit_index_map": _best_fit_index_map(mismatch),
         "mass_independence": {
             "mass": mass.label,
             "partner_mass": partner_mass.label,
-            "partner_energies": [float(e) for e in partner_bound],
+            "partner_energies": partner_bound.tolist(),
             "level_diffs": level_diffs,
             "max_diff": max(level_diffs) if level_diffs else None,
         },
         # the bound levels lead the ascending energies: one estimate each
-        "convergence_estimates": [float(c) for c in
-                                  result.convergence_estimate[:numeric_bound.size]],
-        "bound_threshold": threshold,
+        "convergence_estimates": changes[0, :numeric_bound.size].tolist(),
+        "bound_threshold": thresholds[0],
     }

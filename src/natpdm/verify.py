@@ -235,13 +235,13 @@ def pdmsolver_suite(tol, rng) -> list:
     h_osc = pdmsolver.assemble_hamiltonian(unit, v_osc, bdd, osc)
     osc_f = osc.refined()
     h_osc_f = pdmsolver.assemble_hamiltonian(unit, 0.5 * osc_f.points ** 2, bdd, osc_f)
-    # the six matrices share one Sturm certificate sweep, so the two
-    # extrapolations go through the step solve_bound_states ends with
+    # the six matrices share one Sturm certificate sweep; both extrapolations
+    # take the richardson step that verify_spectrum takes
     *eigs, eigs_t, e_osc, e_osc_f = numerics.lowest_eigenvalues(
         [*h_box, h_box_t, h_osc, h_osc_f], 4)
 
     exact_box = np.array([(k * math.pi) ** 2 / 2.0 for k in range(1, 5)])
-    extrap = pdmsolver.BoundStateResult.extrapolated(eigs[0], eigs[1]).energies
+    extrap, _ = pdmsolver.richardson(eigs[0], eigs[1])
     checks.append(_check("box_oracle_extrapolated",
                          float(np.max(np.abs(extrap - exact_box))), 1e-4))
     ratios = (eigs[0] - eigs[1]) / (eigs[1] - eigs[2])
@@ -252,7 +252,7 @@ def pdmsolver_suite(tol, rng) -> list:
     checks.append(_check("convergence_order_high", order_hi, None, kind="hard",
                          passed=1.8 <= order_hi <= 2.2))
 
-    osc_extrap = pdmsolver.BoundStateResult.extrapolated(e_osc, e_osc_f).energies
+    osc_extrap, _ = pdmsolver.richardson(e_osc, e_osc_f)
     osc_err = float(np.max(np.abs(osc_extrap - (np.arange(4) + 0.5))))
     checks.append(_check("harmonic_oracle_extrapolated", osc_err, 1e-4))
 

@@ -192,8 +192,8 @@ def test_criterion_8_discretization_quality():
     osc_f = osc.refined()
     hm_f = pdmsolver.assemble_hamiltonian(unit, 0.5 * osc_f.points ** 2,
                                           BEN_DANIEL_DUKE, osc_f)
-    res, = pdmsolver.solve_bound_states([(hm, hm_f)], 4)
-    osc_err = float(np.max(np.abs(res.energies - (np.arange(4) + 0.5))))
+    energies, _ = pdmsolver.richardson(*numerics.lowest_eigenvalues([hm, hm_f], 4))
+    osc_err = float(np.max(np.abs(energies - (np.arange(4) + 0.5))))
     assert osc_err <= 1e-4
 
     grid = Grid(-3.0, 3.0, 101)

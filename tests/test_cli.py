@@ -87,6 +87,17 @@ class TestPotential:
         assert set(payload) >= {"x", "V_total", "gamma", "j"}
         assert len(payload["x"]) == 21
 
+    def test_csv_header_and_json_keys_name_the_same_columns(self, capsys):
+        columns = ["x", "m", "mu", "u", "z", "V_hyp", "V_poly", "Um", "V_total"]
+        args = ["potential", "--gamma=0.8", "--mass=rational:2", "--grid=-2,2,21"]
+        _, out, _ = run_cli(args, capsys)
+        header, _ = parse_csv(out)
+        _, out, _ = run_cli([*args, "--format=json"], capsys)
+        payload = json.loads(out)
+        assert header == columns
+        assert sorted(payload) == sorted([*columns, "gamma", "j", "mass"])
+        assert all(len(payload[name]) == 21 for name in columns)
+
     @settings(max_examples=100, deadline=None)
     @given(table=st.integers(1, 6).flatmap(lambda width: st.lists(
         st.tuples(*[DOUBLES] * width), max_size=20).map(lambda rows: (width, rows))))
@@ -101,7 +112,7 @@ class TestPotential:
         header = tuple("abcdef"[:width])
         writer.writerow(header)
         writer.writerows([f"{float(v):.17g}" for v in row] for row in rows)
-        assert cli._csv_text(header, columns) == buf.getvalue()
+        assert cli._csv_text(dict(zip(header, columns))) == buf.getvalue()
 
     def test_large_u_round_trip(self, capsys):
         # gamma = 6 drives |u| past 355 on the default box, where sinh^2 u
@@ -172,9 +183,7 @@ class TestJsonText:
         assert code == 0
         table = ginocchio.potential_on_x_grid(0.8, 2.0, parse_mass("rational:2"),
                                               OrderingParams(-0.5, 0.0), grid, tol=1e-10)
-        payload = {"x": table.x, "m": table.m, "mu": table.mu, "u": table.u, "z": table.z,
-                   "V_hyp": table.v_hyp, "V_poly": table.v_poly, "Um": table.um,
-                   "V_total": table.v_total, "gamma": 0.8, "j": 2.0, "mass": "rational:2"}
+        payload = {**table, "gamma": 0.8, "j": 2.0, "mass": "rational:2"}
         assert out == oracle_json_text(payload)
 
     def test_refuses_what_json_refuses(self):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from natpdm import numerics
 from natpdm.masses import MASS_REGISTRY, parse_mass, travel_coordinate
+from natpdm.numerics import Grid
 
 TOL = 1e-10
 POINT = st.floats(-12.0, 12.0)
@@ -35,3 +36,28 @@ def test_travel_coordinate_matches_per_point_quadrature(name, case):
     assert np.max(np.abs(mu - each)) <= bound
     order = np.argsort(x, kind="stable")
     assert np.all(np.diff(mu[order]) >= 0.0)
+
+
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(30)
+
+
+def gauss_legendre(mass, a, b, subcells=20):
+    """int_a^b sqrt(2 m) per interval: 30 Gauss-Legendre points on each of 20 subcells."""
+    edges = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, subcells + 1)
+    half = 0.5 * np.diff(edges, axis=1)
+    t = 0.5 * (edges[:, 1:] + edges[:, :-1])[..., None] + half[..., None] * GL_NODES
+    return np.sum(half * np.sum(GL_WEIGHTS * np.sqrt(2.0 * mass.m(t)), axis=-1), axis=-1)
+
+
+@pytest.mark.parametrize("n_points", [1201, 2401])
+@pytest.mark.parametrize("spec", [f"{name}:{end}" for name, (_, ends) in MASS_REGISTRY.items()
+                                  for end in ends])
+def test_cells_on_cli_grids_are_not_fooled(spec, n_points):
+    # the acceptance test can pass on a first estimate whose five samples
+    # miss the integrand's shape; on the CLI's grids no cell of any
+    # registry mass, at either end of its range, comes out so
+    mass = parse_mass(spec)
+    x = Grid(-12.0, 12.0, n_points).points
+    cells = np.diff(travel_coordinate(mass, x, 0.0, TOL))
+    reference = gauss_legendre(mass, x[:-1], x[1:])
+    assert np.all(np.abs(cells - reference) <= 15.0 * TOL * (1.0 + np.abs(reference)))

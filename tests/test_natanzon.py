@@ -374,13 +374,14 @@ class TestCoordinateMap:
         # generating-function map vs the Ginocchio travel-coordinate table
         params = ginocchio.params_for(0.8, 2.0)
         table = ginocchio.potential_on_x_grid(0.8, 2.0, mass, BEN_DANIEL_DUKE, grid)
+        x, z = table["x"], table["z"]
         idx = int(np.argmin(np.abs(grid.points - 1.0)))
         cmap = solve_coordinate_map(params, mass, x0=float(grid.points[idx]),
-                                    z0=float(table.z[idx]))
-        sel = table.x > 0.2
-        assert np.max(np.abs(cmap.z(table.x[sel]) - table.z[sel])) < 1e-8
+                                    z0=float(z[idx]))
+        sel = x > 0.2
+        assert np.max(np.abs(cmap.z(x[sel]) - z[sel])) < 1e-8
         # the table folds at x = 0; the map stays at z = 0 left of the fold
-        assert np.all(cmap.z(table.x[table.x < 0.0]) == 0.0)
+        assert np.all(cmap.z(x[x < 0.0]) == 0.0)
 
     def test_ode_route_agrees_with_inversion_route(self):
         self._assert_routes_agree(Grid(-3.0, 3.0, 601), rational_mass(2.0))

@@ -252,6 +252,20 @@ class TestIntegrate:
             integrate(f, np.array([0.0, end]), 1.0, 1e-10)
         assert calls == []
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+    def test_tol_not_positive_and_finite_rejected_before_f_is_called(self, tol):
+        # a nan tol fails every acceptance test, so refinement would run to
+        # the depth budget and end in ToleranceNotMet
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.sin(x)
+
+        with pytest.raises(ValueError, match="positive and finite"):
+            integrate(f, 0.0, 1.0, tol)
+        assert calls == []
+
     def test_depth_exhaustion_without_flag(self):
         # a non-finite endpoint value keeps producing non-finite panels
         # until the depth budget runs out, with no warning from the rule
@@ -340,6 +354,19 @@ class TestDerivative:
             return (np.sin(x + s) - np.sin(x - s)) / (2.0 * s)
 
         assert np.array_equal(got, (4.0 * d(0.5 * h) - d(h)) / 3.0)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -1e-2])
+    def test_step_not_positive_and_finite_rejected_before_f_is_called(self, h):
+        # a nan step would give a nan derivative without an error
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.sin(x)
+
+        with pytest.raises(ValueError, match="positive and finite"):
+            derivative(f, 0.5, h)
+        assert calls == []
 
 
 class TestGridDerivative:

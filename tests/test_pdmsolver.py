@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from natpdm import cli, numerics, pdmsolver
 from natpdm.ginocchio import potential_on_x_grid
@@ -16,7 +18,7 @@ from natpdm.masses import (
 )
 from natpdm.natanzon import BEN_DANIEL_DUKE, OrderingParams
 from natpdm.numerics import Grid, lowest_eigenvalues
-from natpdm.pdmsolver import assemble_hamiltonian, solve_bound_states, verify_spectrum
+from natpdm.pdmsolver import assemble_hamiltonian, richardson, verify_spectrum
 
 
 class TestMassProfiles:
@@ -119,10 +121,10 @@ class TestBoundStates:
         fine = grid.refined()
         hm_f = assemble_hamiltonian(constant_mass(), np.zeros(fine.n_points),
                                     BEN_DANIEL_DUKE, fine)
-        res, = solve_bound_states([(hm, hm_f)], 4)
+        energies, changes = richardson(*lowest_eigenvalues([hm, hm_f], 4))
         exact = np.array([(k * math.pi) ** 2 / 2.0 for k in range(1, 5)])
-        assert np.max(np.abs(res.energies - exact)) < 1e-4
-        assert np.all(res.convergence_estimate < 1e-2)
+        assert np.max(np.abs(energies - exact)) < 1e-4
+        assert np.all(changes < 1e-2)
 
     def test_harmonic_oracle(self):
         grid = Grid(-10.0, 10.0, 1001)
@@ -131,8 +133,8 @@ class TestBoundStates:
         fine = grid.refined()
         hm_f = assemble_hamiltonian(constant_mass(), 0.5 * fine.points ** 2,
                                     BEN_DANIEL_DUKE, fine)
-        res, = solve_bound_states([(hm, hm_f)], 4)
-        assert np.max(np.abs(res.energies - (np.arange(4) + 0.5))) < 1e-4
+        energies, _ = richardson(*lowest_eigenvalues([hm, hm_f], 4))
+        assert np.max(np.abs(energies - (np.arange(4) + 0.5))) < 1e-4
 
     def test_poschl_teller_ground_state(self):
         # closed form -(j - n)^2 with j = 2: ground state -4
@@ -149,8 +151,8 @@ class TestBoundStates:
                                   BEN_DANIEL_DUKE, grid)
         hm_f = assemble_hamiltonian(constant_mass(), np.exp(-fine.points ** 2),
                                     BEN_DANIEL_DUKE, fine)
-        res, = solve_bound_states([(hm, hm_f)], 3)
-        assert res.bound_below(0.0).size == 0
+        energies, _ = richardson(*lowest_eigenvalues([hm, hm_f], 3))
+        assert energies[energies < 0.0].size == 0
 
     def test_translation_covariance(self):
         n = 301
@@ -161,17 +163,15 @@ class TestBoundStates:
              for g in (base, shifted)], 3)
         assert np.max(np.abs(e1 - e2)) < 1e-9 * np.max(np.abs(e1))
 
-    def test_estimates_follow_their_levels(self, monkeypatch):
-        # the extrapolation (4 fine - coarse)/3 swaps the first two levels:
-        # it gives 5 and 4, whose two-grid changes are 3 and 0
-        solved = {"coarse": np.array([1.0, 4.0, 9.0]), "fine": np.array([4.0, 4.0, 9.0])}
-        monkeypatch.setattr(pdmsolver, "lowest_eigenvalues",
-                            lambda matrices, k: np.array([solved[m] for m in matrices]))
-        res, same = solve_bound_states([("coarse", "fine"), ("fine", "fine")], 3)
-        assert res.energies.tolist() == [4.0, 5.0, 9.0]
-        assert res.convergence_estimate.tolist() == [0.0, 3.0, 0.0]
-        assert same.energies.tolist() == [4.0, 4.0, 9.0]
-        assert same.convergence_estimate.tolist() == [0.0, 0.0, 0.0]
+    def test_estimates_follow_their_levels(self):
+        # the extrapolation (4 fine - coarse)/3 swaps the first two levels
+        # of the first row: it gives 5 and 4, whose two-grid changes are 3
+        # and 0; the second row keeps its order
+        coarse = np.array([[1.0, 4.0, 9.0], [4.0, 4.0, 9.0]])
+        fine = np.array([[4.0, 4.0, 9.0], [4.0, 4.0, 9.0]])
+        energies, changes = richardson(coarse, fine)
+        assert energies.tolist() == [[4.0, 5.0, 9.0], [4.0, 4.0, 9.0]]
+        assert changes.tolist() == [[0.0, 3.0, 0.0], [0.0, 0.0, 0.0]]
 
     def test_convergence_order(self):
         grids = [Grid(0.0, 1.0, 101)]
@@ -185,6 +185,37 @@ class TestBoundStates:
         ratio = (eigs[0] - eigs[1]) / (eigs[1] - eigs[2])
         order = math.log2(abs(ratio))
         assert 1.8 <= order <= 2.2
+
+
+# levels drawn from a few values, so ties in the extrapolation are common
+LEVEL = st.sampled_from([-4.0, -1.0, 0.0, 0.5, 2.0]) | st.floats(-1e300, 1e300)
+
+
+@st.composite
+def level_rows(draw):
+    rows, k = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    coarse, fine = (np.array(draw(st.lists(st.lists(LEVEL, min_size=k, max_size=k),
+                                           min_size=rows, max_size=rows)))
+                    for _ in range(2))
+    return coarse, fine
+
+
+class TestRichardson:
+    @settings(max_examples=200, deadline=None)
+    @given(case=level_rows())
+    def test_rows_ascend_and_keep_each_change_with_its_level(self, case):
+        coarse, fine = case
+        energies, changes = richardson(coarse, fine)
+        assert energies.shape == changes.shape == coarse.shape
+        for r in range(coarse.shape[0]):
+            assert np.all(np.diff(energies[r]) >= 0.0)
+            pairs = list(zip((4.0 * fine[r] - coarse[r]) / 3.0, np.abs(fine[r] - coarse[r])))
+            # sorted() is stable, as the one argsort per row must be
+            assert list(zip(energies[r], changes[r])) == sorted(pairs, key=lambda p: p[0])
+            # a row alone comes out as it does in the batch
+            alone = richardson(coarse[r], fine[r])
+            assert np.array_equal(alone[0], energies[r])
+            assert np.array_equal(alone[1], changes[r])
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +246,16 @@ class TestVerifySpectrum:
         assert fit["alpha"] == 2
         assert fit["max_mismatch"] < 1e-3
 
+    def test_index_map_reads_the_residual_matrix(self):
+        # gamma = 0.5, j = 3.3 pairs analytic n = 1 with numeric n = 2
+        report = verify_spectrum(0.5, 3.3, constant_mass(), BEN_DANIEL_DUKE,
+                                 Grid(-12.0, 12.0, 1201))
+        fit, matrix = report["best_fit_index_map"], report["residuals"]["numeric_vs_eq34_matrix"]
+        assert fit["alpha"] == 2 and len(fit["pairs"]) == 2
+        for pair in fit["pairs"]:
+            assert pair["mismatch"] == matrix[pair["numeric_n"]][pair["analytic_n"]]
+        assert fit["max_mismatch"] == max(p["mismatch"] for p in fit["pairs"])
+
     def test_mass_independence(self, report):
         assert report["mass_independence"]["partner_mass"].startswith("rational")
         assert report["mass_independence"]["max_diff"] < 2e-3
@@ -228,18 +269,18 @@ class TestVerifySpectrum:
         def levels(mass):
             table = potential_on_x_grid(1.0, 2.0, mass, BEN_DANIEL_DUKE, fine)
             out = {}
-            for name in ("v_hyp", "v_total"):
-                v = getattr(table, name)
-                res, = solve_bound_states(
-                    [(assemble_hamiltonian(mass, v[::2], BEN_DANIEL_DUKE, grid),
-                      assemble_hamiltonian(mass, v, BEN_DANIEL_DUKE, fine))], 4)
-                out[name] = res.energies[:2]  # the two bound levels, -4 and -1
+            for name in ("V_hyp", "V_total"):
+                v = table[name]
+                energies, _ = richardson(*lowest_eigenvalues(
+                    [assemble_hamiltonian(mass, v[::2], BEN_DANIEL_DUKE, grid),
+                     assemble_hamiltonian(mass, v, BEN_DANIEL_DUKE, fine)], 4))
+                out[name] = energies[:2]  # the two bound levels, -4 and -1
             return out
 
         constant, rational = levels(constant_mass()), levels(rational_mass(2.0))
         gate = 2e-3
-        assert np.max(np.abs(constant["v_hyp"] - rational["v_hyp"])) > 10.0 * gate
-        assert np.max(np.abs(constant["v_total"] - rational["v_total"])) < 1e-6
+        assert np.max(np.abs(constant["V_hyp"] - rational["V_hyp"])) > 10.0 * gate
+        assert np.max(np.abs(constant["V_total"] - rational["V_total"])) < 1e-6
 
     @pytest.mark.parametrize("mass", ["rational:2", "exponential-well:0.5"])
     def test_levels_do_not_depend_on_the_ordering(self, mass):
