@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,10 +36,9 @@ __all__ = [
     "labels_from_j",
     "SectorFunction",
     "gaussian_sector_function",
-    "su11_functions",
+    "sample_coefficients",
+    "ladder_step",
     "constraint_residuals",
-    "g_weight",
-    "ladder_apply",
     "commutator_residual",
     "casimir_residual",
     "allowed_j0",
@@ -51,7 +50,7 @@ _TRIM = 10
 
 
 class SingularPoint(ZeroDivisionError):
-    """Evaluation hit a zero of 1 - a*xi^2 or of xi'."""
+    """Evaluation hit a zero of 1 - a*xi^2, of 1 - xi^2 (where g is needed) or of xi'."""
 
 
 class SectorMismatch(ValueError):
@@ -62,16 +61,12 @@ class NegativeDiscriminant(ValueError):
     """c + 1/4 < 0: no real discrete-series label exists."""
 
 
-@dataclass(frozen=True)
-class SmoothMap:
+class SmoothMap(NamedTuple):
     """Scalar map with its first two derivatives; all three callables vectorised."""
 
     value: Callable
     deriv: Callable
     deriv2: Callable
-
-    def __call__(self, x):
-        return self.value(x)
 
 
 def tanh_map() -> SmoothMap:
@@ -93,12 +88,6 @@ class Su11Realization:
     xi: SmoothMap
     a: float = 1.0
     delta: float = 0.0
-
-    def h_at(self, x):
-        xp = self.xi.deriv(x)
-        if np.any(np.asarray(np.abs(xp)) < _SINGULAR_TOL):
-            raise SingularPoint("xi'(x) = 0: canonical multiplier xi/xi' undefined")
-        return self.xi(x) / xp
 
 
 @dataclass(frozen=True)
@@ -150,15 +139,39 @@ def gaussian_sector_function(grid: Grid, sector: float) -> SectorFunction:
     return SectorFunction(grid=grid, sector=float(sector), values=u)
 
 
-def su11_functions(realization: Su11Realization, x):
-    """The pair (f, c) = ((1 + a xi^2)/(1 - a xi^2), delta xi/(1 - a xi^2))."""
-    xi = realization.xi(x)
+class Coefficients(NamedTuple):
+    """xi, xi', xi'' and the realization's coefficients, sampled on one set of points."""
+
+    xi: np.ndarray
+    xp: np.ndarray
+    xpp: np.ndarray
+    f: np.ndarray
+    c: np.ndarray
+    h: np.ndarray
+    g: np.ndarray | None
+
+
+def sample_coefficients(realization: Su11Realization, x,
+                        mass: MassProfile | None = None) -> Coefficients:
+    """xi, xi', xi'', f, c, h = xi/xi' and g at x, sampled once; singular points refused.
+
+    f = (1 + a xi^2)/(1 - a xi^2) and c = delta xi/(1 - a xi^2).  Given a mass,
+    g = (2 - xi^2)/(1 - xi^2) - 3 xi xi''/(2 xi'^2) + m' xi/(2 m xi'); without
+    one g is None, and points where xi^2 = 1 are accepted.
+    """
+    xi, xp, xpp = (d(x) for d in realization.xi)
     denom = 1.0 - realization.a * xi * xi
-    if np.any(np.asarray(np.abs(denom)) < _SINGULAR_TOL):
-        raise SingularPoint("1 - a*xi^2 = 0 on the requested points")
-    f = (1.0 + realization.a * xi * xi) / denom
-    c = realization.delta * xi / denom
-    return f, c
+    # only g has poles at xi^2 = 1, so without a mass they are not singular
+    one_minus = 1.0 - xi * xi if mass is not None else 1.0
+    for values, what in ((denom, "1 - a*xi^2"), (one_minus, "1 - xi^2"), (xp, "xi'")):
+        if np.any(np.abs(values) < _SINGULAR_TOL):
+            raise SingularPoint(f"{what} = 0 on the requested points")
+    g = None
+    if mass is not None:
+        g = (2.0 - xi * xi) / one_minus - 1.5 * xi * xpp / (xp * xp) \
+            + 0.5 * mass.m_prime(x) * xi / (mass.m(x) * xp)
+    return Coefficients(xi, xp, xpp, f=(1.0 + realization.a * xi * xi) / denom,
+                        c=realization.delta * xi / denom, h=xi / xp, g=g)
 
 
 def constraint_residuals(realization: Su11Realization, grid: Grid):
@@ -169,62 +182,28 @@ def constraint_residuals(realization: Su11Realization, grid: Grid):
     the canonical h the second vanishes identically while the first is
     the constant 1.
     """
-    x = grid.points
-    f, c = su11_functions(realization, x)
-    h = realization.h_at(x)
-    fp = grid_derivative(f, grid.spacing, order=1)
-    cp = grid_derivative(c, grid.spacing, order=1)
-    res_a = f * f - h * fp
-    res_b = h * cp - f * c
-    return res_a, res_b
+    s = sample_coefficients(realization, grid.points)
+    fp = grid_derivative(s.f, grid.spacing, order=1)
+    cp = grid_derivative(s.c, grid.spacing, order=1)
+    return s.f * s.f - s.h * fp, s.h * cp - s.f * s.c
 
 
-def g_weight(realization: Su11Realization, mass: MassProfile, x):
-    """The first-order weight (2 - xi^2)/(1 - xi^2) - 3 xi xi''/(2 xi'^2) + m' xi/(2 m xi')."""
-    xi = realization.xi(x)
-    xp = realization.xi.deriv(x)
-    xpp = realization.xi.deriv2(x)
-    one_minus = 1.0 - xi * xi
-    if np.any(np.asarray(np.abs(one_minus)) < _SINGULAR_TOL):
-        raise SingularPoint("xi^2 = 1 on the requested points")
-    if np.any(np.asarray(np.abs(xp)) < _SINGULAR_TOL):
-        raise SingularPoint("xi'(x) = 0 on the requested points")
-    m = mass.m(x)
-    mp = mass.m_prime(x)
-    return (2.0 - xi * xi) / one_minus - 1.5 * xi * xpp / (xp * xp) \
-        + 0.5 * mp * xi / (m * xp)
+def ladder_step(s: Coefficients, sign: float, psi: SectorFunction) -> SectorFunction:
+    """J+ (sign 1.0) or J- (sign -1.0): u -> sign (h u' + g u) + (f m + c) u, m -> m + sign.
 
-
-def ladder_apply(realization: Su11Realization, which: str, psi: SectorFunction,
-                 mass: MassProfile | None = None) -> SectorFunction:
-    """Apply J+, J- or J0 to a sampled single-sector function.
-
-    J0 is index bookkeeping (multiplication by the sector); J+/- shift
-    the sector by one and act on u with the first-order operator, using
-    fourth-order stencils for u'.
+    s is sampled on psi's grid with a mass; u' is the fourth-order stencil.
     """
-    if which not in ("J+", "J-", "J0"):
-        raise ValueError(f"which must be 'J+', 'J-' or 'J0', got {which!r}")
-    if mass is None:
-        mass = constant_mass()
-    x = psi.grid.points
     u = psi.values
-    m_sector = psi.sector
-    if which == "J0":
-        return SectorFunction(psi.grid, m_sector, m_sector * u)
-    f, c = su11_functions(realization, x)
-    g, h = g_weight(realization, mass, x), realization.h_at(x)
     up = grid_derivative(u, psi.grid.spacing, order=1)
-    common = (f * m_sector + c) * u
-    if which == "J+":
-        return SectorFunction(psi.grid, m_sector + 1.0, h * up + g * u + common)
-    return SectorFunction(psi.grid, m_sector - 1.0, -h * up - g * u + common)
+    return SectorFunction(psi.grid, psi.sector + sign,
+                          sign * (s.h * up + s.g * u) + (s.f * psi.sector + s.c) * u)
 
 
-def _interior(values: np.ndarray) -> np.ndarray:
-    if values.size <= 2 * _TRIM:
-        return values
-    return values[_TRIM:-_TRIM]
+def _relative_sup(values: np.ndarray, scale: float) -> float:
+    """max |values| / scale, without the stencil margin at each end."""
+    if values.size > 2 * _TRIM:
+        values = values[_TRIM:-_TRIM]
+    return float(np.max(np.abs(values))) / scale
 
 
 def commutator_residual(realization: Su11Realization, psi: SectorFunction):
@@ -235,23 +214,22 @@ def commutator_residual(realization: Su11Realization, psi: SectorFunction):
     before taking the sup: two operator applications widen the boundary
     error band.
     """
-    if psi.sup_norm() == 0.0:
-        return 0.0, 0.0
     scale = psi.sup_norm()
-    jp = ladder_apply(realization, "J+", psi)
-    jm = ladder_apply(realization, "J-", psi)
-    jpjm = ladder_apply(realization, "J+", jm)
-    jmjp = ladder_apply(realization, "J-", jp)
-    comm = jpjm.values - jmjp.values + 2.0 * psi.sector * psi.values
-    res1 = float(np.max(np.abs(_interior(comm)))) / scale
+    if scale == 0.0:
+        return 0.0, 0.0
+    s = sample_coefficients(realization, psi.grid.points, constant_mass())
+    jp = ladder_step(s, 1.0, psi)
+    jm = ladder_step(s, -1.0, psi)
+    comm = ladder_step(s, 1.0, jm).values - ladder_step(s, -1.0, jp).values \
+        + 2.0 * psi.sector * psi.values
+    res1 = _relative_sup(comm, scale)
 
-    j0psi = ladder_apply(realization, "J0", psi)
+    j0psi = SectorFunction(psi.grid, psi.sector, psi.sector * psi.values)
     res2 = 0.0
-    for which, jpm, sign in (("J+", jp, 1.0), ("J-", jm, -1.0)):
-        j0_after = (psi.sector + sign) * jpm.values
-        after_j0 = ladder_apply(realization, which, j0psi).values
-        resid = j0_after - after_j0 - sign * jpm.values
-        res2 = max(res2, float(np.max(np.abs(_interior(resid)))) / scale)
+    for jpm, sign in ((jp, 1.0), (jm, -1.0)):
+        resid = (psi.sector + sign) * jpm.values - ladder_step(s, sign, j0psi).values \
+            - sign * jpm.values
+        res2 = max(res2, _relative_sup(resid, scale))
     return res1, res2
 
 
@@ -268,32 +246,23 @@ def casimir_residual(realization: Su11Realization, labels: GroupLabels,
         raise ValueError("closed-form invariant requires a = 1")
     if psi.sector != labels.j0:
         raise SectorMismatch(f"psi sector {psi.sector} != j0 {labels.j0}")
-    if psi.sup_norm() == 0.0:
+    scale = psi.sup_norm()
+    if scale == 0.0:
         return 0.0
-    if mass is None:
-        mass = constant_mass()
-    x = psi.grid.points
-    dx = psi.grid.spacing
-    u = psi.values
-    j0 = labels.j0
-    delta = realization.delta
+    s = sample_coefficients(realization, psi.grid.points,
+                            constant_mass() if mass is None else mass)
+    dx, u, j0, delta = psi.grid.spacing, psi.values, labels.j0, realization.delta
 
-    jm = ladder_apply(realization, "J-", psi, mass)
-    jpjm = ladder_apply(realization, "J+", jm, mass)
-    composed = j0 * j0 * u - j0 * u - jpjm.values
+    composed = j0 * j0 * u - j0 * u - ladder_step(s, 1.0, ladder_step(s, -1.0, psi)).values
 
-    xi = realization.xi(x)
-    xp = realization.xi.deriv(x)
-    xpp = realization.xi.deriv2(x)
-    g = g_weight(realization, mass, x)
+    xi, xp, h, g = s.xi, s.xp, s.h, s.g
     gp = grid_derivative(g, dx, order=1)
     up = grid_derivative(u, dx, order=1)
     upp = grid_derivative(u, dx, order=2)
     one_minus = 1.0 - xi * xi
-    closed = (xi / xp) ** 2 * upp \
-        + (xi / xp) * (2.0 * g - xi * xpp / xp ** 2 - 2.0 * xi ** 2 / one_minus) * up \
-        + ((xi / xp) * gp + g * g - (1.0 + xi * xi) / one_minus * g
+    closed = h ** 2 * upp \
+        + h * (2.0 * g - xi * s.xpp / xp ** 2 - 2.0 * xi ** 2 / one_minus) * up \
+        + (h * gp + g * g - (1.0 + xi * xi) / one_minus * g
            - xi * (delta + 2.0 * j0 * xi) * (2.0 * j0 + delta * xi) / one_minus ** 2) * u
 
-    diff = composed - closed
-    return float(np.max(np.abs(_interior(diff)))) / psi.sup_norm()
+    return _relative_sup(composed - closed, scale)

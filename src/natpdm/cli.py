@@ -464,10 +464,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    cfg = None
     try:
-        return COMMANDS[args.command].run(_build_config(args))
+        cfg = _build_config(args)
+        return COMMANDS[args.command].run(cfg)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
+        return EXIT_CONFIG_ERROR
+    except MemoryError:
+        # only a grid's arrays grow with the input; a kill by the kernel's
+        # OOM killer ends the process before Python can raise this
+        grid = getattr(cfg, "grid", None)
+        named = f"grid {grid.x_min:g},{grid.x_max:g},{grid.n_points}" if grid else "the run"
+        sys.stderr.write(f"config error: {named} needs more memory than can be allocated\n")
         return EXIT_CONFIG_ERROR
 
 

@@ -51,10 +51,6 @@ class PoleAtMinusI(ZeroDivisionError):
     """The disk-to-half-plane map has its pole at w = -i."""
 
 
-def _is_infinite(z: complex) -> bool:
-    return cmath.isinf(z)
-
-
 POINT_AT_INFINITY = complex(math.inf, math.inf)
 
 
@@ -132,7 +128,7 @@ class MobiusCoeffs:
             raise DegeneratePoints("a*d - b*c = 0: map is degenerate")
 
     def __call__(self, z: complex) -> complex:
-        if _is_infinite(z):
+        if cmath.isinf(z):
             return self.a / self.c if self.c != 0 else POINT_AT_INFINITY
         den = self.c * z + self.d
         if den == 0:
@@ -155,11 +151,11 @@ class MobiusCoeffs:
 def _basis_coeffs(z1: complex, z2: complex, z3: complex) -> MobiusCoeffs:
     # the unique map sending (z1, z2, z3) -> (0, 1, infinity); an infinite
     # anchor drops its vanishing difference pair (projective convention)
-    if _is_infinite(z1):
+    if cmath.isinf(z1):
         return MobiusCoeffs(0.0, z2 - z3, 1.0, -z3)
-    if _is_infinite(z2):
+    if cmath.isinf(z2):
         return MobiusCoeffs(1.0, -z1, 1.0, -z3)
-    if _is_infinite(z3):
+    if cmath.isinf(z3):
         return MobiusCoeffs(1.0, -z1, 0.0, z2 - z1)
     return MobiusCoeffs(z2 - z3, -z1 * (z2 - z3), z2 - z1, -z3 * (z2 - z1))
 
@@ -168,7 +164,7 @@ def _check_distinct(points) -> None:
     pts = [complex(p) for p in points]
     for i in range(len(pts)):
         for k in range(i + 1, len(pts)):
-            if pts[i] == pts[k] or (_is_infinite(pts[i]) and _is_infinite(pts[k])):
+            if pts[i] == pts[k] or (cmath.isinf(pts[i]) and cmath.isinf(pts[k])):
                 raise DegeneratePoints(f"anchor points {pts[i]} and {pts[k]} coincide")
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -360,6 +361,26 @@ class TestSolverFailures:
         out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                              text=True, check=True, env=env).stdout
         assert out.split() == ["0", "False", "False"]
+
+
+class TestOversizedGrid:
+    @pytest.mark.parametrize("command, grid", [("potential", "-12,12,1000000000"),
+                                               ("spectrum", "-12,12,400000000")])
+    def test_memory_error_exits_two_naming_the_grid(self, command, grid):
+        # the 2 GiB address-space limit holds in the child alone, so the
+        # 7.45 and 5.96 GiB grid arrays fail to allocate instead of paging
+        def limit_address_space():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            soft = 2 * 2 ** 30 if hard == resource.RLIM_INFINITY else min(2 * 2 ** 30, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(natpdm.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "natpdm.cli", command, f"--grid={grid}"],
+                              capture_output=True, text=True, env=env,
+                              preexec_fn=limit_address_space)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"config error: grid {grid} needs more memory than can be allocated\n"
 
 
 class TestConfigErrors:
