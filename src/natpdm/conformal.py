@@ -7,16 +7,18 @@ root that follows (with its cut along the positive real axis) turns the
 disk radius [0, 1] into an arc of the unit circle, which is the coordinate
 change the potential construction runs on.
 
-Also provides Moebius maps from three-point data and a finite-difference
-Cauchy-Riemann diagnostic for checking that a map is analytic.
+Also provides Moebius maps from three-point data, in homogeneous
+coordinates, and a finite-difference Cauchy-Riemann diagnostic for checking
+that a map is analytic.  Every map acts elementwise on a scalar or array.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 __all__ = [
     "BAND_HALF_WIDTH",
@@ -51,36 +53,49 @@ class PoleAtMinusI(ZeroDivisionError):
     """The disk-to-half-plane map has its pole at w = -i."""
 
 
-POINT_AT_INFINITY = complex(math.inf, math.inf)
+def _complex(z):
+    # a scalar gives an np.complex128, which is a complex; an array stays one
+    return np.asarray(z, dtype=complex)[()]
 
 
-def rotate_dilate(z: complex) -> complex:
+def _quotient(num, den):
+    # quiet, as Python complex division is on nan and overflow; c / 0 is infinite
+    with np.errstate(all="ignore"):
+        return num / den
+
+
+def rotate_dilate(z):
     """Rotate by pi/2 and dilate by 2: z -> 2iz."""
-    return 2j * complex(z)
+    return 2j * _complex(z)
 
 
-def exp_map(z: complex) -> complex:
-    """Exponential map; |result| = exp(Re z), arg(result) = Im z."""
-    return cmath.exp(complex(z))
+def exp_map(z):
+    """Exponential map; |result| = exp(Re z), arg(result) = Im z; OverflowError on overflow."""
+    z = _complex(z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.exp(z)
+    if np.any(np.isinf(w) & np.isfinite(z)):
+        raise OverflowError("math range error")
+    return w
 
 
-def halfplane_to_disk(z: complex) -> complex:
+def halfplane_to_disk(z):
     """(1/i)(Z - 1)/(Z + 1): right half-plane Re Z > 0 onto the unit disk."""
-    z = complex(z)
-    if z == -1:
+    z = _complex(z)
+    if np.any(z == -1):
         raise PoleAtMinusOne("Z = -1 is the pole of the half-plane-to-disk map")
-    return (z - 1.0) / (1j * (z + 1.0))
+    return _quotient(z - 1.0, 1j * (z + 1.0))
 
 
-def disk_to_halfplane(w: complex) -> complex:
+def disk_to_halfplane(w):
     """Inverse map (1 + iw)/(1 - iw): unit disk back onto Re Z > 0."""
-    w = complex(w)
-    if w == -1j:
+    w = _complex(w)
+    if np.any(w == -1j):
         raise PoleAtMinusI("w = -i is the pole of the disk-to-half-plane map")
-    return (1.0 + 1j * w) / (1.0 - 1j * w)
+    return _quotient(1.0 + 1j * w, 1.0 - 1j * w)
 
 
-def strip_to_disk(z: complex) -> complex:
+def strip_to_disk(z):
     """Composite band map: rotate-dilate, exponentiate, send to the disk.
 
     Equals tan(z); the band |Re z| <= pi/4 lands on the closed unit disk
@@ -89,21 +104,16 @@ def strip_to_disk(z: complex) -> complex:
     return halfplane_to_disk(exp_map(rotate_dilate(z)))
 
 
-def sqrt_principal_sheet(w: complex) -> complex:
+def sqrt_principal_sheet(w):
     """Square root on the sheet arg w in [0, 2*pi), cut along arg w = 0.
 
     w = 0 is the branch point; positive reals stay positive reals.
     """
-    w = complex(w)
-    if w == 0:
-        return 0j
-    theta = cmath.phase(w)
-    if theta < 0.0:
-        theta += 2.0 * math.pi
-    return math.sqrt(abs(w)) * cmath.exp(0.5j * theta)
+    w = _complex(w)
+    return np.sqrt(np.abs(w)) * np.exp(0.5j * (np.angle(w) % (2.0 * math.pi)))
 
 
-def xi_of_z(z) -> complex:
+def xi_of_z(z):
     """Unit-circle image (1 + i sqrt(z))/(1 - i sqrt(z)) of z in [0, 1].
 
     The square root uses the principal sheet with the cut along the
@@ -111,7 +121,14 @@ def xi_of_z(z) -> complex:
     |xi| = 1 exactly on the real segment.
     """
     t = sqrt_principal_sheet(z)
-    return (1.0 + 1j * t) / (1.0 - 1j * t)
+    return _quotient(1.0 + 1j * t, 1.0 - 1j * t)
+
+
+def _homogeneous(z):
+    # z -> (z, 1); a z with an infinite part (as c / 0 gives) is the one
+    # point at infinity, (1, 0), as in C99 Annex G
+    at_infinity = np.isinf(z)
+    return np.where(at_infinity, 1.0 + 0j, z), np.where(at_infinity, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -127,13 +144,9 @@ class MobiusCoeffs:
         if self.a * self.d - self.b * self.c == 0:
             raise DegeneratePoints("a*d - b*c = 0: map is degenerate")
 
-    def __call__(self, z: complex) -> complex:
-        if cmath.isinf(z):
-            return self.a / self.c if self.c != 0 else POINT_AT_INFINITY
-        den = self.c * z + self.d
-        if den == 0:
-            return POINT_AT_INFINITY
-        return (self.a * z + self.b) / den
+    def __call__(self, z):
+        p, q = _homogeneous(_complex(z))
+        return _quotient(self.a * p + self.b * q, self.c * p + self.d * q)
 
     def inverse(self) -> "MobiusCoeffs":
         return MobiusCoeffs(self.d, -self.b, -self.c, self.a)
@@ -148,24 +161,14 @@ class MobiusCoeffs:
         )
 
 
-def _basis_coeffs(z1: complex, z2: complex, z3: complex) -> MobiusCoeffs:
-    # the unique map sending (z1, z2, z3) -> (0, 1, infinity); an infinite
-    # anchor drops its vanishing difference pair (projective convention)
-    if cmath.isinf(z1):
-        return MobiusCoeffs(0.0, z2 - z3, 1.0, -z3)
-    if cmath.isinf(z2):
-        return MobiusCoeffs(1.0, -z1, 1.0, -z3)
-    if cmath.isinf(z3):
-        return MobiusCoeffs(1.0, -z1, 0.0, z2 - z1)
-    return MobiusCoeffs(z2 - z3, -z1 * (z2 - z3), z2 - z1, -z3 * (z2 - z1))
-
-
-def _check_distinct(points) -> None:
-    pts = [complex(p) for p in points]
-    for i in range(len(pts)):
-        for k in range(i + 1, len(pts)):
-            if pts[i] == pts[k] or (cmath.isinf(pts[i]) and cmath.isinf(pts[k])):
-                raise DegeneratePoints(f"anchor points {pts[i]} and {pts[k]} coincide")
+def _basis_coeffs(z1, z2, z3) -> MobiusCoeffs:
+    # z -> [z z1][z2 z3] / ([z z3][z2 z1]) sends (z1, z2, z3) to (0, 1, infinity).
+    # [u v] = p_u q_v - p_v q_u is 0 exactly when u and v coincide, and then so is
+    # a*d - b*c, which MobiusCoeffs refuses.  In Python complex, finite anchors give
+    # z2 - z3, -z1 (z2 - z3), z2 - z1, -z3 (z2 - z1) bit for bit.
+    (p1, p2, p3), (q1, q2, q3) = map(np.ndarray.tolist, _homogeneous(np.array([z1, z2, z3])))
+    d23, d21 = p2 * q3 - p3 * q2, p2 * q1 - p1 * q2
+    return MobiusCoeffs(q1 * d23, -p1 * d23, q3 * d21, -p3 * d21)
 
 
 def mobius_from_three_points(z1, z2, z3, w1, w2, w3) -> MobiusCoeffs:
@@ -174,28 +177,23 @@ def mobius_from_three_points(z1, z2, z3, w1, w2, w3) -> MobiusCoeffs:
     Built from the cross-ratio identity: both triples are sent to
     (0, 1, infinity) and the two basis maps are composed.
     """
-    _check_distinct((z1, z2, z3))
-    _check_distinct((w1, w2, w3))
-    to_basis_z = _basis_coeffs(complex(z1), complex(z2), complex(z3))
-    to_basis_w = _basis_coeffs(complex(w1), complex(w2), complex(w3))
-    return to_basis_w.inverse().compose(to_basis_z)
+    return _basis_coeffs(w1, w2, w3).inverse().compose(_basis_coeffs(z1, z2, z3))
 
 
-def cross_ratio(z, z1, z2, z3) -> complex:
+def cross_ratio(z, z1, z2, z3):
     """Cross ratio (z, z1; z2, z3), i.e. the image of z under the basis map."""
-    return _basis_coeffs(complex(z1), complex(z2), complex(z3))(complex(z))
+    return _basis_coeffs(z1, z2, z3)(z)
 
 
-def conformality_residual(map_fn: Callable[[complex], complex], at: complex,
-                          h: float = 1e-4) -> float:
+def conformality_residual(map_fn: Callable, at, h: float = 1e-4):
     """Largest Cauchy-Riemann residual of map_fn near ``at``.
 
     Central differences along the real and imaginary axes give u_x, v_x,
     u_y, v_y; the residual is max(|u_x - v_y|, |u_y + v_x|).  Near zero
     for analytic maps, order one for maps that are not (complex
-    conjugation scores 2).
+    conjugation scores 2).  Elementwise in ``at``, for a map_fn that is too.
     """
-    at = complex(at)
+    at = _complex(at)
     fx = (map_fn(at + h) - map_fn(at - h)) / (2.0 * h)
     fy = (map_fn(at + 1j * h) - map_fn(at - 1j * h)) / (2.0 * h)
-    return max(abs(fx.real - fy.imag), abs(fy.real + fx.imag))
+    return np.maximum(np.abs(fx.real - fy.imag), np.abs(fy.real + fx.imag))

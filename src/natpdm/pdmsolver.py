@@ -129,7 +129,7 @@ def verify_spectrum(gamma: float, j: float, mass: MassProfile, ordering: Orderin
     if j < 0.0:
         raise ValueError(f"j must be non-negative, got {j}")
     n_top = int(math.floor(j))
-    k = max(n_top + 2, 2)
+    k = n_top + 2
 
     partner_mass = rational_mass(2.0) if mass.label.startswith("constant") \
         else constant_mass()
