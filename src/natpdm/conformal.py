@@ -141,7 +141,12 @@ class MobiusCoeffs:
     d: complex
 
     def __post_init__(self) -> None:
-        if self.a * self.d - self.b * self.c == 0:
+        # coefficients are defined up to scale, and a*d - b*c of small ones
+        # underflows: test it on the coefficients over their largest modulus
+        coeffs = (self.a, self.b, self.c, self.d)
+        scale = max(map(abs, coeffs))
+        a, b, c, d = (x / scale for x in coeffs) if scale else coeffs
+        if a * d - b * c == 0:
             raise DegeneratePoints("a*d - b*c = 0: map is degenerate")
 
     def __call__(self, z):

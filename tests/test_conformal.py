@@ -243,6 +243,16 @@ class TestMobius:
     def test_degenerate_coeffs(self):
         with pytest.raises(DegeneratePoints):
             MobiusCoeffs(1.0, 2.0, 1.0, 2.0)
+        with pytest.raises(DegeneratePoints):
+            MobiusCoeffs(0.0, 0.0, 0.0, 0.0)
+
+    def test_tiny_anchors_are_not_degenerate(self):
+        # a*d - b*c of these coefficients underflows to 0 unless scaled first
+        mob = mobius_from_three_points(0.0, 1e-110, 2e-110, 0.0, 1.0, 2.0)
+        assert mob(np.array([0.0, 1e-110, 2e-110])) == pytest.approx([0.0, 1.0, 2.0], abs=1e-12)
+        assert mob(1.5e-110) == pytest.approx(1.5, abs=1e-12)
+        with pytest.raises(DegeneratePoints):
+            mobius_from_three_points(0.0, 1e-110, 1e-110, 0.0, 1.0, 2.0)
 
     def test_cross_ratio_preserved(self):
         rng = np.random.default_rng(4)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from natpdm import ginocchio, natanzon, numerics
 from natpdm.ginocchio import (
@@ -119,7 +121,7 @@ class TestInvertMu:
             for u0 in (-800.0, -400.0, -2.0, -0.8, 0.8, 2.0, 400.0, 800.0):
                 assert abs(invert_mu(g, mu_closed_form(g, u0)) - u0) < 1e-10
 
-    def test_one_bisection_for_the_whole_array(self, monkeypatch):
+    def test_bisects_arrays_of_the_unsettled_points_only(self, monkeypatch):
         calls = []
         original = numerics.bisect
 
@@ -130,8 +132,53 @@ class TestInvertMu:
         monkeypatch.setattr(numerics, "bisect", counting)
         mu = np.linspace(-30.0, 30.0, 41)
         u = invert_mu(0.8, mu)
-        assert calls == [(41,)]
+        # no call works point by point, and no point is bisected twice
+        assert all(len(shape) == 1 for shape in calls)
+        assert sum(shape[0] for shape in calls) <= 41
         assert np.max(np.abs(mu_closed_form(0.8, u) - mu)) < 1e-13
+
+    def test_mu_prime_is_the_derivative(self):
+        u = np.linspace(-5.0, 5.0, 101)
+        for g in GAMMAS + (0.05, 20.0):
+            slope = numerics.derivative(lambda v: mu_closed_form(g, v), u, 1e-3)
+            assert np.max(np.abs(ginocchio._mu_prime(g, u) / slope - 1.0)) < 1e-8
+        # bounded terms: no overflow far out, and the 1/gamma^2 limit there
+        assert ginocchio._mu_prime(1e6, 800.0) == pytest.approx(1e-12, rel=1e-12)
+        assert ginocchio._mu_prime(0.5, 0.0) == pytest.approx(2.0, rel=1e-15)
+
+    @settings(max_examples=80, deadline=None)
+    @given(log_gamma=st.floats(-8.0, 6.0),
+           us=st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1e-9, 800.0, -800.0]),
+                                 st.floats(-800.0, 800.0)), min_size=1, max_size=12))
+    def test_certificate_and_scalar_agreement(self, log_gamma, us):
+        # every |u| is the upper end of an adjacent-float sign change of
+        # mu(.) - |mu|, and an element of an array call is its own scalar call
+        g = 10.0 ** log_gamma
+        mu = mu_closed_form(g, np.array(us))
+        u = invert_mu(g, mu)
+        assert list(u) == [invert_mu(g, float(m)) for m in mu]
+        assert np.array_equal(np.signbit(u), np.signbit(mu))
+        t, a = np.abs(mu), np.abs(u)
+        if g == 1.0:
+            assert np.array_equal(u, mu)
+            return
+        assert np.all(a[t == 0.0] == 0.0)
+        f = lambda v: mu_closed_form(g, v) - t
+        moved = t > 0.0
+        assert not np.any((f(a) < 0.0)[moved])
+        assert np.all((f(np.nextafter(a, -np.inf)) < 0.0)[moved])
+
+    @settings(max_examples=40, deadline=None)
+    @given(log_gamma=st.floats(-3.0, 3.0), n=st.integers(1, 70),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_small_batches_end_where_bisect_ends(self, log_gamma, n, seed):
+        # the midpoint tree evaluated in one call is the one numerics.bisect
+        # walks, so both end every bracket on the same float
+        g = 10.0 ** log_gamma
+        t = mu_closed_form(g, np.exp(np.random.default_rng(seed).uniform(-30.0, 6.0, n)))
+        lo, hi = np.zeros(n), t * max(1.0, g * g) * 2.0
+        expected = numerics.bisect(lambda v: mu_closed_form(g, v) - t, lo, hi)
+        assert np.array_equal(ginocchio._bisect(g, t, lo, hi), expected)
 
     def test_array_matches_scalar(self):
         u0 = np.array([-3.0, -0.5, 0.0, 1e-9, 0.7, 4.0])
