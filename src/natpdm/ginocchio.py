@@ -5,12 +5,11 @@ p0 = (1 - gamma^2)/gamma^4, a_p = (j + 1/2)^2 - 1, q0 = 0, a_q = -7/4.
 The coordinate map is known only implicitly: the dimensionless travel
 coordinate mu = integral sqrt(2 m) dx has a closed form in the auxiliary
 variable u (where the construction variable is z = tanh^2 u), and u(mu)
-is recovered numerically: Newton's method on the closed form, each point
-on its own, then a one-float check that the root is bracketed, and a
-narrow bisection for the points the check leaves.  A table takes its mu
-column, anchored at x = 0, from masses.travel_coordinate: one quadrature
-call over its grid cells, whose work grows with the number of points.
-It inverts that whole column in one invert_mu call.
+is recovered by numerics.newton_bisect on the closed form with its exact
+derivative.  A table takes its mu column, anchored at x = 0, from
+masses.travel_coordinate: one quadrature call over its grid cells, whose
+work grows with the number of points.  It inverts that whole column in
+one invert_mu call.
 
 Note on symbols: the hyperbolic closed forms reuse one letter for the
 integration variable; here it is always called u, keeping z for the
@@ -48,27 +47,6 @@ class IndexOutOfRange(ValueError):
 
 class InversionFailure(ValueError):
     """No finite u solves mu_closed_form(gamma, u) = mu."""
-
-
-# Newton on mu(u) = t freezes a point one step after its step falls
-# below _FREEZE (|u| + 1), or below mu's rounding noise; _NEWTON_STEPS
-# only bounds a point that does neither
-_FREEZE = 2.0 ** -26
-_NEWTON_STEPS = 64
-# mu_closed_form's rounding noise, in u, stays below _NOISE (|u| + mu/mu'
-# + max(1, gamma^-2)): its logarithm is off by about eps absolutely near
-# u = 0, for gamma < 1 its two terms, each near 1/gamma^2, cancel, and for
-# large gamma its arctan term, near pi/(2 gamma), outweighs u/gamma^2
-_NOISE = 2.0 ** -49
-# where that noise spans more than _MIN_SHRINK of the bracket from zero,
-# a narrow bracket would save fewer halvings than Newton costs
-_MIN_SHRINK = 2.0 ** -8
-# brackets whose halvings differ only in their low _GROUP_BITS bits
-# share a numerics.bisect call
-_GROUP_BITS = 4
-# one mu_closed_form call on this many points costs about what it costs
-# on one point (about 1.2 times, 20 us, on a 2-vCPU x86-64 host)
-_CALL_POINTS = 256
 
 
 def params_for(gamma: float, j: float) -> NatanzonParams:
@@ -157,155 +135,32 @@ def _mu_prime(gamma: float, u):
     return q / ((1.0 + e * e) * (gamma * gamma))
 
 
-def _noise(gamma: float, u, t, slope):
-    """A bound on mu_closed_form's rounding noise near u, in units of u.
-
-    t is about mu(u) and slope about mu'(u): a relative error in mu
-    moves u by that error times t/slope.
-    """
-    return _NOISE * (np.abs(u) + t / slope + max(1.0, 1.0 / (gamma * gamma)))
-
-
-def _newton(gamma: float, t: np.ndarray):
-    """Newton iterates for mu(u) = t > 0 from u = gamma t, with each point's last step and slope.
-
-    mu is convex in u >= 0 for gamma < 1 and concave for gamma > 1, and
-    mu'(0) = 1/gamma, so the iterates approach the root from one side.
-    Each point stops on its own, one step after a step below _FREEZE
-    (|u| + 1) or below the noise, so its iterates never depend on
-    another point's.
-    """
-    u = gamma * t
-    step = np.zeros_like(t)
-    slope = np.ones_like(t)
-    small = np.zeros(t.size, dtype=bool)
-    live = np.arange(t.size)
-    for _ in range(_NEWTON_STEPS):
-        if not live.size:
-            break
-        v = u[live]
-        d = _mu_prime(gamma, v)
-        s = (mu_closed_form(gamma, v) - t[live]) / d
-        u[live], step[live], slope[live] = v - s, s, d
-        done = small[live]  # their previous step was small: this was the one more
-        small[live] = np.abs(s) <= np.maximum(_FREEZE * (np.abs(v) + 1.0),
-                                              _noise(gamma, v, t[live], d))
-        live = live[~done & np.isfinite(s)]
-    return u, step, slope
-
-
-def _bisect(gamma: float, t: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """numerics.bisect on mu(u) - t over brackets with mu(lo) < t <= mu(hi).
-
-    Each step of numerics.bisect costs about one call's overhead, which
-    a small batch cannot spread.  So a batch of n brackets first takes d
-    = log2(_CALL_POINTS/n) halvings per mu_closed_form call: it
-    evaluates the 2^d - 1 midpoints of all d levels below each bracket
-    at once and keeps the leaf whose ancestors all send bisect its way.
-    Those are the midpoints numerics.bisect computes, so every bracket
-    ends on the float numerics.bisect alone ends it on, whatever the
-    batch.
-    """
-    depth = (_CALL_POINTS // max(t.size, 1)).bit_length() - 1
-    # below 2^1023 no two ends sum past the double range, so 0.5 (lo + hi)
-    # is the midpoint numerics.bisect takes
-    if depth >= 2 and np.all(hi < 2.0 ** 1023):
-        leaf = np.arange(2 ** depth)[:, None]
-        shift = np.arange(depth, 0, -1)
-        # the d midpoints bisect visits on its way to [leaf, leaf + 1], and
-        # whether it keeps its lo end there (goes right) on that way
-        visit = (leaf >> shift << shift) + (1 << (shift - 1))
-        right = (visit <= leaf)[:, :, None]
-        cols = np.arange(t.size)
-        while np.any((lo < (mid := 0.5 * (lo + hi))) & (mid < hi)):
-            tree = np.empty((2 ** depth + 1, t.size))
-            tree[0], tree[-1] = lo, hi
-            for s in (1 << np.arange(depth - 1, -1, -1)).tolist():
-                tree[s::2 * s] = 0.5 * (tree[:-s:2 * s] + tree[2 * s::2 * s])
-            below = mu_closed_form(gamma, tree) < t
-            k = np.argmax(np.all(below[visit] == right, axis=1), axis=0)
-            lo, hi = tree[k, cols], tree[k + 1, cols]
-    return numerics.bisect(lambda v: mu_closed_form(gamma, v) - t, lo, hi)
-
-
-def _from_zero(gamma: float, t: np.ndarray):
-    """Root of mu(u) = t > 0 bisected from [0, t max(1, gamma^2)].
-
-    mu' lies between 1/gamma and 1/gamma^2, so the root lies in that
-    bracket; an upper end that rounding leaves short is doubled.
-    """
-    hi = t * max(1.0, gamma * gamma)
-    while np.any(short := mu_closed_form(gamma, hi) < t):
-        hi = np.where(short, 2.0 * hi, hi)
-    return _bisect(gamma, t, np.zeros_like(t), hi)
-
-
 def invert_mu(gamma: float, mu):
     """u with mu_closed_form(gamma, u) = mu, elementwise.
 
-    mu is odd in u, so only t = |mu| is inverted and the sign restored.
-    Each |u| returned is the upper end of an adjacent-float sign change of
-    f = mu_closed_form(gamma, .) - t, as numerics.bisect returns it, and
-    depends on its own t only:
-      - Newton runs from u = gamma t, each point stopping on its own;
-      - the settle check evaluates f at the Newton point and at its
-        neighbouring float towards the root: where f changes sign
-        between them, the upper float is the answer;
-      - any other point gets a bracket reaching from that neighbour past
-        its last Newton step and mu's rounding noise.  Brackets that hold
-        the sign change are bisected, in one call per group of brackets
-        needing about the same number of halvings;
-      - a point whose bracket fails, or whose rounding noise spans its
-        whole bracket from zero, is bisected from [0, t max(1,
-        gamma^2)], where mu' in [1/gamma, 1/gamma^2] puts the root.
-    gamma = 1 gives u = mu exactly.  A scalar mu gives a float; a mu
-    with no finite u, such as a non-finite one or one whose bracket
-    overflows, raises InversionFailure.
+    mu is odd, so t = |mu| is inverted by one numerics.newton_bisect call
+    on f = mu_closed_form(gamma, .) - t with its derivative _mu_prime, and
+    the sign restored.  mu' lies in [1/gamma, 1/gamma^2], so the bracket
+    [0, 2 t max(1, gamma^2)] holds the root unless rounding near u = 0
+    leaves mu short of t there, where its end is doubled.  mu, convex in
+    u >= 0 for gamma < 1 and concave above, is approached from one side by
+    Newton from u = gamma t.  Each |u| is the upper end of an adjacent-float
+    sign change of f.  gamma = 1 gives u = mu.  A scalar mu gives a float;
+    a non-finite mu, or one whose bracket overflows, raises InversionFailure.
     """
     mu = np.asarray(mu, dtype=float)
-    if not np.all(np.isfinite(mu)):
+    t = np.abs(mu).ravel()
+    with np.errstate(over="ignore"):
+        hi = 2.0 * t * max(1.0, gamma * gamma)
+        while gamma != 1.0 and np.any(short := mu_closed_form(gamma, hi) < t):
+            hi = np.where(short, 2.0 * hi, hi)
+    # mu(u) = u exactly at gamma = 1; elsewhere a bracket that overflows is refused
+    if not np.all(np.isfinite(mu if gamma == 1.0 else hi)):
         raise InversionFailure("no finite u solves mu_closed_form(gamma, u) = mu")
-    if gamma == 1.0:
-        u = mu  # mu(u) = u exactly at gamma = 1
-    else:
-        t = np.abs(mu).ravel()
-        u = np.zeros_like(t)  # t = 0 has its root at u = 0
-        # an overflowing bracket from zero leaves u = inf, rejected below
-        with np.errstate(over="ignore", invalid="ignore"):
-            hi0 = t * max(1.0, gamma * gamma)
-            # the root lies below hi0 and mu' >= 1/max(gamma, gamma^2), which
-            # bounds the noise there; where it spans the bracket from zero,
-            # Newton is skipped
-            newton = (t > 0.0) & (_noise(gamma, hi0, t, 1.0 / max(gamma, gamma * gamma))
-                                  < _MIN_SHRINK * hi0)
-            idx = np.flatnonzero(newton)
-            ti = t[idx]
-            un, step, slope = _newton(gamma, ti)
-            below = mu_closed_form(gamma, un) < ti
-            nb = np.nextafter(un, np.where(below, np.inf, -np.inf))
-            nb_below = mu_closed_form(gamma, nb) < ti
-            settled = below != nb_below
-            u[idx[settled]] = np.where(below, nb, un)[settled]
-            # the neighbour is one end of the bracket: its lo end if f < 0 there
-            rest = ~settled
-            idx, ti, end, end_is_lo = idx[rest], ti[rest], nb[rest], nb_below[rest]
-            width = np.abs(step[rest]) + _noise(gamma, end, ti, slope[rest])
-            lo = np.where(end_is_lo, end, np.maximum(end - width, 0.0))
-            hi = np.where(end_is_lo, end + width, end)
-            held = (mu_closed_form(gamma, np.where(end_is_lo, hi, lo)) < ti) != end_is_lo
-            # about log2 of a bracket's width in floats: the halvings it needs
-            group = np.frexp((hi - lo) / np.spacing(hi))[1] >> _GROUP_BITS
-            for g in sorted(set(group[held].tolist())):
-                mine = held & (group == g)
-                u[idx[mine]] = _bisect(gamma, ti[mine], lo[mine], hi[mine])
-            lost = (t > 0.0) & ~newton
-            lost[idx[~held]] = True
-            if np.any(lost):
-                u[lost] = _from_zero(gamma, t[lost])
-        u = np.copysign(u.reshape(mu.shape), mu)
-    if not np.all(np.isfinite(u)):
-        raise InversionFailure("no finite u solves mu_closed_form(gamma, u) = mu")
-    return float(u) if np.ndim(u) == 0 else u
+    u = mu if gamma == 1.0 else np.copysign(numerics.newton_bisect(
+        lambda v, i: mu_closed_form(gamma, v) - t[i], lambda v, i: _mu_prime(gamma, v),
+        0.0, hi, gamma * t).reshape(mu.shape), mu)
+    return float(u) if u.ndim == 0 else u
 
 
 def v_hyperbolic(gamma: float, j: float, u):

@@ -7,14 +7,14 @@ S(z) = 4 z^2 (1-z)^2 / R(z) that pins the coordinate map through
 z'(x)^2 = 2 m(x) S(z(x)), the closed-form potential on z in [0, 1], the
 von Roos ordering corrections, and the quantization identity whose roots
 in E are the bound-state energies: every level is scanned in one array
-and polished in one bisection call.
+and polished in one numerics.newton_bisect call.
 
 The map separates in the logit s = ln(z/(1 - z)): with mu = int sqrt(2 m)
 dx it reads dmu = sqrt(R(sigma(s)))/2 ds, sigma(s) = 1/(1 + e^-s), a
 bounded right side.  So z(x) needs mu(x) from masses.travel_coordinate
 (one quadrature over the cells between sorted points, whose work grows
 with the number of points), one table of G(s), the integral of the right
-side, and one bisection of G(s) = mu(x).
+side, and one newton_bisect solve of G(s) = mu(x), with G' the right side.
 When q0 = 0, G is bounded below: z reaches 0 at a finite x, the fold.
 """
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebra import GroupLabels
 from .masses import MassProfile, travel_coordinate
-from .numerics import bisect, integrate
+from .numerics import integrate, newton_bisect
 
 __all__ = [
     "RZero",
@@ -224,7 +224,8 @@ def solve_spectrum(params: NatanzonParams, n_max: int) -> np.ndarray:
     The default bracket is scanned on a uniform 64-cell subdivision, all
     levels in one array.  A level takes the first scan node where its
     residual is within _ROOT_TOL of zero; failing that, its lowest sign
-    change is polished by one bisection call shared by all levels.
+    change is polished by one newton_bisect call shared by all levels,
+    with the residual's exact E-derivative (each radicand is affine in E).
     Levels with no root inside the bracket are reported as NaN; the
     identity itself contains no mass profile, so neither does this
     function.
@@ -241,9 +242,15 @@ def solve_spectrum(params: NatanzonParams, n_max: int) -> np.ndarray:
     exact = hit.any(axis=1)
     energies[exact] = grid[hit.argmax(axis=1)[exact]]
     polish = ~exact & change.any(axis=1)
-    cell = change.argmax(axis=1)[polish]
-    energies[polish] = bisect(lambda e: quantization_residual(params, e, levels[polish]),
-                              grid[cell], grid[cell + 1])
+    cell, n = change.argmax(axis=1)[polish], levels[polish]
+
+    def slope(e, _):
+        rad_q, rad_p, rad_c = _radicands(params, e)
+        return (2.0 * params.c0 / np.sqrt(rad_c) - 0.5 * params.p0 / np.sqrt(rad_p)
+                - 0.5 * params.q0 / np.sqrt(rad_q))
+
+    energies[polish] = newton_bisect(lambda e, i: quantization_residual(params, e, n[i]), slope,
+                                     grid[cell], grid[cell + 1])
     return energies
 
 
@@ -317,7 +324,7 @@ class CoordinateMap:
         return float(z[0]) if np.ndim(x) == 0 else z.reshape(np.shape(x))
 
     def z_at_mu(self, mu: np.ndarray) -> np.ndarray:
-        """z with G(logit z) = mu for every mu of a 1-d array, in one bisection.
+        """z with G(logit z) = mu for every mu of a 1-d array, in one newton_bisect call.
 
         A mu below the table, left of the fold where R(0) = 0 bounds G
         below, gives z = 0; one above it gives z = 1.
@@ -330,9 +337,10 @@ class CoordinateMap:
         # from that end and gives both ends the exact floats of the table
         near = np.where(k >= self.anchor, k, k + 1)
         g_near, s_near, target = self.g[near], self.s[near], mu[inside]
-        s = bisect(lambda v: g_near + integrate(lambda t: _half_root_r(self.params, t),
-                                                s_near, v, _MAP_TOL) - target,
-                   self.s[k], self.s[k + 1])
+        s = newton_bisect(
+            lambda v, i: g_near[i] + integrate(lambda t: _half_root_r(self.params, t),
+                                               s_near[i], v, _MAP_TOL) - target[i],
+            lambda v, i: _half_root_r(self.params, v), self.s[k], self.s[k + 1])
         z = np.where(cell < 0, 0.0, 1.0)
         z[inside] = _logistic(s)
         return z

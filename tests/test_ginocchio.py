@@ -123,18 +123,17 @@ class TestInvertMu:
 
     def test_bisects_arrays_of_the_unsettled_points_only(self, monkeypatch):
         calls = []
-        original = numerics.bisect
+        original = numerics.newton_bisect
 
-        def counting(f, lo, hi):
-            calls.append(np.shape(lo))
-            return original(f, lo, hi)
+        def counting(f, fprime, lo, hi, x0=None):
+            calls.append(np.shape(hi))
+            return original(f, fprime, lo, hi, x0)
 
-        monkeypatch.setattr(numerics, "bisect", counting)
+        monkeypatch.setattr(numerics, "newton_bisect", counting)
         mu = np.linspace(-30.0, 30.0, 41)
         u = invert_mu(0.8, mu)
-        # no call works point by point, and no point is bisected twice
-        assert all(len(shape) == 1 for shape in calls)
-        assert sum(shape[0] for shape in calls) <= 41
+        # the whole column is solved in one call: no point works on its own
+        assert calls == [(41,)]
         assert np.max(np.abs(mu_closed_form(0.8, u) - mu)) < 1e-13
 
     def test_mu_prime_is_the_derivative(self):
@@ -167,18 +166,6 @@ class TestInvertMu:
         moved = t > 0.0
         assert not np.any((f(a) < 0.0)[moved])
         assert np.all((f(np.nextafter(a, -np.inf)) < 0.0)[moved])
-
-    @settings(max_examples=40, deadline=None)
-    @given(log_gamma=st.floats(-3.0, 3.0), n=st.integers(1, 70),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_small_batches_end_where_bisect_ends(self, log_gamma, n, seed):
-        # the midpoint tree evaluated in one call is the one numerics.bisect
-        # walks, so both end every bracket on the same float
-        g = 10.0 ** log_gamma
-        t = mu_closed_form(g, np.exp(np.random.default_rng(seed).uniform(-30.0, 6.0, n)))
-        lo, hi = np.zeros(n), t * max(1.0, g * g) * 2.0
-        expected = numerics.bisect(lambda v: mu_closed_form(g, v) - t, lo, hi)
-        assert np.array_equal(ginocchio._bisect(g, t, lo, hi), expected)
 
     def test_array_matches_scalar(self):
         u0 = np.array([-3.0, -0.5, 0.0, 1e-9, 0.7, 4.0])

@@ -216,13 +216,13 @@ class TestSolveSpectrum:
 
     def test_all_levels_polished_in_one_bisection(self, monkeypatch):
         calls = []
-        original = natanzon.bisect
+        original = natanzon.newton_bisect
 
-        def counting(f, lo, hi):
+        def counting(f, fprime, lo, hi, x0=None):
             calls.append(np.shape(lo))
-            return original(f, lo, hi)
+            return original(f, fprime, lo, hi, x0)
 
-        monkeypatch.setattr(natanzon, "bisect", counting)
+        monkeypatch.setattr(natanzon, "newton_bisect", counting)
         # the 5.25 case holds the largest levels of a gamma-j sweep, the
         # 0.05 case the smallest, ~1e-6 in size
         found = []
@@ -235,6 +235,15 @@ class TestSolveSpectrum:
         # no level hits a scan node exactly, so each solve polishes all of
         # its levels in one call
         assert calls == found
+
+    @pytest.mark.parametrize("gamma, j", [(1.669, 5.25), (0.8, 2.0), (0.05, 2.5)])
+    def test_each_level_its_own_root(self, gamma, j):
+        # the levels polished together get what fewer levels get: every
+        # prefix of the batch ends on the same floats
+        params = ginocchio.params_for(gamma, j)
+        roots = solve_spectrum(params, int(j))
+        for n in range(int(j)):
+            assert np.array_equal(solve_spectrum(params, n), roots[:n + 1], equal_nan=True)
 
     def test_default_bracket_is_negative(self):
         lo, hi = default_energy_bracket(GINOCCHIO_12)
@@ -336,6 +345,15 @@ class TestCoordinateMap:
         # where G is flat to the last bit, mu falls in an earlier cell
         in_cell = cmap.g[:-1] <= mu
         assert np.all(zs[in_cell] >= natanzon._logistic(cmap.s[:-1][in_cell]))
+
+    @pytest.mark.parametrize("params", [GINOCCHIO_12, Q0_POSITIVE[1]], ids=["fold", "q0>0"])
+    def test_each_mu_alone_gets_its_batch_value(self, params):
+        cmap = solve_coordinate_map(params, rational_mass(2.0), x0=0.0, z0=0.3)
+        mu = np.linspace(cmap.g[0] - 1.0, cmap.g[-1] + 1.0, 23)
+        mu = np.concatenate([mu, np.random.default_rng(5).uniform(-3.0, 3.0, 12)])
+        together = cmap.z_at_mu(mu)
+        for i in range(mu.size):
+            assert together[i] == cmap.z_at_mu(mu[i:i + 1])[0]
 
     def test_anchor_below_the_table(self):
         # z0 = 1e-310 puts s0 = logit(z0) below the tabulated range; there

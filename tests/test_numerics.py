@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from natpdm import cli, numerics
+from natpdm.ginocchio import mu_closed_form
 from natpdm.numerics import (
     DimensionMismatch,
     EigensolverFailure,
@@ -18,6 +19,7 @@ from natpdm.numerics import (
     grid_derivative,
     integrate,
     lowest_eigenvalues,
+    newton_bisect,
     sturm_count,
 )
 
@@ -44,20 +46,20 @@ class TestFindRoot:
     """numerics.bisect on the inputs the scalar root finder was checked with."""
 
     def test_exact_quadratic(self):
-        assert bisect(lambda x: x * x - 4.0, 0.0, 3.0) == pytest.approx(2.0, abs=1e-15)
+        assert bisect(lambda x, _: x * x - 4.0, 0.0, 3.0) == pytest.approx(2.0, abs=1e-15)
 
     def test_tanh_shift(self):
         # oracle: closed-form inverse
         expected = math.atanh(0.5)
-        root = bisect(lambda x: np.tanh(x) - 0.5, 0.0, 2.0)
+        root = bisect(lambda x, _: np.tanh(x) - 0.5, 0.0, 2.0)
         assert root == pytest.approx(expected, abs=1e-15)
 
     def test_odd_function(self):
-        assert abs(bisect(lambda x: x, -1.0, 1.0)) <= 1e-300
+        assert abs(bisect(lambda x, _: x, -1.0, 1.0)) <= 1e-300
 
     def test_no_sign_change(self):
         with pytest.raises(ValueError):
-            bisect(lambda x: x * x + 1.0, -1.0, 1.0)
+            bisect(lambda x, _: x * x + 1.0, -1.0, 1.0)
 
     def test_root_stays_in_bracket(self):
         rng = np.random.default_rng(7)
@@ -65,32 +67,32 @@ class TestFindRoot:
         scale = rng.uniform(0.2, 3.0, 50)
         lo, hi = r - rng.uniform(0.1, 2.0, 50), r + rng.uniform(0.1, 2.0, 50)
 
-        def f(x):
-            return scale * (x - r) * (1.0 + 0.3 * np.sin(3.0 * x))
+        def f(x, i):
+            return scale[i] * (x - r[i]) * (1.0 + 0.3 * np.sin(3.0 * x))
 
         root = bisect(f, lo, hi)
         assert np.all((lo <= root) & (root <= hi))
         assert np.max(np.abs(root - r)) <= 1e-14
         # the array call gives each bracket what a call of its own gives
         for i in (0, 17, 49):
-            one = bisect(lambda x: scale[i] * (x - r[i]) * (1.0 + 0.3 * np.sin(3.0 * x)),
+            one = bisect(lambda x, _: scale[i] * (x - r[i]) * (1.0 + 0.3 * np.sin(3.0 * x)),
                          lo[i], hi[i])
             assert one == root[i]
 
     def test_endpoint_root(self):
-        assert bisect(lambda x: x - 1.0, 1.0, 2.0) == 1.0
-        assert bisect(lambda x: x - 2.0, 1.0, 2.0) == 2.0
-        assert bisect(lambda x: 1.0 - x, 1.0, 2.0) == 1.0
+        assert bisect(lambda x, _: x - 1.0, 1.0, 2.0) == 1.0
+        assert bisect(lambda x, _: x - 2.0, 1.0, 2.0) == 2.0
+        assert bisect(lambda x, _: 1.0 - x, 1.0, 2.0) == 1.0
 
     def test_rising_and_falling_stop_at_adjacent_floats(self):
         third = 1.0 / 3.0
         for f in (lambda x: x - third, lambda x: third - x):
-            root = bisect(f, 0.0, 1.0)
+            root = bisect(lambda x, _: f(x), 0.0, 1.0)
             # f changes sign between root and the float just below it
             assert np.sign(f(root)) != np.sign(f(np.nextafter(root, 0.0)))
             assert root in (third, np.nextafter(third, 1.0))
-        roots = bisect(lambda x: np.array([1.0, -1.0]) * (x - third), [0.0, 0.0], [1.0, 1.0])
-        assert roots[0] == roots[1] == bisect(lambda x: x - third, 0.0, 1.0)
+        roots = bisect(lambda x, i: np.array([1.0, -1.0])[i] * (x - third), [0.0, 0.0], [1.0, 1.0])
+        assert roots[0] == roots[1] == bisect(lambda x, _: x - third, 0.0, 1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(shape=st.sampled_from(["rising", "falling", "step"]),
@@ -102,7 +104,7 @@ class TestFindRoot:
         r, below, above = (np.array(v) for v in zip(*brackets))
         lo, hi = r - below, r + above
         f = SHAPES[shape](r)
-        root = bisect(f, lo, hi)
+        root = bisect(per_bracket(shape, r), lo, hi)
         assert np.all((lo <= root) & (root <= hi))
         side = np.sign(f(lo))
         assert np.all(root[side == 0.0] == lo[side == 0.0])
@@ -112,10 +114,10 @@ class TestFindRoot:
         assert np.all(np.sign(f(below_root))[moved] == side[moved])
 
     def test_reversed_bracket_refused_before_f_is_called(self):
-        # alone it would come back unchanged, beside an open bracket halved
+        # it holds no root, and would come back unchanged as if it did
         calls = []
 
-        def f(x):
+        def f(x, _):
             calls.append(x)
             return x - 0.3
 
@@ -137,6 +139,11 @@ _ends = st.floats(-5.0, 5.0, allow_nan=False)
 _widths = st.one_of(st.just(0.0), st.floats(0.0, 10.0, allow_nan=False))
 
 
+def per_bracket(shape, r):
+    """SHAPES[shape] with one r per bracket, in the f(x, idx) form of bisect."""
+    return lambda x, i: SHAPES[shape](r[i])(x)
+
+
 class TestBatchIndependence:
     """Each bracket or interval of an array call gets the value it gets alone."""
 
@@ -147,9 +154,9 @@ class TestBatchIndependence:
         r, below, above = (np.array(v) for v in zip(*brackets))
         # a zero width puts an end on the root itself
         lo, hi = r - below, r + above
-        together = bisect(SHAPES[shape](r), lo, hi)
+        together = bisect(per_bracket(shape, r), lo, hi)
         for i in range(r.size):
-            assert together[i] == bisect(SHAPES[shape](r[i]), lo[i], hi[i])
+            assert together[i] == bisect(per_bracket(shape, r[i:i + 1]), lo[i], hi[i])
 
     @settings(max_examples=60, deadline=None)
     @given(shape=st.sampled_from(sorted(SHAPES)), r=_ends,
@@ -167,6 +174,144 @@ class TestBatchIndependence:
         together = integrate(f, np.array(a), np.array(b), tol)
         for i in range(len(a)):
             assert together[i] == integrate(f, a[i], b[i], tol)
+
+
+def bisect_oracle(f, lo, hi):
+    """Reference bisection: one halving of every bracket per call of an f(x) on the whole batch."""
+    lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
+    if np.any(lo > hi):
+        raise ValueError("a bracket has lo > hi")
+    side = np.sign(f(lo))
+    if np.any(side * np.sign(f(hi)) > 0.0):
+        raise ValueError("f has the same sign at both ends of a bracket")
+    np.copyto(hi, lo, where=side == 0.0)
+    while np.any((lo < (mid := numerics._midpoint(lo, hi))) & (mid < hi)):
+        keep = np.sign(f(mid)) == side
+        np.copyto(lo, mid, where=keep)
+        np.copyto(hi, mid, where=~keep)
+    return float(hi) if hi.ndim == 0 else hi
+
+
+def same_floats(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+# the derivatives of the rising and falling SHAPES, one r per bracket
+SLOPES = {
+    "rising": lambda r: lambda x, i: 1.0 / np.cosh(x - r[i]) ** 2,
+    "falling": lambda r: lambda x, i: -1.0 / np.cosh(x - r[i]) ** 2,
+}
+_bracket_lists = st.lists(st.tuples(_ends, _widths, _widths), min_size=1, max_size=8)
+
+
+class TestBisect:
+    """bisect against the one-halving-per-call oracle: the midpoint tree changes no float."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.sampled_from(sorted(SHAPES)), brackets=_bracket_lists)
+    def test_equals_the_oracle(self, shape, brackets):
+        r, below, above = (np.array(v) for v in zip(*brackets))
+        lo, hi = r - below, r + above
+        # bit for bit but for the sign of a zero root: the oracle keeps
+        # halving closed brackets while others are open, and the midpoint
+        # -0.0 of [-5e-324, 0.0] then replaces its hi end
+        assert same_floats(bisect(per_bracket(shape, r), lo, hi) + 0.0,
+                           bisect_oracle(SHAPES[shape](r), lo, hi) + 0.0)
+
+    def test_ends_near_the_double_range(self):
+        # 0.5 (lo + hi) overflows at the first midpoints: every step takes _midpoint
+        r = np.array([1e308, -1.5e308, 0.0, 3.0])
+        lo, hi = np.full(4, -1.7e308), np.full(4, 1.7e308)
+        assert same_floats(bisect(lambda x, i: np.tanh(0.5 * x - 0.5 * r[i]), lo, hi) + 0.0,
+                           bisect_oracle(lambda x: np.tanh(0.5 * x - 0.5 * r), lo, hi) + 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(log_gamma=st.floats(-3.0, 3.0), n=st.integers(1, 70),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_small_batches_end_where_bisect_ends(self, log_gamma, n, seed):
+        # a batch of n brackets takes log2(256/n) halvings per f call on the
+        # midpoint tree the oracle walks one level per call, so both end
+        # every bracket on the same float; mu_closed_form's floats are not
+        # monotone everywhere, so the walk itself must match
+        g = 10.0 ** log_gamma
+        t = mu_closed_form(g, np.exp(np.random.default_rng(seed).uniform(-30.0, 6.0, n)))
+        lo, hi = np.zeros(n), t * max(1.0, g * g) * 2.0
+        expected = bisect_oracle(lambda v: mu_closed_form(g, v) - t, lo, hi)
+        assert same_floats(bisect(lambda v, i: mu_closed_form(g, v) - t[i], lo, hi), expected)
+
+
+class TestNewtonBisect:
+    """newton_bisect keeps bisect's contract, point by point."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(shape=st.sampled_from(["rising", "falling"]), brackets=_bracket_lists,
+           start=st.one_of(st.none(), st.floats(-0.5, 1.5)))
+    def test_equals_the_oracle_where_f_is_monotone(self, shape, brackets, start):
+        r, below, above = (np.array(v) for v in zip(*brackets))
+        lo, hi = r - below, r + above
+        # a start outside the bracket falls back to its midpoint
+        x0 = None if start is None else lo + start * (hi - lo)
+        got = newton_bisect(per_bracket(shape, r), SLOPES[shape](r), lo, hi, x0)
+        expected = bisect_oracle(SHAPES[shape](r), lo, hi)
+        # bit for bit but for the sign of a zero root, which the oracle's
+        # midpoints decide
+        assert same_floats(got + 0.0, expected + 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(brackets=_bracket_lists)
+    def test_a_point_alone_equals_its_row(self, brackets):
+        # f's floats change sign many times within 1e-9 of r; each result
+        # is still the upper end of a sign change under the keep rule
+        r, below, above = (np.array(v) for v in zip(*brackets))
+        lo, hi = r - below - 1e-6, r + above + 1e-6
+
+        def noisy(r):
+            return lambda x, i: (x - r[i]) + 1e-9 * np.sin(1e12 * x)
+
+        def slope(x, i):
+            return np.ones_like(x)
+
+        together = newton_bisect(noisy(r), slope, lo, hi)
+        for i in range(r.size):
+            assert same_floats(together[i], newton_bisect(noisy(r[i:i + 1]), slope, lo[i], hi[i]))
+        f, idx = noisy(r), np.arange(r.size)
+        side = np.sign(f(lo, idx))
+        moved = side != 0.0
+        assert np.all(together[~moved] == lo[~moved])
+        assert np.all((np.sign(f(together, idx)) != side)[moved])
+        assert np.all((np.sign(f(np.nextafter(together, -np.inf), idx)) == side)[moved])
+
+    def test_bad_bracket_refused_before_fprime_is_called(self):
+        calls = []
+
+        def slope(x, _):
+            calls.append(x)
+            return np.ones_like(x)
+
+        with pytest.raises(ValueError):
+            newton_bisect(lambda x, _: x - 0.3, slope, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            newton_bisect(lambda x, _: x - 0.3, slope, [0.0, 1.0], [1.0, 0.0])
+        with pytest.raises(ValueError):
+            newton_bisect(lambda x, _: x * x + 1.0, slope, -1.0, 1.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_unusable_derivative_falls_back_to_bisection(self, bad, shape):
+        r = np.array([0.3, -2.0, 1.0 / 3.0, 4.0])
+        lo, hi = np.array([-1.0, -5.0, 1.0 / 3.0, 0.0]), np.array([2.0, 3.0, 1.0, 4.0])
+        got = newton_bisect(per_bracket(shape, r), lambda x, i: np.full(np.shape(x), bad), lo, hi)
+        assert same_floats(got, bisect_oracle(SHAPES[shape](r), lo, hi))
+
+    def test_scalar_ends_and_roots_at_the_ends(self):
+        def slope(x, _):
+            return np.ones_like(x)
+
+        root = newton_bisect(lambda x, _: x * x - 2.0, lambda x, _: 2.0 * x, 0.0, 2.0)
+        assert isinstance(root, float) and root == bisect(lambda x, _: x * x - 2.0, 0.0, 2.0)
+        assert newton_bisect(lambda x, _: x - 1.0, slope, 1.0, 2.0) == 1.0
+        assert newton_bisect(lambda x, _: x - 2.0, slope, 1.0, 2.0) == 2.0
 
 
 def recursive_simpson(f, a, b, tol):
