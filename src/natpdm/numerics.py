@@ -1,9 +1,9 @@
 """Self-contained numerical kernel used by every other module.
 
-Provides bisection, the Newton-bisection root finder every caller uses,
-and adaptive Simpson quadrature, all over arrays of brackets or intervals
-with one vectorised f call per step, a Richardson-extrapolated central
-first derivative, fourth-order grid stencils, and an eigensolver for real
+Provides the Newton-bisection root finder and adaptive Simpson
+quadrature, both over arrays of brackets or intervals with one
+vectorised f call per step, a Richardson-extrapolated central first
+derivative, fourth-order grid stencils, and an eigensolver for real
 symmetric tridiagonal matrices: LAPACK bisection (dstebz, reached through
 ctypes in the LAPACK that numpy.linalg already links, so no extra
 dependency) whose levels, for every matrix of one call, are certified by
@@ -30,7 +30,6 @@ __all__ = [
     "ToleranceNotMet",
     "DimensionMismatch",
     "EigensolverFailure",
-    "bisect",
     "newton_bisect",
     "integrate",
     "derivative",
@@ -52,10 +51,6 @@ QUAD_MAX_PANELS = 2 ** 16
 EIG_ATOL = 1e-10
 
 _EPS = float(np.finfo(float).eps)
-# an f call on this many points costs about what it costs on one
-# (mu_closed_form: 1.2 times, 20 us, 2-vCPU x86-64 host), so bisect halves
-# fewer open brackets several times per call
-_CALL_POINTS = 256
 # newton_bisect's freeze rule, step cap and probe count
 _FREEZE, _NEWTON_STEPS, _PROBES = 2.0 ** -26, 64, 5
 
@@ -159,33 +154,17 @@ def _midpoint(lo, hi):
     return mid
 
 
-def bisect(f: Callable, lo, hi):
-    """Root of a vectorised f in every bracket [lo, hi], by bisection.
-
-    f(x, idx) is f at x for the brackets idx of the flattened ends (column
-    k of x is bracket idx[k]); f(lo) and f(hi) must not share a sign.
-    Every bracket is halved, keeping at its lo end the sign f has at lo,
-    until its ends are adjacent floats; the hi end, where f first leaves
-    that sign, is returned, so rising and falling f are alike and a root
-    at either end is returned exactly.  f sees only open brackets, and a
-    call on n of them evaluates every midpoint of the next
-    log2(_CALL_POINTS/n) halvings: a bracket ends on the same float in
-    any batch.  Scalar ends give a float.  Raises ValueError, before f is
-    called, for a reversed bracket (lo > hi) or ends sharing a sign.
-    """
-    lo, hi, side, shape = _brackets(f, lo, hi)
-    out = _halve(f, lo, hi, side)
-    return float(out[0]) if shape == () else out.reshape(shape)
-
-
 def newton_bisect(f: Callable, fprime: Callable, lo, hi, x0=None):
     """Root of f in every bracket [lo, hi] by Newton's method, safeguarded by bisection.
 
-    f and its derivative fprime take (x, idx) as in bisect.  Each result
-    is what bisect guarantees, the upper end of an adjacent-float sign
-    change under its keep rule, and where f's signs on the floats change
-    once it is the float bisect returns (rtsafe, Numerical Recipes 9.4).
-    Each point runs on its own:
+    f(x, idx) is f at x for the brackets idx of the flattened ends (column
+    k of x is bracket idx[k]), fprime(x, idx) its derivative.  Each result
+    is the upper end of an adjacent-float sign change under the keep rule:
+    f has its sign at lo on the float below the result, not at the result,
+    so rising and falling f are alike and a root at an end is returned
+    exactly.  Where f's signs on the floats change once, it is the float
+    one halving per f call reaches (rtsafe, Numerical Recipes 9.4).  Each
+    point runs on its own, so it ends on the same float in any batch:
       - Newton from x0, by default the bracket's midpoint; a step that is
         not finite (a zero or non-finite f') or leaves the bracket tracked
         so far is a bisection step.  It stops after a step below _FREEZE
@@ -193,10 +172,12 @@ def newton_bisect(f: Callable, fprime: Callable, lo, hi, x0=None):
         half (rounding noise, or worse than quadratic), or _NEWTON_STEPS;
       - f at its last iterate, then up to _PROBES probes 1, 2, 8, 64 and
         1024 floats from it towards the sign change, until one passes it,
-        and bisect on what is left of its bracket.
+        and _halve on what is left of its bracket.
     A value of f strictly inside a bracket moves one of its ends there
-    under the keep rule, so the ends keep their signs.  Scalar ends give a
-    float; ValueError is raised as bisect raises it, before fprime is called.
+    under the keep rule, so the ends keep their signs; f and fprime see
+    only open brackets.  Scalar ends give a float.  Raises ValueError for
+    lo > hi before f is called, and for ends where f shares a sign or is
+    NaN before fprime is called.
     """
     lo, hi, side, shape = _brackets(f, lo, hi)
     x0 = np.broadcast_to(np.nan if x0 is None else x0, shape).ravel()
@@ -244,6 +225,8 @@ def _brackets(f: Callable, lo, hi):
     if np.any(lo > hi):  # it would come back unchanged, as if it held a root
         raise ValueError("a bracket has lo > hi")
     side, other = np.sign(f(np.stack([lo, hi]), np.arange(lo.size)))
+    if np.any(np.isnan(side) | np.isnan(other)):  # no sign to keep
+        raise ValueError("f is NaN at an end of a bracket")
     if np.any(side * other > 0.0):
         raise ValueError("f has the same sign at both ends of a bracket")
     hi[side == 0.0] = lo[side == 0.0]
@@ -258,7 +241,7 @@ def _narrowed(lo, hi, side, x, fx):
 
 
 def _halve(f: Callable, lo, hi, side):
-    """The hi ends of the brackets of _brackets, each halved down to adjacent floats."""
+    """The hi ends of _brackets' brackets, each open one halved per f call to adjacent floats."""
     out = hi.copy()
     # the ends only move inwards: below 2^1023 no two of them sum past the
     # double range, and 0.5 (lo + hi) is the midpoint _midpoint takes
@@ -272,29 +255,8 @@ def _halve(f: Callable, lo, hi, side):
             out[idx[~live]] = hi[~live]
             idx, lo, hi, side = idx[live], lo[live], hi[live], side[live]
             continue
-        depth = (_CALL_POINTS // idx.size).bit_length() - 1
-        if depth <= 1:
-            keep = np.sign(f(m, idx)) == side
-            lo, hi = np.where(keep, m, lo), np.where(keep, hi, m)
-            continue
-        # the midpoint tree on the nodes 0..2^d, one column per bracket;
-        # node c halves the bracket [c - b, c + b], b its lowest set bit
-        n = 1 << depth
-        tree = np.empty((n + 1, idx.size))
-        tree[0], tree[n // 2], tree[n] = lo, m, hi
-        for s in [n >> j for j in range(2, depth + 1)]:
-            tree[s::2 * s] = mid(tree[:-s:2 * s], tree[2 * s::2 * s])
-        node, nodes = np.arange(1, n), tree[1:-1]
-        half = node & -node
-        # a node not strictly inside the bracket it halves (-0.0 halving
-        # [-5e-324, 0.0], say) is never visited: the walk keeps its hi end
-        keep = (np.sign(f(nodes, idx)) == side) \
-            | ~((tree[node - half] < nodes) & (nodes < tree[node + half]))
-        # walk down from [0, n] to the leaf [a, a + 1] the d halvings reach
-        a, cols = np.zeros(idx.size, dtype=np.intp), np.arange(idx.size)
-        for step in [n >> j for j in range(1, depth + 1)]:
-            a += step * keep[a + step - 1, cols]
-        lo, hi = tree[a, cols], tree[a + 1, cols]
+        keep = np.sign(f(m, idx)) == side
+        lo, hi = np.where(keep, m, lo), np.where(keep, hi, m)
     return out
 
 

@@ -7,14 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from natpdm import cli, numerics
-from natpdm.ginocchio import mu_closed_form
 from natpdm.numerics import (
     DimensionMismatch,
     EigensolverFailure,
     Grid,
     ToleranceNotMet,
     TridiagonalSymmetric,
-    bisect,
     derivative,
     grid_derivative,
     integrate,
@@ -42,24 +40,30 @@ class TestGrid:
             Grid(0.0, 1.0, 2)
 
 
+def unit_slope(x, _):
+    return np.ones_like(x)
+
+
 class TestFindRoot:
-    """numerics.bisect on the inputs the scalar root finder was checked with."""
+    """newton_bisect on the inputs the scalar root finder was checked with."""
 
     def test_exact_quadratic(self):
-        assert bisect(lambda x, _: x * x - 4.0, 0.0, 3.0) == pytest.approx(2.0, abs=1e-15)
+        root = newton_bisect(lambda x, _: x * x - 4.0, lambda x, _: 2.0 * x, 0.0, 3.0)
+        assert root == pytest.approx(2.0, abs=1e-15)
 
     def test_tanh_shift(self):
         # oracle: closed-form inverse
         expected = math.atanh(0.5)
-        root = bisect(lambda x, _: np.tanh(x) - 0.5, 0.0, 2.0)
+        root = newton_bisect(lambda x, _: np.tanh(x) - 0.5, lambda x, _: 1.0 / np.cosh(x) ** 2,
+                             0.0, 2.0)
         assert root == pytest.approx(expected, abs=1e-15)
 
     def test_odd_function(self):
-        assert abs(bisect(lambda x, _: x, -1.0, 1.0)) <= 1e-300
+        assert abs(newton_bisect(lambda x, _: x, unit_slope, -1.0, 1.0)) <= 1e-300
 
     def test_no_sign_change(self):
         with pytest.raises(ValueError):
-            bisect(lambda x, _: x * x + 1.0, -1.0, 1.0)
+            newton_bisect(lambda x, _: x * x + 1.0, lambda x, _: 2.0 * x, -1.0, 1.0)
 
     def test_root_stays_in_bracket(self):
         rng = np.random.default_rng(7)
@@ -67,32 +71,39 @@ class TestFindRoot:
         scale = rng.uniform(0.2, 3.0, 50)
         lo, hi = r - rng.uniform(0.1, 2.0, 50), r + rng.uniform(0.1, 2.0, 50)
 
-        def f(x, i):
-            return scale[i] * (x - r[i]) * (1.0 + 0.3 * np.sin(3.0 * x))
+        def f(r, scale):
+            return lambda x, i: scale[i] * (x - r[i]) * (1.0 + 0.3 * np.sin(3.0 * x))
 
-        root = bisect(f, lo, hi)
+        def fprime(r, scale):
+            return lambda x, i: scale[i] * (1.0 + 0.3 * np.sin(3.0 * x)
+                                            + 0.9 * (x - r[i]) * np.cos(3.0 * x))
+
+        root = newton_bisect(f(r, scale), fprime(r, scale), lo, hi)
         assert np.all((lo <= root) & (root <= hi))
         assert np.max(np.abs(root - r)) <= 1e-14
         # the array call gives each bracket what a call of its own gives
         for i in (0, 17, 49):
-            one = bisect(lambda x, _: scale[i] * (x - r[i]) * (1.0 + 0.3 * np.sin(3.0 * x)),
-                         lo[i], hi[i])
-            assert one == root[i]
+            one = slice(i, i + 1)
+            assert newton_bisect(f(r[one], scale[one]), fprime(r[one], scale[one]),
+                                 lo[i], hi[i]) == root[i]
 
     def test_endpoint_root(self):
-        assert bisect(lambda x, _: x - 1.0, 1.0, 2.0) == 1.0
-        assert bisect(lambda x, _: x - 2.0, 1.0, 2.0) == 2.0
-        assert bisect(lambda x, _: 1.0 - x, 1.0, 2.0) == 1.0
+        assert newton_bisect(lambda x, _: x - 1.0, unit_slope, 1.0, 2.0) == 1.0
+        assert newton_bisect(lambda x, _: x - 2.0, unit_slope, 1.0, 2.0) == 2.0
+        assert newton_bisect(lambda x, _: 1.0 - x, lambda x, _: -np.ones_like(x), 1.0, 2.0) == 1.0
 
     def test_rising_and_falling_stop_at_adjacent_floats(self):
         third = 1.0 / 3.0
-        for f in (lambda x: x - third, lambda x: third - x):
-            root = bisect(lambda x, _: f(x), 0.0, 1.0)
+        for f, slope in ((lambda x: x - third, 1.0), (lambda x: third - x, -1.0)):
+            root = newton_bisect(lambda x, _: f(x), lambda x, _: np.full(np.shape(x), slope),
+                                 0.0, 1.0)
             # f changes sign between root and the float just below it
             assert np.sign(f(root)) != np.sign(f(np.nextafter(root, 0.0)))
             assert root in (third, np.nextafter(third, 1.0))
-        roots = bisect(lambda x, i: np.array([1.0, -1.0])[i] * (x - third), [0.0, 0.0], [1.0, 1.0])
-        assert roots[0] == roots[1] == bisect(lambda x, _: x - third, 0.0, 1.0)
+        signs = np.array([1.0, -1.0])
+        roots = newton_bisect(lambda x, i: signs[i] * (x - third), lambda x, i: signs[i],
+                              [0.0, 0.0], [1.0, 1.0])
+        assert roots[0] == roots[1] == newton_bisect(lambda x, _: x - third, unit_slope, 0.0, 1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(shape=st.sampled_from(["rising", "falling", "step"]),
@@ -104,7 +115,7 @@ class TestFindRoot:
         r, below, above = (np.array(v) for v in zip(*brackets))
         lo, hi = r - below, r + above
         f = SHAPES[shape](r)
-        root = bisect(per_bracket(shape, r), lo, hi)
+        root = newton_bisect(per_bracket(shape, r), SLOPES[shape](r), lo, hi)
         assert np.all((lo <= root) & (root <= hi))
         side = np.sign(f(lo))
         assert np.all(root[side == 0.0] == lo[side == 0.0])
@@ -122,9 +133,9 @@ class TestFindRoot:
             return x - 0.3
 
         with pytest.raises(ValueError):
-            bisect(f, 1.0, 0.0)
+            newton_bisect(f, f, 1.0, 0.0)
         with pytest.raises(ValueError):
-            bisect(f, [1.0, 0.0], [0.0, 1.0])
+            newton_bisect(f, f, [1.0, 0.0], [0.0, 1.0])
         assert calls == []
 
 
@@ -135,12 +146,19 @@ SHAPES = {
     "falling": lambda r: lambda x: np.tanh(r - x),
     "step": lambda r: lambda x: np.sign(x - r),
 }
+# their derivatives, one r per bracket; the step's is zero, so
+# newton_bisect bisects it
+SLOPES = {
+    "rising": lambda r: lambda x, i: 1.0 / np.cosh(x - r[i]) ** 2,
+    "falling": lambda r: lambda x, i: -1.0 / np.cosh(x - r[i]) ** 2,
+    "step": lambda r: lambda x, i: np.zeros_like(x),
+}
 _ends = st.floats(-5.0, 5.0, allow_nan=False)
 _widths = st.one_of(st.just(0.0), st.floats(0.0, 10.0, allow_nan=False))
 
 
 def per_bracket(shape, r):
-    """SHAPES[shape] with one r per bracket, in the f(x, idx) form of bisect."""
+    """SHAPES[shape] with one r per bracket, in the f(x, idx) form of newton_bisect."""
     return lambda x, i: SHAPES[shape](r[i])(x)
 
 
@@ -154,9 +172,11 @@ class TestBatchIndependence:
         r, below, above = (np.array(v) for v in zip(*brackets))
         # a zero width puts an end on the root itself
         lo, hi = r - below, r + above
-        together = bisect(per_bracket(shape, r), lo, hi)
+        together = newton_bisect(per_bracket(shape, r), SLOPES[shape](r), lo, hi)
         for i in range(r.size):
-            assert together[i] == bisect(per_bracket(shape, r[i:i + 1]), lo[i], hi[i])
+            one = r[i:i + 1]
+            assert together[i] == newton_bisect(per_bracket(shape, one), SLOPES[shape](one),
+                                                lo[i], hi[i])
 
     @settings(max_examples=60, deadline=None)
     @given(shape=st.sampled_from(sorted(SHAPES)), r=_ends,
@@ -196,16 +216,11 @@ def same_floats(a, b):
     return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
 
 
-# the derivatives of the rising and falling SHAPES, one r per bracket
-SLOPES = {
-    "rising": lambda r: lambda x, i: 1.0 / np.cosh(x - r[i]) ** 2,
-    "falling": lambda r: lambda x, i: -1.0 / np.cosh(x - r[i]) ** 2,
-}
 _bracket_lists = st.lists(st.tuples(_ends, _widths, _widths), min_size=1, max_size=8)
 
 
 class TestBisect:
-    """bisect against the one-halving-per-call oracle: the midpoint tree changes no float."""
+    """newton_bisect against the one-halving-per-call oracle where f's floats change sign once."""
 
     @settings(max_examples=60, deadline=None)
     @given(shape=st.sampled_from(sorted(SHAPES)), brackets=_bracket_lists)
@@ -215,33 +230,33 @@ class TestBisect:
         # bit for bit but for the sign of a zero root: the oracle keeps
         # halving closed brackets while others are open, and the midpoint
         # -0.0 of [-5e-324, 0.0] then replaces its hi end
-        assert same_floats(bisect(per_bracket(shape, r), lo, hi) + 0.0,
+        assert same_floats(newton_bisect(per_bracket(shape, r), SLOPES[shape](r), lo, hi) + 0.0,
                            bisect_oracle(SHAPES[shape](r), lo, hi) + 0.0)
 
-    def test_ends_near_the_double_range(self):
-        # 0.5 (lo + hi) overflows at the first midpoints: every step takes _midpoint
+    def test_ends_near_the_double_range(self, monkeypatch):
+        # f' underflows to 0 far from r, so these brackets are bisected from
+        # ends near 1.7e308, where _halve takes _midpoint and 0.5 (lo + hi)
+        # overflows
+        real, sums = numerics._midpoint, []
+
+        def midpoint(lo, hi):
+            with np.errstate(over="ignore"):
+                sums.append(lo + hi)
+            return real(lo, hi)
+
         r = np.array([1e308, -1.5e308, 0.0, 3.0])
         lo, hi = np.full(4, -1.7e308), np.full(4, 1.7e308)
-        assert same_floats(bisect(lambda x, i: np.tanh(0.5 * x - 0.5 * r[i]), lo, hi) + 0.0,
+        monkeypatch.setattr(numerics, "_midpoint", midpoint)
+        got = newton_bisect(lambda x, i: np.tanh(0.5 * x - 0.5 * r[i]),
+                            lambda x, i: 0.5 / np.cosh(0.5 * x - 0.5 * r[i]) ** 2, lo, hi)
+        monkeypatch.undo()
+        assert any(np.isinf(s).any() for s in sums)
+        assert same_floats(got + 0.0,
                            bisect_oracle(lambda x: np.tanh(0.5 * x - 0.5 * r), lo, hi) + 0.0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(log_gamma=st.floats(-3.0, 3.0), n=st.integers(1, 70),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_small_batches_end_where_bisect_ends(self, log_gamma, n, seed):
-        # a batch of n brackets takes log2(256/n) halvings per f call on the
-        # midpoint tree the oracle walks one level per call, so both end
-        # every bracket on the same float; mu_closed_form's floats are not
-        # monotone everywhere, so the walk itself must match
-        g = 10.0 ** log_gamma
-        t = mu_closed_form(g, np.exp(np.random.default_rng(seed).uniform(-30.0, 6.0, n)))
-        lo, hi = np.zeros(n), t * max(1.0, g * g) * 2.0
-        expected = bisect_oracle(lambda v: mu_closed_form(g, v) - t, lo, hi)
-        assert same_floats(bisect(lambda v, i: mu_closed_form(g, v) - t[i], lo, hi), expected)
 
 
 class TestNewtonBisect:
-    """newton_bisect keeps bisect's contract, point by point."""
+    """newton_bisect's contract, point by point."""
 
     @settings(max_examples=80, deadline=None)
     @given(shape=st.sampled_from(["rising", "falling"]), brackets=_bracket_lists,
@@ -268,12 +283,10 @@ class TestNewtonBisect:
         def noisy(r):
             return lambda x, i: (x - r[i]) + 1e-9 * np.sin(1e12 * x)
 
-        def slope(x, i):
-            return np.ones_like(x)
-
-        together = newton_bisect(noisy(r), slope, lo, hi)
+        together = newton_bisect(noisy(r), unit_slope, lo, hi)
         for i in range(r.size):
-            assert same_floats(together[i], newton_bisect(noisy(r[i:i + 1]), slope, lo[i], hi[i]))
+            assert same_floats(together[i],
+                               newton_bisect(noisy(r[i:i + 1]), unit_slope, lo[i], hi[i]))
         f, idx = noisy(r), np.arange(r.size)
         side = np.sign(f(lo, idx))
         moved = side != 0.0
@@ -296,6 +309,53 @@ class TestNewtonBisect:
             newton_bisect(lambda x, _: x * x + 1.0, slope, -1.0, 1.0)
         assert calls == []
 
+    def test_nan_at_an_end_refused_before_fprime_is_called(self):
+        # NaN has no sign for the keep rule to keep, and NaN times the
+        # other end's sign is not positive, so it passed as a sign change
+        calls = []
+
+        def slope(x, _):
+            calls.append(x)
+            return np.ones_like(x)
+
+        def nan_below(x, _):
+            return np.where(x < 0.5, np.nan, x - 0.7)
+
+        def nan_above(x, _):
+            return np.where(x > 0.9, np.nan, x - 0.7)
+
+        for lo, hi, f in [(0.0, 1.0, nan_below), (0.0, 1.0, nan_above),
+                          ([0.6, 0.0], [1.0, 1.0], nan_below)]:
+            with pytest.raises(ValueError, match="NaN"):
+                newton_bisect(f, slope, lo, hi)
+        assert calls == []
+
+    @settings(max_examples=80, deadline=None)
+    @given(shape=st.sampled_from(sorted(SHAPES)), brackets=_bracket_lists,
+           start=st.one_of(st.none(), st.floats(-0.5, 1.5)))
+    def test_f_and_fprime_see_each_open_bracket_once_per_call(self, shape, brackets, start):
+        # the first call is f on the stacked ends of every bracket; every
+        # later call of f or fprime takes one point per bracket it names,
+        # inside that bracket
+        r, below, above = (np.array(v) for v in zip(*brackets))
+        lo, hi = r - below, r + above
+        x0 = None if start is None else lo + start * (hi - lo)
+        calls = []
+
+        def recorded(g):
+            def call(x, idx):
+                calls.append((np.array(x), np.array(idx)))
+                return g(x, idx)
+            return call
+
+        newton_bisect(recorded(per_bracket(shape, r)), recorded(SLOPES[shape](r)), lo, hi, x0)
+        (ends, idx), *rest = calls
+        assert same_floats(ends, np.stack([lo, hi])) and np.array_equal(idx, np.arange(r.size))
+        for x, idx in rest:
+            assert x.ndim == 1 and x.shape == idx.shape
+            assert np.unique(idx).size == idx.size
+            assert np.all((lo[idx] <= x) & (x <= hi[idx]))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_unusable_derivative_falls_back_to_bisection(self, bad, shape):
@@ -305,13 +365,10 @@ class TestNewtonBisect:
         assert same_floats(got, bisect_oracle(SHAPES[shape](r), lo, hi))
 
     def test_scalar_ends_and_roots_at_the_ends(self):
-        def slope(x, _):
-            return np.ones_like(x)
-
         root = newton_bisect(lambda x, _: x * x - 2.0, lambda x, _: 2.0 * x, 0.0, 2.0)
-        assert isinstance(root, float) and root == bisect(lambda x, _: x * x - 2.0, 0.0, 2.0)
-        assert newton_bisect(lambda x, _: x - 1.0, slope, 1.0, 2.0) == 1.0
-        assert newton_bisect(lambda x, _: x - 2.0, slope, 1.0, 2.0) == 2.0
+        assert isinstance(root, float) and root == bisect_oracle(lambda x: x * x - 2.0, 0.0, 2.0)
+        assert newton_bisect(lambda x, _: x - 1.0, unit_slope, 1.0, 2.0) == 1.0
+        assert newton_bisect(lambda x, _: x - 2.0, unit_slope, 1.0, 2.0) == 2.0
 
 
 def recursive_simpson(f, a, b, tol):
