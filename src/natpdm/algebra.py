@@ -26,9 +26,6 @@ from .masses import MassProfile, constant_mass
 from .numerics import Grid, grid_derivative
 
 __all__ = [
-    "SingularPoint",
-    "SectorMismatch",
-    "NegativeDiscriminant",
     "SmoothMap",
     "tanh_map",
     "Su11Realization",
@@ -47,18 +44,6 @@ __all__ = [
 _SINGULAR_TOL = 1e-13
 #: stencil-margin nodes dropped at each end before a residual's sup-norm
 _TRIM = 10
-
-
-class SingularPoint(ZeroDivisionError):
-    """Evaluation hit a zero of 1 - a*xi^2, of 1 - xi^2 (where g is needed) or of xi'."""
-
-
-class SectorMismatch(ValueError):
-    """The sampled function is not in the angular sector the operation needs."""
-
-
-class NegativeDiscriminant(ValueError):
-    """c + 1/4 < 0: no real discrete-series label exists."""
 
 
 class SmoothMap(NamedTuple):
@@ -107,7 +92,7 @@ def allowed_j0(n: int, c: float) -> float:
         raise ValueError(f"n must be a non-negative integer, got {n}")
     disc = c + 0.25
     if disc < 0.0:
-        raise NegativeDiscriminant(f"c + 1/4 = {disc} < 0")
+        raise ValueError(f"c + 1/4 = {disc} < 0")
     return n + 0.5 + math.sqrt(disc)
 
 
@@ -165,7 +150,7 @@ def sample_coefficients(realization: Su11Realization, x,
     one_minus = 1.0 - xi * xi if mass is not None else 1.0
     for values, what in ((denom, "1 - a*xi^2"), (one_minus, "1 - xi^2"), (xp, "xi'")):
         if np.any(np.abs(values) < _SINGULAR_TOL):
-            raise SingularPoint(f"{what} = 0 on the requested points")
+            raise ZeroDivisionError(f"{what} = 0 on the requested points")
     g = None
     if mass is not None:
         g = (2.0 - xi * xi) / one_minus - 1.5 * xi * xpp / (xp * xp) \
@@ -245,7 +230,7 @@ def casimir_residual(realization: Su11Realization, labels: GroupLabels,
     if realization.a != 1.0:
         raise ValueError("closed-form invariant requires a = 1")
     if psi.sector != labels.j0:
-        raise SectorMismatch(f"psi sector {psi.sector} != j0 {labels.j0}")
+        raise ValueError(f"psi sector {psi.sector} != j0 {labels.j0}")
     scale = psi.sup_norm()
     if scale == 0.0:
         return 0.0

@@ -22,9 +22,6 @@ import numpy as np
 
 __all__ = [
     "BAND_HALF_WIDTH",
-    "DegeneratePoints",
-    "PoleAtMinusOne",
-    "PoleAtMinusI",
     "MobiusCoeffs",
     "rotate_dilate",
     "exp_map",
@@ -39,18 +36,6 @@ __all__ = [
 ]
 
 BAND_HALF_WIDTH = math.pi / 4.0
-
-
-class DegeneratePoints(ValueError):
-    """Coincident anchor points cannot determine a Moebius map."""
-
-
-class PoleAtMinusOne(ZeroDivisionError):
-    """The half-plane-to-disk map has its pole at Z = -1."""
-
-
-class PoleAtMinusI(ZeroDivisionError):
-    """The disk-to-half-plane map has its pole at w = -i."""
 
 
 def _complex(z):
@@ -83,7 +68,7 @@ def halfplane_to_disk(z):
     """(1/i)(Z - 1)/(Z + 1): right half-plane Re Z > 0 onto the unit disk."""
     z = _complex(z)
     if np.any(z == -1):
-        raise PoleAtMinusOne("Z = -1 is the pole of the half-plane-to-disk map")
+        raise ZeroDivisionError("Z = -1 is the pole of the half-plane-to-disk map")
     return _quotient(z - 1.0, 1j * (z + 1.0))
 
 
@@ -91,7 +76,7 @@ def disk_to_halfplane(w):
     """Inverse map (1 + iw)/(1 - iw): unit disk back onto Re Z > 0."""
     w = _complex(w)
     if np.any(w == -1j):
-        raise PoleAtMinusI("w = -i is the pole of the disk-to-half-plane map")
+        raise ZeroDivisionError("w = -i is the pole of the disk-to-half-plane map")
     return _quotient(1.0 + 1j * w, 1.0 - 1j * w)
 
 
@@ -147,7 +132,7 @@ class MobiusCoeffs:
         scale = max(map(abs, coeffs))
         a, b, c, d = (x / scale for x in coeffs) if scale else coeffs
         if a * d - b * c == 0:
-            raise DegeneratePoints("a*d - b*c = 0: map is degenerate")
+            raise ValueError("a*d - b*c = 0: map is degenerate")
 
     def __call__(self, z):
         p, q = _homogeneous(_complex(z))

@@ -28,7 +28,6 @@ from .natanzon import NatanzonParams, OrderingParams, mass_correction_terms
 from .numerics import Grid
 
 __all__ = [
-    "IndexOutOfRange",
     "InversionFailure",
     "params_for",
     "mu_closed_form",
@@ -40,10 +39,6 @@ __all__ = [
     "spectrum_closed_form",
     "potential_on_x_grid",
 ]
-
-class IndexOutOfRange(ValueError):
-    """Level index outside 0..floor(j)."""
-
 
 class InversionFailure(ValueError):
     """No finite u solves mu_closed_form(gamma, u) = mu."""
@@ -197,12 +192,12 @@ def v_polynomial(gamma: float, j: float, y):
 def spectrum_closed_form(gamma: float, j: float, n: int) -> float:
     """Closed-form level, verbatim: -[sqrt((1-g^2)(2n+1/2)^2 + g^2 (j+1/2)^2) - (2n+1/2)]^2.
 
-    Valid for integer n in 0..floor(j); raises IndexOutOfRange beyond
-    that, and ValueError if the radicand leaves the reals (possible for
-    gamma > 1 at large n).
+    Valid for integer n in 0..floor(j); raises ValueError beyond that,
+    and where the radicand leaves the reals (possible for gamma > 1 at
+    large n).
     """
     if n < 0 or n > math.floor(j):
-        raise IndexOutOfRange(f"n must lie in 0..{math.floor(j)}, got {n}")
+        raise ValueError(f"n must lie in 0..{math.floor(j)}, got {n}")
     g2 = gamma * gamma
     half_odd = 2.0 * n + 0.5
     radicand = (1.0 - g2) * half_odd ** 2 + g2 * (j + 0.5) ** 2

@@ -30,8 +30,6 @@ from .masses import MassProfile, travel_coordinate
 from .numerics import integrate, newton_bisect
 
 __all__ = [
-    "RZero",
-    "BranchViolation",
     "NatanzonParams",
     "EnergyCoeffs",
     "OrderingParams",
@@ -55,14 +53,6 @@ __all__ = [
 _ROOT_TOL = 1e-12
 
 
-class RZero(ZeroDivisionError):
-    """R(z) vanished where the construction needs it positive."""
-
-
-class BranchViolation(ValueError):
-    """A radicand of the quantization identity is negative at this energy."""
-
-
 @dataclass(frozen=True)
 class NatanzonParams:
     """The six construction parameters; coefficients are linear in E."""
@@ -84,7 +74,6 @@ class NatanzonParams:
 class EnergyCoeffs:
     """Coefficient triple at one energy."""
 
-    E: float
     c: float
     p: float
     q: float
@@ -108,7 +97,6 @@ BEN_DANIEL_DUKE = OrderingParams(eta=0.0, epsilon=-1.0)
 def coeffs_at_energy(params: NatanzonParams, energy: float) -> EnergyCoeffs:
     """Evaluate the energy-linear coefficients at one energy."""
     return EnergyCoeffs(
-        E=energy,
         c=-params.c0 * energy + params.a_c,
         p=-params.p0 * energy + params.a_p,
         q=-params.q0 * energy + params.a_q,
@@ -124,7 +112,7 @@ def generating_function(params: NatanzonParams, z):
     """S(z) = 4 z^2 (1 - z)^2 / R(z); R must be positive where evaluated."""
     r = r_polynomial(params, z)
     if np.any(np.asarray(r) <= 0.0):
-        raise RZero("R(z) <= 0 inside the working interval: invalid parameter set")
+        raise ZeroDivisionError("R(z) <= 0 inside the working interval: invalid parameter set")
     return 4.0 * z * z * (1.0 - z) ** 2 / r
 
 
@@ -138,7 +126,7 @@ def natanzon_potential(params: NatanzonParams, z):
     z = np.asarray(z, dtype=float) if np.ndim(z) else float(z)
     r = r_polynomial(params, z)
     if np.any(np.asarray(r) <= 0.0):
-        raise RZero("R(z) <= 0 at the requested points")
+        raise ZeroDivisionError("R(z) <= 0 at the requested points")
     num = params.a_p * z * z \
         - (params.a_p + params.a_q - 4.0 * params.a_c + 1.0) * z \
         + params.a_q + 2.0
@@ -188,7 +176,7 @@ def quantization_residual(params: NatanzonParams, energy, n):
     """
     rad_q, rad_p, rad_c = _radicands(params, energy)
     if np.any((rad_q < 0.0) | (rad_p < 0.0) | (rad_c < 0.0)):
-        raise BranchViolation(
+        raise ValueError(
             f"negative radicand at E={energy}: q+2={rad_q}, p+1={rad_p}, 4c+1={rad_c}"
         )
     return np.sqrt(rad_p) + np.sqrt(rad_q) - np.sqrt(rad_c) - (2.0 * n + 1.0)
@@ -263,11 +251,11 @@ def labels_for_level(params: NatanzonParams, energy: float, n: int) -> GroupLabe
     """
     rad_q, rad_p, rad_c = _radicands(params, energy)
     if rad_q < 0.0 or rad_p < 0.0:
-        raise BranchViolation(f"negative radicand at E={energy}")
+        raise ValueError(f"negative radicand at E={energy}")
     sq, sp = math.sqrt(rad_q), math.sqrt(rad_p)
     c = coeffs_at_energy(params, energy).c
     if c + 0.25 < 0.0:
-        raise BranchViolation(f"c + 1/4 < 0 at E={energy}")
+        raise ValueError(f"c + 1/4 < 0 at E={energy}")
     return GroupLabels(
         j=-0.5 + math.sqrt(c + 0.25),
         j0=0.5 * (sq + sp),
@@ -295,7 +283,7 @@ def _half_root_r(params: NatanzonParams, s):
     """dmu/ds = sqrt(R(sigma(s)))/2, bounded on the whole line."""
     r = r_polynomial(params, _logistic(s))
     if np.any(r < 0.0):
-        raise RZero("R(z) < 0 inside [0, 1]: invalid parameter set")
+        raise ZeroDivisionError("R(z) < 0 inside [0, 1]: invalid parameter set")
     return 0.5 * np.sqrt(r)
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "Grid",
     "TridiagonalSymmetric",
     "ToleranceNotMet",
-    "DimensionMismatch",
     "EigensolverFailure",
     "newton_bisect",
     "integrate",
@@ -57,10 +56,6 @@ _FREEZE, _NEWTON_STEPS, _PROBES = 2.0 ** -26, 64, 5
 
 class ToleranceNotMet(RuntimeError):
     """Adaptive refinement exhausted its depth or panel budget."""
-
-
-class DimensionMismatch(ValueError):
-    """Array lengths inconsistent with the requested operation."""
 
 
 class EigensolverFailure(RuntimeError):
@@ -118,25 +113,17 @@ class TridiagonalSymmetric:
         d = np.asarray(self.diagonal, dtype=float)
         e = np.asarray(self.offdiagonal, dtype=float)
         if d.ndim != 1 or e.ndim != 1:
-            raise DimensionMismatch("diagonal and offdiagonal must be 1-d")
+            raise ValueError("diagonal and offdiagonal must be 1-d")
         if d.size < 1:
-            raise DimensionMismatch("empty diagonal")
+            raise ValueError("empty diagonal")
         if e.size != d.size - 1:
-            raise DimensionMismatch(
-                f"offdiagonal length {e.size} != diagonal length {d.size} - 1"
-            )
+            raise ValueError(f"offdiagonal length {e.size} != diagonal length {d.size} - 1")
         object.__setattr__(self, "diagonal", d)
         object.__setattr__(self, "offdiagonal", e)
 
     @property
     def size(self) -> int:
         return self.diagonal.size
-
-    def to_dense(self) -> np.ndarray:
-        a = np.diag(self.diagonal)
-        if self.size > 1:
-            a += np.diag(self.offdiagonal, 1) + np.diag(self.offdiagonal, -1)
-        return a
 
 
 def _midpoint(lo, hi):
@@ -176,8 +163,8 @@ def newton_bisect(f: Callable, fprime: Callable, lo, hi, x0=None):
     A value of f strictly inside a bracket moves one of its ends there
     under the keep rule, so the ends keep their signs; f and fprime see
     only open brackets.  Scalar ends give a float.  Raises ValueError for
-    lo > hi before f is called, and for ends where f shares a sign or is
-    NaN before fprime is called.
+    lo > hi before f is called, for ends where f shares a sign or is NaN
+    before fprime is called, and where f is NaN strictly inside a bracket.
     """
     lo, hi, side, shape = _brackets(f, lo, hi)
     x0 = np.broadcast_to(np.nan if x0 is None else x0, shape).ravel()
@@ -234,14 +221,23 @@ def _brackets(f: Callable, lo, hi):
 
 
 def _narrowed(lo, hi, side, x, fx):
-    """[lo, hi] with an end moved to an x strictly inside, as a bisection step at x moves it."""
+    """[lo, hi] with an end moved to an x strictly inside, as a bisection step at x moves it.
+
+    Every x lies in [lo, hi], and f has a sign at both ends, so a NaN of f
+    is strictly inside: it has no sign to keep, and raises ValueError.
+    """
+    if np.isnan(fx).any():
+        raise ValueError("f is NaN inside a bracket")
     inside = (lo < x) & (x < hi)
     keep = np.sign(fx) == side
     return np.where(inside & keep, x, lo), np.where(inside & ~keep, x, hi)
 
 
 def _halve(f: Callable, lo, hi, side):
-    """The hi ends of _brackets' brackets, each open one halved per f call to adjacent floats."""
+    """The hi ends of _brackets' brackets, each open one halved per f call to adjacent floats.
+
+    Each midpoint moves an end through _narrowed, the keep rule of every stage.
+    """
     out = hi.copy()
     # the ends only move inwards: below 2^1023 no two of them sum past the
     # double range, and 0.5 (lo + hi) is the midpoint _midpoint takes
@@ -255,8 +251,7 @@ def _halve(f: Callable, lo, hi, side):
             out[idx[~live]] = hi[~live]
             idx, lo, hi, side = idx[live], lo[live], hi[live], side[live]
             continue
-        keep = np.sign(f(m, idx)) == side
-        lo, hi = np.where(keep, m, lo), np.where(keep, hi, m)
+        lo, hi = _narrowed(lo, hi, side, m, f(m, idx))
     return out
 
 
@@ -394,7 +389,7 @@ def grid_derivative(values: np.ndarray, spacing: float, order: int = 1) -> np.nd
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     if n < 6:
-        raise DimensionMismatch("need at least 6 samples for fourth-order stencils")
+        raise ValueError("need at least 6 samples for fourth-order stencils")
     out = np.empty_like(v)
     if order == 1:
         out[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
@@ -541,7 +536,7 @@ def lowest_eigenvalues(matrices, k: int) -> np.ndarray:
     for r, matrix in enumerate(matrices):
         n = matrix.size
         if not 1 <= k <= n:
-            raise DimensionMismatch(f"k={k} outside 1..{n} (matrix {r + 1} of {len(matrices)})")
+            raise ValueError(f"k={k} outside 1..{n} (matrix {r + 1} of {len(matrices)})")
         d = np.ascontiguousarray(matrix.diagonal)
         e = np.ascontiguousarray(matrix.offdiagonal)
         found = np.zeros(1, dtype=np.int64)

@@ -197,9 +197,9 @@ def test_criterion_8_discretization_quality():
     assert osc_err <= 1e-4
 
     grid = Grid(-3.0, 3.0, 101)
-    dense = pdmsolver.assemble_hamiltonian(
-        rational_mass(2.0), np.sin(grid.points), natanzon.OrderingParams(0.2, -0.7),
-        grid).to_dense()
+    hm = pdmsolver.assemble_hamiltonian(
+        rational_mass(2.0), np.sin(grid.points), natanzon.OrderingParams(0.2, -0.7), grid)
+    dense = np.diag(hm.diagonal) + np.diag(hm.offdiagonal, 1) + np.diag(hm.offdiagonal, -1)
     assert np.array_equal(dense, dense.T)
 
     elapsed = time.perf_counter() - start

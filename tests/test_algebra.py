@@ -6,10 +6,7 @@ import pytest
 from natpdm import algebra
 from natpdm.algebra import (
     GroupLabels,
-    NegativeDiscriminant,
     SectorFunction,
-    SectorMismatch,
-    SingularPoint,
     SmoothMap,
     Su11Realization,
     allowed_j0,
@@ -54,7 +51,7 @@ def oracle_su11_functions(realization, x):
     xi = realization.xi.value(x)
     denom = 1.0 - realization.a * xi * xi
     if np.any(np.asarray(np.abs(denom)) < ORACLE_SINGULAR_TOL):
-        raise SingularPoint("1 - a*xi^2 = 0 on the requested points")
+        raise ZeroDivisionError("1 - a*xi^2 = 0 on the requested points")
     f = (1.0 + realization.a * xi * xi) / denom
     c = realization.delta * xi / denom
     return f, c
@@ -63,7 +60,7 @@ def oracle_su11_functions(realization, x):
 def oracle_h(realization, x):
     xp = realization.xi.deriv(x)
     if np.any(np.asarray(np.abs(xp)) < ORACLE_SINGULAR_TOL):
-        raise SingularPoint("xi'(x) = 0")
+        raise ZeroDivisionError("xi'(x) = 0")
     return realization.xi.value(x) / xp
 
 
@@ -73,9 +70,9 @@ def oracle_g_weight(realization, mass, x):
     xpp = realization.xi.deriv2(x)
     one_minus = 1.0 - xi * xi
     if np.any(np.asarray(np.abs(one_minus)) < ORACLE_SINGULAR_TOL):
-        raise SingularPoint("xi^2 = 1 on the requested points")
+        raise ZeroDivisionError("xi^2 = 1 on the requested points")
     if np.any(np.asarray(np.abs(xp)) < ORACLE_SINGULAR_TOL):
-        raise SingularPoint("xi'(x) = 0 on the requested points")
+        raise ZeroDivisionError("xi'(x) = 0 on the requested points")
     m = mass.m(x)
     mp = mass.m_prime(x)
     return (2.0 - xi * xi) / one_minus - 1.5 * xi * xpp / (xp * xp) \
@@ -201,19 +198,19 @@ class TestSu11Functions:
 
     def test_singular_point(self):
         real = Su11Realization(xi=identity_map(), a=1.0, delta=1.0)
-        with pytest.raises(SingularPoint, match="1 - a"):
+        with pytest.raises(ZeroDivisionError, match="1 - a"):
             sample_coefficients(real, 1.0)
 
     def test_flat_xi_has_no_multiplier(self):
         real = Su11Realization(xi=constant_xi(0.5), a=1.0, delta=1.0)
-        with pytest.raises(SingularPoint, match="xi'"):
+        with pytest.raises(ZeroDivisionError, match="xi'"):
             sample_coefficients(real, 0.0)
 
     def test_only_g_needs_xi_squared_below_one(self):
         # with a = 0, f and c have no pole at xi = +-1; only g does
         real = Su11Realization(xi=identity_map(), a=0.0, delta=1.0)
         assert sample_coefficients(real, np.array([-1.0, 1.0])).g is None
-        with pytest.raises(SingularPoint, match="1 - xi"):
+        with pytest.raises(ZeroDivisionError, match="1 - xi"):
             sample_coefficients(real, np.array([-1.0, 1.0]), constant_mass())
 
 
@@ -375,7 +372,7 @@ class TestCasimir:
 
     def test_sector_mismatch(self, tanh_realization, labels, grid):
         psi = gaussian_sector_function(grid, sector=labels.j0 + 0.5)
-        with pytest.raises(SectorMismatch):
+        with pytest.raises(ValueError, match="psi sector"):
             casimir_residual(tanh_realization, labels, psi)
 
     def test_requires_canonical_a(self, labels, packet):
@@ -396,7 +393,7 @@ class TestAllowedJ0:
         assert allowed_j0(0, -0.25) == pytest.approx(0.5)
 
     def test_negative_discriminant(self):
-        with pytest.raises(NegativeDiscriminant):
+        with pytest.raises(ValueError, match=r"c \+ 1/4"):
             allowed_j0(0, -0.3)
 
     def test_labels_consistency(self):

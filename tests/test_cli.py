@@ -1,10 +1,12 @@
 import argparse
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import resource
 import subprocess
 import sys
@@ -755,3 +757,14 @@ class TestExitCodeContract:
             report = json.loads(out.getvalue() or report_file.read_text())
             gates = [g["passed"] for g in report.get("gates", [])]
             assert report.get("hard_gates_passed") is False or not all(gates)
+
+    def test_every_library_exception_has_an_exit_code(self):
+        # each exception class the package defines is one cli.main tells
+        # apart by its exit code; every other refusal raises a built-in error
+        defined = set()
+        for info in pkgutil.iter_modules(natpdm.__path__):
+            module = importlib.import_module(f"natpdm.{info.name}")
+            defined |= {obj for obj in vars(module).values()
+                        if isinstance(obj, type) and issubclass(obj, BaseException)
+                        and obj.__module__ == module.__name__}
+        assert defined == set(cli._FAILURE_EXITS) | {cli.ConfigError}

@@ -10,9 +10,6 @@ from hypothesis import strategies as st
 from natpdm import conformal
 from natpdm.conformal import (
     BAND_HALF_WIDTH,
-    DegeneratePoints,
-    PoleAtMinusI,
-    PoleAtMinusOne,
     MobiusCoeffs,
     conformality_residual,
     cross_ratio,
@@ -43,14 +40,14 @@ def oracle_exp_map(z):
 def oracle_halfplane_to_disk(z):
     z = complex(z)
     if z == -1:
-        raise PoleAtMinusOne("Z = -1")
+        raise ZeroDivisionError("Z = -1")
     return (z - 1.0) / (1j * (z + 1.0))
 
 
 def oracle_disk_to_halfplane(w):
     w = complex(w)
     if w == -1j:
-        raise PoleAtMinusI("w = -i")
+        raise ZeroDivisionError("w = -i")
     return (1.0 + 1j * w) / (1.0 - 1j * w)
 
 
@@ -144,14 +141,14 @@ class TestElementaryMaps:
         assert halfplane_to_disk(-1j) == pytest.approx(-1.0, abs=1e-15)
 
     def test_halfplane_pole(self):
-        with pytest.raises(PoleAtMinusOne):
+        with pytest.raises(ZeroDivisionError, match="Z = -1"):
             halfplane_to_disk(-1.0)
 
     def test_disk_to_halfplane(self):
         assert disk_to_halfplane(0.0) == 1.0
         assert disk_to_halfplane(1.0) == pytest.approx(1j, abs=1e-15)
         assert disk_to_halfplane(-1.0) == pytest.approx(-1j, abs=1e-15)
-        with pytest.raises(PoleAtMinusI):
+        with pytest.raises(ZeroDivisionError, match="w = -i"):
             disk_to_halfplane(-1j)
 
     def test_round_trip_identity(self):
@@ -235,15 +232,15 @@ class TestMobius:
             assert mob(z) == pytest.approx(1.0 / z, abs=1e-14)
 
     def test_degenerate_points(self):
-        with pytest.raises(DegeneratePoints):
+        with pytest.raises(ValueError, match="degenerate"):
             mobius_from_three_points(1.0, 1.0, 2.0, 0.0, 1.0, 2.0)
-        with pytest.raises(DegeneratePoints):
+        with pytest.raises(ValueError, match="degenerate"):
             mobius_from_three_points(INF, INF, 2.0, 0.0, 1.0, 2.0)
 
     def test_degenerate_coeffs(self):
-        with pytest.raises(DegeneratePoints):
+        with pytest.raises(ValueError, match="degenerate"):
             MobiusCoeffs(1.0, 2.0, 1.0, 2.0)
-        with pytest.raises(DegeneratePoints):
+        with pytest.raises(ValueError, match="degenerate"):
             MobiusCoeffs(0.0, 0.0, 0.0, 0.0)
 
     def test_tiny_anchors_are_not_degenerate(self):
@@ -251,7 +248,7 @@ class TestMobius:
         mob = mobius_from_three_points(0.0, 1e-110, 2e-110, 0.0, 1.0, 2.0)
         assert mob(np.array([0.0, 1e-110, 2e-110])) == pytest.approx([0.0, 1.0, 2.0], abs=1e-12)
         assert mob(1.5e-110) == pytest.approx(1.5, abs=1e-12)
-        with pytest.raises(DegeneratePoints):
+        with pytest.raises(ValueError, match="degenerate"):
             mobius_from_three_points(0.0, 1e-110, 1e-110, 0.0, 1.0, 2.0)
 
     def test_cross_ratio_preserved(self):
@@ -346,9 +343,9 @@ class TestArraysEqualTheScalarOracle:
 
 class TestArrayRefusals:
     def test_one_pole_in_an_array_refuses_the_array(self):
-        with pytest.raises(PoleAtMinusOne):
+        with pytest.raises(ZeroDivisionError, match="Z = -1"):
             halfplane_to_disk(np.array([0.5, 1j, -1.0, 2.0]))
-        with pytest.raises(PoleAtMinusI):
+        with pytest.raises(ZeroDivisionError, match="w = -i"):
             disk_to_halfplane(np.array([0.5, -1j, 0.25j]))
 
     def test_one_overflowing_element_raises(self):
@@ -408,13 +405,13 @@ class TestMobiusHomogeneous:
         assert all(chordal(b, a) < 1e-9 for b, a in zip(before, after))
 
     def test_every_infinite_value_is_the_one_point_at_infinity(self):
-        with pytest.raises(DegeneratePoints):
+        with pytest.raises(ValueError, match="degenerate"):
             mobius_from_three_points(INF, 2.0, complex(-math.inf, 0.0), 0.0, 1.0, 2.0)
-        with pytest.raises(DegeneratePoints):
+        with pytest.raises(ValueError, match="degenerate"):
             mobius_from_three_points(0.0, 1.0, 2.0, complex(0.0, math.inf), 1.0, INF)
 
     def test_outer_anchors_coinciding_are_refused(self):
-        with pytest.raises(DegeneratePoints):
+        with pytest.raises(ValueError, match="degenerate"):
             mobius_from_three_points(1.0 + 1j, 2.0, 1.0 + 1j, 0.0, 1.0, 2.0)
 
     def test_the_pole_maps_to_infinity(self):
