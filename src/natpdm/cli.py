@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -441,6 +442,9 @@ COMMANDS = {
 }
 
 
+# built once per process: parse_args keeps its results in a new namespace
+# each call and leaves the parser as it was
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="natpdm",

@@ -4,14 +4,14 @@ Provides the Newton-bisection root finder and adaptive Simpson
 quadrature, both over arrays of brackets or intervals with one
 vectorised f call per step, a Richardson-extrapolated central first
 derivative, fourth-order grid stencils, and an eigensolver for real
-symmetric tridiagonal matrices: LAPACK bisection (dstebz, reached through
-ctypes in the LAPACK that numpy.linalg already links, so no extra
-dependency) whose levels, for every matrix of one call, are certified by
-one Sturm sign-count sweep.
+symmetric tridiagonal matrices: LAPACK bisection (dstebz) whose levels,
+for every matrix of one call, are certified by LAPACK's Sturm sign count
+(dlaebz), both reached through ctypes in the LAPACK that numpy.linalg
+already links, so no extra dependency.
 
 All operations are pure: inputs are never mutated and the only module
-state is two caches of constants (stencil weights and the resolved LAPACK
-routine), so concurrent callers are safe.
+state is three caches of constants (stencil weights and the two resolved
+LAPACK routines, dstebz and dlaebz), so concurrent callers are safe.
 """
 
 from __future__ import annotations
@@ -415,105 +415,93 @@ def sturm_count(matrices, shifts) -> np.ndarray:
 
     shifts broadcasts to (len(matrices), s): one row of s shifts serves
     every matrix, or row r holds the shifts of matrix r.  Returns the
-    (len(matrices), s) int64 counts.
-
-    One LDL^T recurrence runs over the rows of the longest matrix, with
-    every (matrix, shift) pair as a column of in-place operations on
-    preallocated buffers.  Each matrix keeps its own pivmin and, as in
-    LAPACK dlaebz, a pivot below pivmin in magnitude is taken as -pivmin,
-    so it counts as negative and the next row never divides by zero.
-    The rows run unguarded in blocks of 64, the IEEE recurrence of LAPACK
-    dlaneg (Marques, Riedy & Voemel, SIAM J. Sci. Comput. 28 (2006)
-    1613): one division and one subtraction per row, then one test per
-    block for a tiny pivot.  The first one found is replaced and the rows
-    after it are formed again, so every pivot is the float of the
-    row-by-row guarded recurrence.  A NaN pivot is never tiny and never
-    counts.  Shorter matrices are padded at the end with a diagonal of
-    +inf and zero coupling: their real rows come first, so those pivots
-    are the ones a sweep of that matrix alone would give, and a padded
-    pivot is inf or NaN at every shift, infinite shifts included, so it
-    never counts.  A matrix whose couplings reach 2^500 is swept scaled,
-    with its shifts, by a power of two, so no coupling squares to inf.
+    (len(matrices), s) int64 counts from one LAPACK dlaebz call (IJOB=1)
+    per matrix: the guarded LDL^T count that dstebz bisects with (Kahan
+    1966; Demmel, Dhillon & Ren 1995), with pivots q_j = (d_j - e_{j-1}^2
+    / q_{j-1}) - shift.  A pivot below pivmin = max(max e^2, 1) 2.3e-308
+    in magnitude is taken as -pivmin, so it counts as negative, and a NaN
+    pivot never counts.  A matrix whose couplings reach 2^500 is counted
+    scaled, with its shifts, by a power of two, so no coupling squares to
+    inf.
     """
     lam = np.atleast_2d(np.asarray(shifts, dtype=float))
     lam = np.broadcast_to(lam, (len(matrices), lam.shape[-1]))
-    n = max((matrix.size for matrix in matrices), default=0)
-    d = np.full((n, len(matrices), 1), np.inf)
-    e2 = np.zeros((n, len(matrices), 1))  # e2[i] couples rows i - 1 and i
-    scale = np.ones((len(matrices), 1))
+    s = lam.shape[1]
+    # the shifts are the ends of MINP intervals, in the Fortran (MINP, 2)
+    # arrays AB and NAB: the first MINP are lower ends; an odd s takes a spare
+    pairs = (s + 1) // 2
+    ab, work = np.zeros(2 * pairs), np.empty(pairs)
+    nab, iwork = np.empty(2 * pairs, dtype=np.int64), np.empty(pairs, dtype=np.int64)
+    one, minp, mout, info = (ctypes.c_int64(v) for v in (1, pairs, 0, 0))
+    unused = ctypes.c_double(0.0)
+    counts = np.empty(lam.shape, dtype=np.int64)
     for r, matrix in enumerate(matrices):
         # a coupling of 2^512 or more would square to inf: the matrix and
         # its shifts are scaled by the power of two that brings its largest
         # coupling below 2^500, which leaves every count unchanged
         top = float(np.max(np.abs(matrix.offdiagonal), initial=0.0))
-        scale[r] = math.ldexp(1.0, min(0, 500 - math.frexp(top)[1]))
-        e = matrix.offdiagonal * scale[r]
-        d[:matrix.size, r, 0] = matrix.diagonal * scale[r]
-        e2[1:matrix.size, r, 0] = e * e
-    lam = lam * scale
-    pivmin = np.maximum(e2.max(axis=0, initial=1.0), 1.0) * 2.3e-308
-    counts = np.zeros(lam.shape, dtype=np.int64)
-    # the pivots are kept and counted once at the end.  The couplings are
-    # copied out to the pivots' shape because a row's call that
-    # broadcasts (m, 1) against (m, s) costs two to three times one on
-    # equal shapes (1.3-1.6 against 0.5-0.9 us at 4 x 8, 2-vCPU host).
-    # Shift columns per pass bound the pivot and coupling buffers near
-    # 16 MB together, so a request for more levels than fit takes a few
-    # passes
-    step = max(1, 2 ** 20 // max(n * len(matrices), 1))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for lo in range(0, lam.shape[1], step):
-            shift = lam[np.newaxis, :, lo:lo + step]
-            # the shifted diagonal, overwritten row by row with the pivots
-            q = d - shift
-            c = np.ascontiguousarray(np.broadcast_to(e2, q.shape))
-            t = np.empty(q.shape[1:])
-            rows, couplings = list(q), list(c)
-            start, block = 0, 64
-            while start < n:
-                stop = min(start + block, n)
-                for i in range(max(start, 1), stop):
-                    np.divide(couplings[i], rows[i - 1], t)
-                    np.subtract(rows[i], t, rows[i])
-                tiny = np.abs(q[start:stop]) < pivmin
-                if not tiny.any():
-                    start, block = stop, min(2 * block, 64)
-                    continue
-                # the rows after the first tiny pivot divided by it: form
-                # them again from the shifted diagonal, in a block that
-                # starts at one row and doubles, so that tiny pivots in
-                # quick succession cost a few rows each, not 64
-                i = start + int(tiny.any(axis=(1, 2)).argmax())
-                np.copyto(rows[i], -pivmin, where=tiny[i - start])
-                np.subtract(d[i + 1:stop], shift, out=q[i + 1:stop])
-                start, block = i + 1, 1
-            counts[:, lo:lo + step] = np.count_nonzero(q <= 0.0, axis=0)
+        scale = math.ldexp(1.0, min(0, 500 - math.frexp(top)[1]))
+        e2 = (matrix.offdiagonal * scale) ** 2
+        pivmin = ctypes.c_double(float(np.max(e2, initial=1.0)) * 2.3e-308)
+        ab[:s] = lam[r] * scale
+        # IJOB=1 reads only n, mmax, minp, pivmin, d, e2 and ab
+        _dlaebz()(one, one, ctypes.c_int64(matrix.size), minp, minp, one, unused, unused,
+                  pivmin, matrix.diagonal * scale, e2, e2, iwork, ab, work, mout, nab, work,
+                  iwork, info)
+        if info.value != 0:
+            raise EigensolverFailure(f"LAPACK dlaebz returned info={info.value} "
+                                     f"(n={matrix.size}, matrix {r + 1} of {len(matrices)})")
+        counts[r] = nab[:s]
     return counts
+
+
+def _lapack(routine: str, symbol: str):
+    """A routine of the ILP64 LAPACK that numpy.linalg already links.
+
+    numpy wheels bundle scipy-openblas, which exports LAPACK and LAPACKE
+    with a scipy_ prefix and, being ILP64, a 64_ suffix and 64-bit integers.
+    Each routine is resolved on the first eigensolve, so importing natpdm
+    loads nothing.
+    """
+    from numpy.linalg import _umath_linalg
+
+    try:
+        return getattr(ctypes.CDLL(_umath_linalg.__file__), symbol)
+    except (OSError, AttributeError) as exc:
+        raise EigensolverFailure(
+            f"LAPACK {routine} not found in numpy's linked LAPACK (natpdm needs a numpy>=2 "
+            f"pip wheel with its bundled scipy-openblas): {exc}") from exc
+
+
+_VEC = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+_IVEC = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
 
 
 @lru_cache(maxsize=None)
 def _dstebz():
-    """LAPACKE dstebz from the ILP64 LAPACK that numpy.linalg already links.
-
-    Resolved on the first eigensolve, so importing natpdm loads nothing.
-    """
-    from numpy.linalg import _umath_linalg
-
-    # numpy wheels bundle scipy-openblas, which exports LAPACKE with a
-    # scipy_ prefix and, being ILP64, a 64_ suffix and 64-bit integers
-    try:
-        fn = ctypes.CDLL(_umath_linalg.__file__).scipy_LAPACKE_dstebz64_
-    except (OSError, AttributeError) as exc:
-        raise EigensolverFailure(
-            "LAPACK dstebz not found in numpy's linked LAPACK (natpdm needs a numpy>=2 "
-            f"pip wheel with its bundled scipy-openblas): {exc}") from exc
+    """LAPACKE dstebz: bisection for the lowest levels of one matrix."""
+    fn = _lapack("dstebz", "scipy_LAPACKE_dstebz64_")
     lint = ctypes.c_int64
-    vec = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    ivec = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
     # range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock, isplit
     fn.argtypes = [ctypes.c_char, ctypes.c_char, lint, ctypes.c_double, ctypes.c_double,
-                   lint, lint, ctypes.c_double, vec, vec, ivec, ivec, vec, ivec, ivec]
+                   lint, lint, ctypes.c_double, _VEC, _VEC, _IVEC, _IVEC, _VEC, _IVEC, _IVEC]
     fn.restype = lint
+    return fn
+
+
+@lru_cache(maxsize=None)
+def _dlaebz():
+    """Fortran dlaebz, which has no LAPACKE wrapper: every argument by reference.
+
+    A c_int64 or c_double given for a pointer argument is passed by reference.
+    """
+    fn = _lapack("dlaebz", "scipy_dlaebz_64_")
+    pint, pdouble = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+    # ijob, nitmax, n, mmax, minp, nbmin, abstol, reltol, pivmin, d, e, e2,
+    # nval, ab, c, mout, nab, work, iwork, info
+    fn.argtypes = [pint] * 6 + [pdouble] * 3 + [_VEC, _VEC, _VEC, _IVEC, _VEC, _VEC, pint,
+                                                _IVEC, _VEC, _IVEC, pint]
+    fn.restype = None
     return fn
 
 
@@ -523,13 +511,13 @@ def lowest_eigenvalues(matrices, k: int) -> np.ndarray:
     Returns a (len(matrices), k) array whose row r holds the levels of
     matrix r.  Each level is located to within EIG_ATOL, one dstebz call
     per matrix, and then every level of every matrix is certified by one
-    Sturm sweep: level i (1-based) passes only if count(E_i - delta) <=
+    sturm_count call: level i (1-based) passes only if count(E_i - delta) <=
     i - 1 and count(E_i + delta) >= i, with delta = max(EIG_ATOL, 8 eps
     ||T||) and ||T|| the Gershgorin bound of its own matrix, so the
     margin grows with the rounding of the count itself.  Degenerate
     levels pass.  Raises EigensolverFailure when LAPACK reports an error
     (non-finite entries and levels it could not find included), the
-    certificate rejects a level, or the routine cannot be found.
+    certificate rejects a level, or either routine cannot be found.
     """
     levels = np.empty((len(matrices), k))
     delta = np.empty((len(matrices), 1))

@@ -10,7 +10,7 @@ The kinetic part is discretized in its exactly equivalent flux form
 -(1/2) d/dx (1/m) d/dx with midpoint mass averages, which keeps the
 matrix symmetric (real eigenvalues guaranteed) and is second order in
 the spacing.  Bound-state energies from LAPACK bisection (dstebz), every
-matrix of a request certified by one Sturm sweep
+matrix of a request certified by one Sturm count
 (numerics.lowest_eigenvalues), then adjudicate every closed-form
 spectrum claim.  verify_spectrum returns its report as the plain dict
 that `natpdm spectrum` prints, under the same keys; the CLI adds only the
@@ -115,7 +115,7 @@ def verify_spectrum(gamma: float, j: float, mass: MassProfile, ordering: Orderin
     with a second mass profile to measure mass independence of the bound
     levels: rational:2 beside a constant mass, the unit mass beside
     any other.  The four matrices (two grids, two masses) are solved in one
-    lowest_eigenvalues call, so one Sturm sweep certifies them, and each
+    lowest_eigenvalues call, so one Sturm count certifies them, and each
     mass's two grids are Richardson extrapolated.
 
     Returns the report under the keys `natpdm spectrum` prints:

@@ -223,7 +223,7 @@ def pdmsolver_suite(tol, rng) -> list:
     h_osc = pdmsolver.assemble_hamiltonian(unit, v_osc, bdd, osc)
     osc_f = osc.refined()
     h_osc_f = pdmsolver.assemble_hamiltonian(unit, 0.5 * osc_f.points ** 2, bdd, osc_f)
-    # the six matrices share one Sturm certificate sweep; both extrapolations
+    # the six matrices share one Sturm certificate call; both extrapolations
     # take the richardson step that verify_spectrum takes
     *eigs, eigs_t, e_osc, e_osc_f = numerics.lowest_eigenvalues(
         [*h_box, h_box_t, h_osc, h_osc_f], 4)

@@ -9,8 +9,8 @@ def break_dstebz(monkeypatch):
     """Install one LAPACK fault for the test: "nonfinite", "certificate" or "missing".
 
     "nonfinite" hands LAPACK a diagonal with a NaN, "certificate" moves the
-    lowest level LAPACK returns by 1 so the Sturm sweep rejects it, and
-    "missing" makes the symbol lookup fail.
+    lowest level LAPACK returns by 1 so the Sturm certificate rejects it,
+    and "missing" makes the lookup of both dstebz and dlaebz fail.
     """
     resolve = numerics._dstebz
     real = resolve()
@@ -22,6 +22,7 @@ def break_dstebz(monkeypatch):
                     pass
 
             resolve.cache_clear()
+            numerics._dlaebz.cache_clear()
             monkeypatch.setattr(numerics.ctypes, "CDLL", NoSymbols)
             return
 
@@ -38,5 +39,6 @@ def break_dstebz(monkeypatch):
         monkeypatch.setattr(numerics, "_dstebz", lambda: wrapper)
 
     yield install
-    # drop what the fault left cached, so the next solve resolves the real symbol
+    # drop what the fault left cached, so the next solve resolves the real symbols
     resolve.cache_clear()
+    numerics._dlaebz.cache_clear()

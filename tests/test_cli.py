@@ -568,6 +568,28 @@ class TestCommandSurface:
         assert tols == {name: own for name, (_, own) in SURFACE.items()}
         assert sum(map(len, tols.values())) == 7
 
+    def test_two_calls_in_a_row_share_nothing(self, monkeypatch, capsys):
+        # the parser is built once per process; --tol appends to a list, so
+        # a list kept in the parser would carry into the next call
+        seen = []
+        real = cli._build_config
+
+        def spy(args):
+            seen.append((args, real(args)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(cli, "_build_config", spy)
+        grid = "--grid=-1,1,5"
+        assert cli.main(["potential", "--gamma=0.8", "--tol", "quad=1e-9", grid]) == 0
+        assert cli.main(["potential", grid]) == 0
+        capsys.readouterr()
+        (first, first_cfg), (second, second_cfg) = seen
+        assert first.tol == ["quad=1e-9"] and first_cfg.tol == {"quad": 1e-9}
+        assert first.gamma == "0.8" and first_cfg.gamma == 0.8
+        assert second.tol is None and second_cfg.tol == {"quad": cli.DEFAULT_TOLERANCES["quad"]}
+        assert second.gamma is None and second_cfg.gamma == 1.0
+        assert cli.build_parser() is cli.build_parser()
+
     @pytest.mark.parametrize("command", sorted(SURFACE))
     def test_help_exits_zero(self, command, capsys):
         with pytest.raises(SystemExit) as exc:

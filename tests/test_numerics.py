@@ -729,13 +729,19 @@ class TestEigensolver:
         break_dstebz(kind)
         with pytest.raises(EigensolverFailure):
             lowest_eigenvalues([dirichlet_laplacian(50, 0.1)], 3)
+        if kind == "missing":
+            # lowest_eigenvalues stops at dstebz; the count resolves dlaebz
+            with pytest.raises(EigensolverFailure, match="LAPACK dlaebz not found"):
+                sturm_count([dirichlet_laplacian(50, 0.1)], [0.0])
 
 
-def sturm_count_one(matrix: TridiagonalSymmetric, lam) -> np.ndarray:
+def sturm_count_one(matrix: TridiagonalSymmetric, lam, shift_first=False) -> np.ndarray:
     """Reference: the LDL^T Sturm count of one matrix, one row at a time.
 
-    Couplings of 2^500 and above are scaled, with the shifts, by the
-    power of two the sweep uses, so their squares stay finite.
+    Each pivot is (d_i - e_{i-1}^2 / q) - lam, in LAPACK dlaebz's order,
+    or (d_i - lam) - e_{i-1}^2 / q with shift_first.  Couplings of 2^500
+    and above are scaled, with the shifts, by the power of two
+    sturm_count uses, so their squares stay finite.
     """
     top = float(np.abs(matrix.offdiagonal).max()) if matrix.size > 1 else 0.0
     scale = 2.0 ** min(0, 500 - math.frexp(top)[1])
@@ -748,7 +754,7 @@ def sturm_count_one(matrix: TridiagonalSymmetric, lam) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(d.size):
             if i:
-                q = d[i] - lam - e2[i - 1] / q
+                q = (d[i] - lam) - e2[i - 1] / q if shift_first else d[i] - e2[i - 1] / q - lam
             # as in LAPACK dlaebz: a pivot below pivmin is -pivmin, and counted so
             q = np.where(np.abs(q) < pivmin, -pivmin, q)
             count += q <= 0.0
@@ -757,7 +763,7 @@ def sturm_count_one(matrix: TridiagonalSymmetric, lam) -> np.ndarray:
 
 @st.composite
 def graded_batches(draw):
-    """1-4 matrices of 1-300 rows and the shifts of one sweep over them.
+    """1-4 matrices of 1-300 rows and the shifts of one sturm_count call over them.
 
     Entries are signed powers of ten whose exponents span up to 1e-300 to
     1e300, with some exactly zero.  Couplings reach below sqrt(pivmin), so
@@ -820,7 +826,7 @@ class TestBatchedCertificate:
         assert got[:, 0].tolist() == [0, 0, 0, 0, 0]
         assert got[:, -1].tolist() == [1, 2, 7, 40, 300]
 
-    # 3000 shifts of 300-row matrices overflow one pass's pivot buffer
+    # an odd count takes a spare shift; 3000 shifts make 1500 dlaebz intervals
     @pytest.mark.parametrize("n_shifts", [9, 3000])
     def test_each_matrix_its_own_shifts(self, n_shifts):
         matrices = self.matrices()
@@ -829,6 +835,21 @@ class TestBatchedCertificate:
         got = sturm_count(matrices, shifts)
         for matrix, row, counts in zip(matrices, shifts, got):
             assert counts.tolist() == sturm_count_one(matrix, row).tolist()
+
+    def test_counts_off_ties_equal_the_shift_first_recurrence(self):
+        # the two orders of a pivot's operations round apart only where a
+        # shift sits on a rounding tie; random shifts, and the certificate's
+        # E +- delta, sit on none
+        rng = np.random.default_rng(41)
+        for n in rng.integers(1, 300, size=400):
+            matrix = TridiagonalSymmetric(rng.normal(size=n), rng.normal(size=n - 1))
+            dense = dense_matrix(matrix)
+            levels = np.linalg.eigvalsh(dense)[:4]
+            delta = max(numerics.EIG_ATOL,
+                        8.0 * np.finfo(float).eps * np.abs(dense).sum(axis=1).max())
+            lam = np.concatenate([rng.normal(scale=2.0, size=9), levels - delta, levels + delta])
+            assert (sturm_count([matrix], lam)[0].tolist()
+                    == sturm_count_one(matrix, lam, shift_first=True).tolist())
 
     def test_pivot_below_pivmin_counts_as_the_negative_it_is_taken_for(self):
         # eigenvalues -1 and 1; the next row divides by -pivmin, so the
@@ -857,7 +878,8 @@ class TestBatchedCertificate:
     BIG = TridiagonalSymmetric(np.random.default_rng(31).normal(size=2399),
                                np.random.default_rng(37).normal(size=2398))
 
-    # the sweep checks its pivots once per block of 64 rows
+    # a zero or tiny pivot planted at the first, last and middle rows of
+    # matrices of 1 to 130 rows, alone and beside a longer matrix
     @pytest.mark.parametrize("batched", [False, True], ids=["alone", "batched"])
     @pytest.mark.parametrize("pivot", [0.0, 1e-310], ids=["zero", "tiny"])
     @pytest.mark.parametrize("n, row", [

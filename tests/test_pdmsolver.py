@@ -70,12 +70,37 @@ class TestAssembly:
         assert np.allclose(hm.diagonal, 1.0 / h ** 2)
         assert np.allclose(hm.offdiagonal, -0.5 / h ** 2)
 
-    def test_matrix_exactly_symmetric(self):
+    def test_matrix_applies_the_von_roos_operator_to_second_order(self):
+        # oracle: the operator of the pdmsolver docstring applied to
+        # f = sin(k (x + 3)), which vanishes at both walls, with the
+        # rational:2 mass m = (2 + x^2)/(1 + x^2) and its derivatives
+        # written out here; the error of H f on the interior nodes falls
+        # by 4 per halving of the spacing
+        eta, eps = 0.2, -0.7
+        k = math.pi / 6.0
+        errors = []
         grid = Grid(-3.0, 3.0, 41)
-        hm = assemble_hamiltonian(rational_mass(2.0), np.sin(grid.points),
-                                  OrderingParams(0.2, -0.7), grid)
-        dense = np.diag(hm.diagonal) + np.diag(hm.offdiagonal, 1) + np.diag(hm.offdiagonal, -1)
-        assert np.array_equal(dense, dense.T)
+        for _ in range(3):
+            x = grid.points
+            hm = assemble_hamiltonian(rational_mass(2.0), np.sin(x), OrderingParams(eta, eps),
+                                      grid)
+            f = np.sin(k * (x + 3.0))
+            hf = hm.diagonal * f[1:-1]
+            hf[:-1] += hm.offdiagonal * f[2:-1]
+            hf[1:] += hm.offdiagonal * f[1:-2]
+            x = x[1:-1]
+            m = (2.0 + x * x) / (1.0 + x * x)
+            mp = -2.0 * x / (1.0 + x * x) ** 2
+            mpp = -2.0 * (1.0 - 3.0 * x * x) / (1.0 + x * x) ** 3
+            fp, fpp = k * np.cos(k * (x + 3.0)), -k * k * np.sin(k * (x + 3.0))
+            exact = (-fpp / (2.0 * m) + mp * fp / (2.0 * m * m)
+                     + ((1.0 + eps) * mpp / (4.0 * m * m)
+                        - (eta * (eta + eps + 1.0) + eps + 1.0) * mp * mp / (2.0 * m ** 3)
+                        + np.sin(x)) * f[1:-1])
+            errors.append(np.max(np.abs(hf - exact)))
+            grid = grid.refined()
+        ratios = [errors[0] / errors[1], errors[1] / errors[2]]
+        assert all(3.8 <= r <= 4.2 for r in ratios), (errors, ratios)
 
     def test_bdd_ordering_terms_vanish(self):
         # eta = 0, eps = -1 zeroes both ordering coefficients even for m' != 0
