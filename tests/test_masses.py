@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from natpdm import numerics
+from natpdm import cli, numerics
 from natpdm.masses import MASS_REGISTRY, parse_mass, travel_coordinate
 from natpdm.numerics import Grid
 
@@ -36,6 +38,47 @@ def test_travel_coordinate_matches_per_point_quadrature(name, case):
     assert np.max(np.abs(mu - each)) <= bound
     order = np.argsort(x, kind="stable")
     assert np.all(np.diff(mu[order]) >= 0.0)
+
+
+def cumsum_less_anchor(mass, x, x0, tol):
+    """Every mu as the cumulative cell sum less the quadrature from the first point to x0."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    cells = numerics.integrate(lambda t: np.sqrt(2.0 * mass.m(t)),
+                               np.append(xs[:-1], xs[0]), np.append(xs[1:], x0), tol)
+    mu = np.cumsum(np.concatenate(([0.0], cells[:-1]))) - cells[-1]
+    return mu[np.argsort(order)]
+
+
+@pytest.mark.parametrize("name", sorted(MASS_REGISTRY))
+@settings(max_examples=40, deadline=None)
+@given(case=points_and_anchor(), at=st.lists(st.integers(0, 40), max_size=3))
+def test_points_at_the_anchor_are_exactly_zero(name, case, at):
+    # the sum less the anchor interval leaves about 1e-13 where x = x0, and
+    # can give a point that close to x0 the wrong sign; every other point
+    # keeps that formula's floats
+    x, x0 = case
+    x = np.insert(x, np.minimum(np.array(at, dtype=int), x.size), x0)
+    mass = parse_mass(name)
+    mu = travel_coordinate(mass, x, x0, TOL)
+    anchor = x == x0
+    assert np.count_nonzero(anchor) >= len(at)
+    assert np.all(mu[anchor] == 0.0) and not np.any(np.signbit(mu[anchor]))
+    want = cumsum_less_anchor(mass, x, x0, TOL)
+    wrong_side = np.sign(want) * np.sign(x - x0) < 0.0
+    assert np.all(mu[wrong_side] == 0.0)
+    kept = ~anchor & ~wrong_side
+    assert np.array_equal(mu[kept].view(np.int64), want[kept].view(np.int64))
+
+
+def test_potential_table_is_zero_at_the_anchor_row(capsys):
+    # the quadrature from -12 to 0 is off by about -2.7e-13; none of it may
+    # reach the anchor row's mu, u or z
+    assert cli.main(["potential", "--format=json", "--grid=-12,12,2401", "--gamma=0.8",
+                     "--mass=rational:2"]) == 0
+    table = json.loads(capsys.readouterr().out)
+    assert table["x"][1200] == 0.0
+    assert table["mu"][1200] == table["u"][1200] == table["z"][1200] == 0.0
 
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(30)

@@ -416,6 +416,100 @@ def recursive_simpson(f, a, b, tol):
     return step(a, fa, m, fm, b, fb, whole, tol * (1.0 + abs(whole)), 0)
 
 
+def halves_tree_simpson(f, lo0, hi0, tol):
+    """Reference level loop: each panel row its own array, children interleaved by np.stack.
+
+    The same rule, f calls, budget and ToleranceNotMet text as
+    numerics._adaptive_simpson, so integrate must agree with it bit for bit.
+    """
+    budget = max(numerics.QUAD_MAX_PANELS, lo0.size)
+    lo, hi = lo0, hi0
+    m = numerics._midpoint(lo, hi)
+    flo, fm, fhi = np.split(np.asarray(f(np.concatenate([lo, m, hi])), dtype=float), 3)
+    with np.errstate(invalid="ignore", over="ignore"):
+        whole = (hi - lo) / 6.0 * (flo + 4.0 * fm + fhi)
+        tol_abs = tol * (1.0 + np.abs(whole))
+    wfloor = 1e-10 * (hi - lo)
+
+    # children of split panel k sit at 2k (left half) and 2k + 1 (right half)
+    def halves(x, y):
+        return np.stack([x[split], y[split]], axis=1).ravel()
+
+    levels = []
+    for depth in range(numerics.QUAD_MAX_DEPTH + 1):
+        lm, rm = numerics._midpoint(lo, m), numerics._midpoint(m, hi)
+        flm, frm = np.split(np.asarray(f(np.concatenate([lm, rm])), dtype=float), 2)
+        with np.errstate(invalid="ignore", over="ignore"):
+            left = (m - lo) / 6.0 * (flo + 4.0 * flm + fm)
+            right = (hi - m) / 6.0 * (fm + 4.0 * frm + fhi)
+            err = left + right - whole
+            value = left + right + err / 15.0
+            done = (np.abs(err) <= 15.0 * tol_abs) | ((hi - lo <= wfloor) & np.isfinite(err))
+        split = ~done
+        levels.append((value, split))
+        n_split = int(split.sum())
+        if not n_split:
+            break
+        if depth < numerics.QUAD_MAX_DEPTH and 2 * n_split > budget and lo0.size > 1:
+            levels.clear()
+            half = lo0.size // 2
+            return np.concatenate([halves_tree_simpson(f, lo0[:half], hi0[:half], tol),
+                                   halves_tree_simpson(f, lo0[half:], hi0[half:], tol)])
+        if depth == numerics.QUAD_MAX_DEPTH or 2 * n_split > budget:
+            i = int(np.argmax(split))
+            raise ToleranceNotMet(
+                f"adaptive quadrature exceeded its budget of depth {numerics.QUAD_MAX_DEPTH} "
+                f"or {budget} panels, at depth {depth} on [{lo[i]}, {hi[i]}]")
+        lo, m, hi, flo, fm, fhi, whole = (
+            halves(lo, m), halves(lm, rm), halves(m, hi), halves(flo, fm),
+            halves(flm, frm), halves(fm, fhi), halves(left, right))
+        tol_abs = np.repeat(0.5 * tol_abs[split], 2)
+        wfloor = np.repeat(wfloor[split], 2)
+    total = levels.pop()[0]
+    while levels:
+        value, split = levels.pop()
+        with np.errstate(over="ignore"):
+            value[split] = total[0::2] + total[1::2]
+        total = value
+    return total
+
+
+# integrands for the level-loop property, each f(x) for a parameter r: a
+# smooth one, fast oscillation, a jump (split to the width floor), and
+# NaN, inf and overflowing values
+INTEGRANDS = {
+    "cubic": lambda r: lambda x: r + x * (1.0 - x * x),
+    "sine": lambda r: lambda x: np.sin(1e3 * (x - r)),
+    "step": lambda r: lambda x: np.where(x < r, 0.0, 1.0),
+    "nan band": lambda r: lambda x: np.where(np.abs(x - r) < 0.5, np.nan, np.cos(x)),
+    "pole": lambda r: lambda x: 1.0 / np.sqrt(np.abs(x - r)),
+    "overflow": lambda r: lambda x: np.exp(800.0 * (x - r)),
+}
+# ends that often coincide with each other and with r, so poles and jumps
+# sit on panel ends
+_quad_points = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), _ends)
+
+
+@st.composite
+def level_loop_cases(draw):
+    """(integrand, r, a, b, tol, panel budget); a and b may hold reversed and empty intervals."""
+    a, b = [], []
+    for x, y, kind in draw(st.lists(st.tuples(_quad_points, _quad_points,
+                                              st.sampled_from(["forward", "reversed", "empty"])),
+                                    min_size=1, max_size=10)):
+        lo, hi = min(x, y), max(x, y)
+        a.append({"forward": lo, "reversed": hi, "empty": lo}[kind])
+        b.append({"forward": hi, "reversed": lo, "empty": lo}[kind])
+    a, b = np.array(a), np.array(b)
+    if draw(st.booleans()) and draw(st.booleans()):
+        # ends past 2^1023, whose sums overflow: _midpoint halves them first
+        a, b = 1.6e308 - 1e307 * np.abs(a), 1.6e308 - 1e307 * np.abs(b)
+    budget = draw(st.sampled_from([2, 8, 64, numerics.QUAD_MAX_PANELS]))
+    tols = [1e-3, 1e-10] + ([1e-300] if budget < numerics.QUAD_MAX_PANELS else [])
+    return (draw(st.sampled_from(sorted(INTEGRANDS))), draw(_quad_points), a, b,
+            draw(st.sampled_from(tols)), budget)
+
+
 class TestIntegrate:
     def test_monomial(self):
         assert integrate(lambda x: x * x, 0.0, 1.0, 1e-12) == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -540,6 +634,37 @@ class TestIntegrate:
             assert together[i] == recursive_simpson(f, a[i], b[i], 1e-10)
         assert together[3] == 0.0
         assert together[1] == -integrate(f, 0.0, 2.0, 1e-10)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=level_loop_cases())
+    def test_level_loop_equals_the_halves_tree(self, case):
+        # the same f calls on the same floats under the same error state,
+        # and the same values or the same ToleranceNotMet, at any budget
+        name, r, a, b, tol, budget = case
+        g = INTEGRANDS[name](r)
+        runs = []
+        for simpson in (numerics._adaptive_simpson, halves_tree_simpson):
+            calls = []
+
+            def f(x):
+                calls.append((x.copy(), np.geterr()))
+                with np.errstate(all="ignore"):
+                    return g(x)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(numerics, "QUAD_MAX_PANELS", budget)
+                mp.setattr(numerics, "_adaptive_simpson", simpson)
+                try:
+                    out = integrate(f, a, b, tol)
+                except ToleranceNotMet as exc:
+                    out = str(exc)
+            runs.append((out, calls))
+        (got, got_calls), (want, want_calls) = runs
+        assert type(got) is type(want)
+        assert got == want if isinstance(want, str) else same_floats(got, want)
+        assert len(got_calls) == len(want_calls)
+        for (x, state), (y, want_state) in zip(got_calls, want_calls):
+            assert same_floats(x, y) and state == want_state
 
 
 class TestDerivative:
