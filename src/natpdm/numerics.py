@@ -4,14 +4,16 @@ Provides the Newton-bisection root finder and adaptive Simpson
 quadrature, both over arrays of brackets or intervals with one
 vectorised f call per step, a Richardson-extrapolated central first
 derivative, fourth-order grid stencils, and an eigensolver for real
-symmetric tridiagonal matrices: LAPACK bisection (dstebz) whose levels,
-for every matrix of one call, are certified by LAPACK's Sturm sign count
-(dlaebz), both reached through ctypes in the LAPACK that numpy.linalg
+symmetric tridiagonal matrices: LAPACK bisection (dstebz), or inverse
+iteration (dstein) from the levels of a coarser twin, whose levels, for
+every matrix of one call, are certified by LAPACK's Sturm sign count
+(dlaebz), all reached through ctypes in the LAPACK that numpy.linalg
 already links, so no extra dependency.
 
 All operations are pure: inputs are never mutated and the only module
-state is three caches of constants (stencil weights and the two resolved
-LAPACK routines, dstebz and dlaebz), so concurrent callers are safe.
+state is four caches of constants (stencil weights and the three
+resolved LAPACK routines, dstebz, dstein and dlaebz), so concurrent
+callers are safe.
 """
 
 from __future__ import annotations
@@ -285,10 +287,10 @@ def integrate(f: Callable, a, b, tol: float):
     A batch whose level would hold more is integrated again as two
     halves, each with a budget of its own, so an interval that converges
     alone converges in any batch and memory stays bounded.  Raises
-    ValueError for a tol that is not positive and finite or a non-finite
-    end, before f is called, and ToleranceNotMet when refinement exhausts
-    its budget: depth QUAD_MAX_DEPTH, or the panel budget of a lone
-    interval.
+    ValueError for a tol that is not positive and finite, a non-finite
+    end or an interval wider than the double range, before f is called,
+    and ToleranceNotMet when refinement exhausts its budget: depth
+    QUAD_MAX_DEPTH, or the panel budget of a lone interval.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -296,6 +298,9 @@ def integrate(f: Callable, a, b, tol: float):
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("integration ends must be finite")
     lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(hi - lo)):  # no panel width, nor its floor, to compare
+            raise ValueError("an integration interval is wider than the double range")
     out = np.zeros(lo.size)
     todo = np.flatnonzero(lo < hi)
     out[todo] = _adaptive_simpson(f, lo[todo], hi[todo], tol)
@@ -510,6 +515,7 @@ def _lapack(routine: str, symbol: str):
 
 _VEC = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
 _IVEC = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+_COL_MAJOR = 102  # LAPACKE's LAPACK_COL_MAJOR
 
 
 @lru_cache(maxsize=None)
@@ -540,55 +546,133 @@ def _dlaebz():
     return fn
 
 
-def lowest_eigenvalues(matrices, k: int) -> np.ndarray:
-    """k smallest eigenvalues of each matrix, ascending, by LAPACK bisection (dstebz).
+@lru_cache(maxsize=None)
+def _dstein():
+    """LAPACKE dstein: inverse iteration for the eigenvectors at given levels."""
+    fn = _lapack("dstein", "scipy_LAPACKE_dstein64_")
+    lint = ctypes.c_int64
+    # matrix_layout, n, d, e, m, w, iblock, isplit, z, ldz, ifailv
+    fn.argtypes = [ctypes.c_int, lint, _VEC, _VEC, lint, _VEC, _IVEC, _IVEC,
+                   np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS"), lint, _IVEC]
+    fn.restype = lint
+    return fn
+
+
+def _bisection_levels(matrix: TridiagonalSymmetric, k: int, where: str) -> np.ndarray:
+    """The k lowest levels of matrix from one dstebz call, each to within EIG_ATOL."""
+    n = matrix.size
+    found = np.zeros(1, dtype=np.int64)
+    nsplit = np.zeros(1, dtype=np.int64)
+    w = np.empty(n)
+    iblock = np.empty(n, dtype=np.int64)
+    isplit = np.empty(n, dtype=np.int64)
+    info = _dstebz()(b"I", b"E", n, 0.0, 0.0, 1, k, EIG_ATOL,
+                     np.ascontiguousarray(matrix.diagonal),
+                     np.ascontiguousarray(matrix.offdiagonal),
+                     found, nsplit, w, iblock, isplit)
+    # with RANGE='I', levels LAPACK could not find come back as info 2 or 3
+    if info != 0:
+        raise EigensolverFailure(f"LAPACK dstebz returned info={info} (n={n}, k={k}, {where})")
+    return w[:k]
+
+
+def _seeded_levels(matrix: TridiagonalSymmetric, seeds: np.ndarray):
+    """Rayleigh quotients of dstein's inverse-iteration vectors at seeds, or None.
+
+    None, for dstebz to solve the matrix instead, where the seeds are not
+    finite and strictly ascending, dstein reports an error, or a quotient
+    is not finite.
+    """
+    if not (np.all(np.isfinite(seeds)) and np.all(np.diff(seeds) > 0.0)):
+        return None
+    d, e = np.ascontiguousarray(matrix.diagonal), matrix.offdiagonal
+    n, k = d.size, seeds.size
+    # LAPACKE_dstein NaN-checks e and w over n entries, so both are padded to n
+    e_n, w = np.zeros(n), np.zeros(n)
+    e_n[:n - 1], w[:k] = e, seeds
+    # the whole matrix is block 1: rows 1..n
+    iblock, isplit = np.ones(k, dtype=np.int64), np.full(1, n, dtype=np.int64)
+    # row i of z, in LAPACK's column-major layout, is the vector of level i
+    z, ifail = np.empty((k, n)), np.empty(k, dtype=np.int64)
+    if _dstein()(_COL_MAJOR, n, d, e_n, k, w, iblock, isplit, z, n, ifail) != 0:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        tz = d * z
+        tz[:, :-1] += e * z[:, 1:]
+        tz[:, 1:] += e * z[:, :-1]
+        quotients = np.einsum("ij,ij->i", z, tz) / np.einsum("ij,ij->i", z, z)
+    return quotients if np.all(np.isfinite(quotients)) else None
+
+
+def lowest_eigenvalues(matrices, k: int, seeds_from=None) -> np.ndarray:
+    """k smallest eigenvalues of each matrix, ascending, every one certified by a Sturm count.
 
     Returns a (len(matrices), k) array whose row r holds the levels of
-    matrix r.  Each level is located to within EIG_ATOL, one dstebz call
-    per matrix, and then every level of every matrix is certified by one
-    sturm_count call: level i (1-based) passes only if count(E_i - delta) <=
-    i - 1 and count(E_i + delta) >= i, with delta = max(EIG_ATOL, 8 eps
-    ||T||) and ||T|| the Gershgorin bound of its own matrix, so the
-    margin grows with the rounding of the count itself.  Degenerate
-    levels pass.  Raises EigensolverFailure when LAPACK reports an error
-    (non-finite entries and levels it could not find included), the
-    certificate rejects a level, or either routine cannot be found.
+    matrix r.  seeds_from is None, or holds for each matrix None or the
+    index of an earlier row whose levels seed it, as the levels of a
+    matrix assembled on a grid seed those of its Grid.refined() twin.  An
+    unseeded matrix gets one LAPACK bisection (dstebz) call, which
+    locates each level to within EIG_ATOL.  A seeded matrix gets one
+    inverse-iteration (dstein) call at its seeds instead, and each level
+    is the Rayleigh quotient x^T T x / x^T x of its vector.
+
+    Every level of every matrix is then certified by one sturm_count
+    call: level i (1-based) passes only if count(E_i - delta) <= i - 1
+    and count(E_i + delta) >= i, with delta = max(EIG_ATOL, 8 eps ||T||)
+    and ||T|| the Gershgorin bound of its own matrix, so the margin grows
+    with the rounding of the count itself.  Degenerate levels pass.  A
+    seeded matrix falls back to dstebz when its seeds are not finite and
+    strictly ascending, dstein reports an error, a quotient is not
+    finite, or the certificate rejects it; only that last case pays for a
+    second sturm_count call, over the matrices that fell back.  Raises
+    ValueError for a k outside 1..n or a seed row that is not earlier,
+    and EigensolverFailure when dstebz reports an error (non-finite
+    entries and levels it could not find included), the certificate
+    rejects a level dstebz located, or a routine cannot be found.
     """
+    seeds_from = [None] * len(matrices) if seeds_from is None else list(seeds_from)
+    if len(seeds_from) != len(matrices):
+        raise ValueError(f"{len(seeds_from)} seed rows for {len(matrices)} matrices")
+    where = [f"matrix {r + 1} of {len(matrices)}" for r in range(len(matrices))]
     levels = np.empty((len(matrices), k))
     delta = np.empty((len(matrices), 1))
+    seeded = np.zeros(len(matrices), dtype=bool)
     for r, matrix in enumerate(matrices):
         n = matrix.size
         if not 1 <= k <= n:
-            raise ValueError(f"k={k} outside 1..{n} (matrix {r + 1} of {len(matrices)})")
-        d = np.ascontiguousarray(matrix.diagonal)
-        e = np.ascontiguousarray(matrix.offdiagonal)
-        found = np.zeros(1, dtype=np.int64)
-        nsplit = np.zeros(1, dtype=np.int64)
-        w = np.empty(n)
-        iblock = np.empty(n, dtype=np.int64)
-        isplit = np.empty(n, dtype=np.int64)
-        info = _dstebz()(b"I", b"E", n, 0.0, 0.0, 1, k, EIG_ATOL, d, e,
-                         found, nsplit, w, iblock, isplit)
-        # with RANGE='I', levels LAPACK could not find come back as info 2 or 3
-        if info != 0:
-            raise EigensolverFailure(f"LAPACK dstebz returned info={info} (n={n}, k={k}, "
-                                     f"matrix {r + 1} of {len(matrices)})")
-        levels[r] = w[:k]
-        radius = np.abs(d)
+            raise ValueError(f"k={k} outside 1..{n} ({where[r]})")
+        s = seeds_from[r]
+        if s is not None and not 0 <= s < r:
+            raise ValueError(f"{where[r]} is seeded from row {s}, not an earlier row")
+        found = None if s is None else _seeded_levels(matrix, levels[s])
+        seeded[r] = found is not None
+        levels[r] = _bisection_levels(matrix, k, where[r]) if found is None else found
+        radius = np.abs(matrix.diagonal)
         if n > 1:
-            ae = np.abs(e)
+            ae = np.abs(matrix.offdiagonal)
             radius[:-1] += ae
             radius[1:] += ae
         delta[r] = max(EIG_ATOL, 8.0 * _EPS * float(radius.max()))
 
-    counts = sturm_count(matrices, np.concatenate([levels - delta, levels + delta], axis=1))
+    counts = np.empty((len(matrices), 2 * k), dtype=np.int64)
     index = np.arange(1, k + 1)
-    bad = (counts[:, :k] > index - 1) | (counts[:, k:] < index)
+
+    def rejected(rows):
+        counts[rows] = sturm_count([matrices[r] for r in rows], np.concatenate(
+            [levels[rows] - delta[rows], levels[rows] + delta[rows]], axis=1))
+        return (counts[:, :k] > index - 1) | (counts[:, k:] < index)
+
+    bad = rejected(np.arange(len(matrices)))
+    retry = np.flatnonzero(bad.any(axis=1) & seeded)
+    if retry.size:
+        for r in retry:
+            levels[r] = _bisection_levels(matrices[r], k, where[r])
+        bad = rejected(retry)
     if np.any(bad):
         r, i = np.argwhere(bad)[0]
         raise EigensolverFailure(
-            f"Sturm certificate rejects level {i + 1} of {k} of matrix {r + 1} of "
-            f"{len(matrices)} at {levels[r, i]!r} (n={matrices[r].size}): "
+            f"Sturm certificate rejects level {i + 1} of {k} of {where[r]} at "
+            f"{levels[r, i]!r} (n={matrices[r].size}): "
             f"{counts[r, i]} below E - {delta[r, 0]:.3g}, "
             f"{counts[r, k + i]} below E + {delta[r, 0]:.3g}")
     return levels

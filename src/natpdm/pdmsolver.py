@@ -9,8 +9,9 @@ for an arbitrary mass profile, ordering choice and sampled potential.
 The kinetic part is discretized in its exactly equivalent flux form
 -(1/2) d/dx (1/m) d/dx with midpoint mass averages, which keeps the
 matrix symmetric (real eigenvalues guaranteed) and is second order in
-the spacing.  Bound-state energies from LAPACK bisection (dstebz), every
-matrix of a request certified by one Sturm count
+the spacing.  Bound-state energies from LAPACK bisection (dstebz) on each
+coarse grid and inverse iteration (dstein) from those levels on its
+refined twin, every matrix of a request certified by one Sturm count
 (numerics.lowest_eigenvalues), then adjudicate every closed-form
 spectrum claim.  verify_spectrum returns its report as the plain dict
 that `natpdm spectrum` prints, under the same keys; the CLI adds only the
@@ -115,8 +116,9 @@ def verify_spectrum(gamma: float, j: float, mass: MassProfile, ordering: Orderin
     with a second mass profile to measure mass independence of the bound
     levels: rational:2 beside a constant mass, the unit mass beside
     any other.  The four matrices (two grids, two masses) are solved in one
-    lowest_eigenvalues call, so one Sturm count certifies them, and each
-    mass's two grids are Richardson extrapolated.
+    lowest_eigenvalues call, so one Sturm count certifies them, the coarse
+    grid's levels seeding the fine grid's, and each mass's two grids are
+    Richardson extrapolated.
 
     Returns the report under the keys `natpdm spectrum` prints:
     energies_eq27 are the quantization roots, energies_eq34 the closed-form
@@ -141,7 +143,8 @@ def verify_spectrum(gamma: float, j: float, mass: MassProfile, ordering: Orderin
         matrices += [assemble_hamiltonian(m, v_fine[::2], ordering, grid),
                      assemble_hamiltonian(m, v_fine, ordering, fine_grid)]
         thresholds.append(float(min(v_fine[0], v_fine[-1])))
-    levels = lowest_eigenvalues(matrices, k)
+    # each coarse grid's levels seed its refined twin's
+    levels = lowest_eigenvalues(matrices, k, seeds_from=(None, 0, None, 2))
     energies, changes = richardson(levels[0::2], levels[1::2])
     numeric_bound, partner_bound = (e[e < t] for e, t in zip(energies, thresholds))
 

@@ -223,10 +223,11 @@ def pdmsolver_suite(tol, rng) -> list:
     h_osc = pdmsolver.assemble_hamiltonian(unit, v_osc, bdd, osc)
     osc_f = osc.refined()
     h_osc_f = pdmsolver.assemble_hamiltonian(unit, 0.5 * osc_f.points ** 2, bdd, osc_f)
-    # the six matrices share one Sturm certificate call; both extrapolations
-    # take the richardson step that verify_spectrum takes
+    # the six matrices share one Sturm certificate call, and each refined
+    # grid is seeded by its coarse twin; both extrapolations take the
+    # richardson step that verify_spectrum takes
     *eigs, eigs_t, e_osc, e_osc_f = numerics.lowest_eigenvalues(
-        [*h_box, h_box_t, h_osc, h_osc_f], 4)
+        [*h_box, h_box_t, h_osc, h_osc_f], 4, seeds_from=(None, 0, 1, None, None, 4))
 
     exact_box = np.array([(k * math.pi) ** 2 / 2.0 for k in range(1, 5)])
     extrap, _ = pdmsolver.richardson(eigs[0], eigs[1])

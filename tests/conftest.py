@@ -6,24 +6,44 @@ from natpdm import numerics
 
 @pytest.fixture
 def break_dstebz(monkeypatch):
-    """Install one LAPACK fault for the test: "nonfinite", "certificate" or "missing".
+    """Install one LAPACK fault for the test.
 
     "nonfinite" hands LAPACK a diagonal with a NaN, "certificate" moves the
-    lowest level LAPACK returns by 1 so the Sturm certificate rejects it,
-    and "missing" makes the lookup of both dstebz and dlaebz fail.
+    lowest level dstebz returns by 1 so the Sturm certificate rejects it,
+    "missing" makes the lookup of dstebz, dstein and dlaebz fail,
+    "dstein" makes every dstein call return info = 1 (one vector failed to
+    converge) and "no-dstein" makes the lookup of dstein alone fail.
     """
     resolve = numerics._dstebz
     real = resolve()
+    caches = (resolve, numerics._dstein, numerics._dlaebz)
 
     def install(kind):
-        if kind == "missing":
+        if kind in ("missing", "no-dstein"):
+            cdll = numerics.ctypes.CDLL
+
             class NoSymbols:
                 def __init__(self, path):
-                    pass
+                    self.lib = cdll(path)
 
-            resolve.cache_clear()
-            numerics._dlaebz.cache_clear()
+                def __getattr__(self, name):
+                    if kind == "missing" or "dstein" in name:
+                        raise AttributeError(name)
+                    return getattr(self.lib, name)
+
+            for cache in caches:
+                cache.cache_clear()
             monkeypatch.setattr(numerics.ctypes, "CDLL", NoSymbols)
+            return
+
+        if kind == "dstein":
+            real_dstein = numerics._dstein()
+
+            def failing(*args):
+                real_dstein(*args)
+                return 1
+
+            monkeypatch.setattr(numerics, "_dstein", lambda: failing)
             return
 
         def wrapper(*args):
@@ -40,5 +60,5 @@ def break_dstebz(monkeypatch):
 
     yield install
     # drop what the fault left cached, so the next solve resolves the real symbols
-    resolve.cache_clear()
-    numerics._dlaebz.cache_clear()
+    for cache in caches:
+        cache.cache_clear()

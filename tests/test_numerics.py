@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from natpdm import cli, numerics
+from natpdm import cli, numerics, pdmsolver
+from natpdm.masses import constant_mass, exponential_well_mass, rational_mass
+from natpdm.natanzon import BEN_DANIEL_DUKE, OrderingParams
 from natpdm.numerics import (
+    EIG_ATOL,
     EigensolverFailure,
     Grid,
     ToleranceNotMet,
@@ -567,6 +570,23 @@ class TestIntegrate:
             integrate(f, np.array([0.0, end]), 1.0, 1e-10)
         assert calls == []
 
+    @pytest.mark.parametrize("a, b", [(-1e308, 1e308), (1.7e308, -1.7e308),
+                                      (np.array([0.0, -1e308]), np.array([1.0, 1e308]))],
+                             ids=["forward", "reversed", "batched"])
+    def test_interval_wider_than_the_double_range_rejected_before_f_is_called(self, a, b):
+        # its width, and the width floor 1e-10 of it, overflow to inf: the
+        # rule used to return -inf with an overflow warning, for an
+        # integral of cos bounded by 2
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.cos(x)
+
+        with pytest.raises(ValueError, match="wider than the double range"):
+            integrate(f, a, b, 1e-10)
+        assert calls == []
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
     def test_tol_not_positive_and_finite_rejected_before_f_is_called(self, tol):
         # a nan tol fails every acceptance test, so refinement would run to
@@ -849,6 +869,21 @@ class TestEigensolver:
         assert len(calls) == sweeps
         assert calls[-1] == 4
 
+    @pytest.mark.parametrize("argv, solves", [
+        (["spectrum", "--gamma=0.8", "--j=2", "--mass=rational:2", "--grid=-12,12,301"], 2),
+        (["verify", "--seed=0"], 5),
+    ], ids=["spectrum", "verify"])
+    def test_refined_twins_skip_bisection(self, capsys, argv, solves):
+        # spectrum: one coarse grid for each of two masses, each seeding its
+        # refined twin; verify: the 499-row box seeds the 999-row one, which
+        # seeds the 1999-row one, and the coarse oscillator seeds the fine
+        # one, beside the shifted box and verify_spectrum's two coarse grids
+        with counted_lapack() as calls:
+            assert cli.main(argv) == 0
+        capsys.readouterr()
+        # half of the 4 and 10 matrices are refined twins
+        assert calls == {"dstebz": solves, "dstein": solves}
+
     @pytest.mark.parametrize("kind", ["certificate", "missing"])
     def test_lapack_faults_raise(self, kind, break_dstebz):
         break_dstebz(kind)
@@ -1094,3 +1129,175 @@ class TestCertificateLevels:
             except EigensolverFailure:
                 return
         assert got.shape == (len(matrices), k)
+
+
+def certificate_delta(m: TridiagonalSymmetric) -> float:
+    """max(EIG_ATOL, 8 eps ||T||), ||T|| the Gershgorin bound: EIG_ATOL up to ||T|| = 5.6e4."""
+    e = np.abs(m.offdiagonal)
+    radius = np.abs(m.diagonal) + np.r_[0.0, e] + np.r_[e, 0.0]
+    return max(EIG_ATOL, 8.0 * np.finfo(float).eps * float(radius.max()))
+
+
+def certificate_passes(matrices, levels) -> bool:
+    """The certificate lowest_eigenvalues applies, recomputed from its docstring."""
+    k = levels.shape[1]
+    delta = np.array([[certificate_delta(m)] for m in matrices])
+    counts = sturm_count(matrices, np.concatenate([levels - delta, levels + delta], axis=1))
+    index = np.arange(1, k + 1)
+    return bool(np.all(counts[:, :k] <= index - 1) and np.all(counts[:, k:] >= index))
+
+
+class counted_lapack:
+    """Count dstebz and dstein calls inside a with block (hypothesis takes no monkeypatch)."""
+
+    def __enter__(self):
+        self.calls = {"dstebz": 0, "dstein": 0}
+        self.saved = {}
+        for name in self.calls:
+            real = getattr(numerics, f"_{name}")
+            self.saved[name] = real
+
+            def counted(*args, name=name, fn=real()):
+                self.calls[name] += 1
+                return fn(*args)
+
+            setattr(numerics, f"_{name}", lambda counted=counted: counted)
+        return self.calls
+
+    def __exit__(self, *exc):
+        for name, real in self.saved.items():
+            setattr(numerics, f"_{name}", real)
+
+
+@st.composite
+def von_roos_twins(draw):
+    """A von Roos matrix on a grid, the one on its refined() twin, and a level count."""
+    mass = draw(st.one_of(st.just(constant_mass()), st.floats(0.2, 3.0).map(rational_mass),
+                          st.floats(0.1, 1.0).map(exponential_well_mass)))
+    ordering = OrderingParams(draw(st.floats(-1.0, 0.5)), draw(st.floats(-1.0, 0.5)))
+    a, b, c = draw(st.floats(0.05, 2.0)), draw(st.floats(-3.0, 3.0)), draw(st.floats(0.2, 3.0))
+    half = draw(st.floats(3.0, 12.0))
+    grid = Grid(-half, half, draw(st.integers(41, 601)))
+    twins = [pdmsolver.assemble_hamiltonian(mass, 0.5 * a * g.points ** 2 + b * np.sin(c * g.points),
+                                            ordering, g) for g in (grid, grid.refined())]
+    return twins, draw(st.integers(1, 6))
+
+
+@st.composite
+def laplacian_twins(draw):
+    """Dirichlet Laplacians on (0, 1) with n and 2n + 1 interior nodes, and a level count."""
+    n = draw(st.integers(3, 400))
+    return [dirichlet_laplacian(n, 1.0 / (n + 1)), dirichlet_laplacian(2 * n + 1, 0.5 / (n + 1))], \
+        draw(st.integers(1, min(6, n - 1)))
+
+
+class TestSeededLevels:
+    """lowest_eigenvalues' inverse-iteration route against its bisection route."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.one_of(von_roos_twins(), laplacian_twins()))
+    def test_refined_twin_gives_the_unseeded_levels(self, case):
+        twins, k = case
+        plain = lowest_eigenvalues(twins, k)
+        with counted_lapack() as calls:
+            seeded = lowest_eigenvalues(twins, k, seeds_from=(None, 0))
+        assert np.array_equal(seeded[0], plain[0])
+        # each route puts every level within delta of the matrix's own
+        assert certificate_passes(twins, plain) and certificate_passes(twins, seeded)
+        gap = np.max(np.abs(seeded[1] - plain[1]))
+        delta = certificate_delta(twins[1])
+        assert gap <= 2.0 * delta
+        # a seed much nearer its level than any other level always serves,
+        # since each inverse-iteration step cuts the vector's other
+        # components by at least that ratio, and then the two routes agree
+        # to delta: EIG_ATOL, unless bisection's own counts, which round by
+        # about eps ||T||, pass it (the finest Laplacians); one level more
+        # gives the gap above the last
+        wide = lowest_eigenvalues(twins, k + 1)
+        if np.max(np.abs(wide[0] - wide[1])) < 1e-3 * np.min(np.diff(wide[1])):
+            assert calls == {"dstebz": 1, "dstein": 1}
+            assert gap <= delta
+
+    def test_laplacian_twin_matches_its_closed_form(self):
+        # lambda_j = (4/h^2) sin^2(j pi / (2 (n + 1))) on n interior nodes of
+        # (0, 24): the CLI's spacings, 0.02 and 0.01 on 1199 and 2399 rows
+        twins = [dirichlet_laplacian(1199, 0.02), dirichlet_laplacian(2399, 0.01)]
+        with counted_lapack() as calls:
+            got = lowest_eigenvalues(twins, 6, seeds_from=(None, 0))
+        assert calls == {"dstebz": 1, "dstein": 1}
+        exact = 4e4 * np.sin(np.arange(1, 7) * math.pi / 4800.0) ** 2
+        assert np.max(np.abs(got[1] - exact)) <= EIG_ATOL
+
+    @pytest.mark.parametrize("seeds_from, match", [
+        ((None,), "1 seed rows for 2 matrices"),
+        ((None, 1), "matrix 2 of 2 is seeded from row 1"),
+        ((0, None), "matrix 1 of 2 is seeded from row 0"),
+    ])
+    def test_seed_rows_must_be_earlier(self, seeds_from, match):
+        twins = [dirichlet_laplacian(20, 0.1), dirichlet_laplacian(41, 0.05)]
+        with pytest.raises(ValueError, match=match):
+            lowest_eigenvalues(twins, 2, seeds_from=seeds_from)
+
+
+def box_and_oscillator():
+    unit = constant_mass()
+    box, osc = Grid(0.0, 1.0, 501), Grid(-10.0, 10.0, 1001)
+    return [pdmsolver.assemble_hamiltonian(unit, np.zeros(box.n_points), BEN_DANIEL_DUKE, box),
+            pdmsolver.assemble_hamiltonian(unit, 0.5 * osc.points ** 2, BEN_DANIEL_DUKE, osc)]
+
+
+def big_couplings():
+    # couplings near 2^500 cannot be squared by sturm_count without scaling;
+    # dstein returns info 0 on them, but with vectors that overflow
+    rng = np.random.default_rng(41)
+    d, e = 2.0 ** 500 * rng.normal(size=50), 2.0 ** 500 * rng.normal(size=49)
+    return [TridiagonalSymmetric(d, e), TridiagonalSymmetric(d * (1.0 + 1e-9), e)]
+
+
+class TestSeededFallback:
+    """Every seed that inverse iteration cannot serve gives exactly dstebz's levels."""
+
+    @pytest.mark.parametrize("seeds", [[np.nan, 1.0, 2.0], [1.0, 0.5, 2.0], [1.0, 1.0, 2.0]],
+                             ids=["nan", "descending", "repeated"])
+    def test_seeds_not_finite_and_ascending(self, monkeypatch, seeds):
+        twins = [dirichlet_laplacian(50, 0.1), dirichlet_laplacian(101, 0.05)]
+        real = numerics._seeded_levels
+        monkeypatch.setattr(numerics, "_seeded_levels",
+                            lambda matrix, _: real(matrix, np.array(seeds)))
+        with counted_lapack() as calls:
+            got = lowest_eigenvalues(twins, 3, seeds_from=(None, 0))
+        assert calls == {"dstebz": 2, "dstein": 0}
+        assert np.array_equal(got, lowest_eigenvalues(twins, 3))
+
+    @pytest.mark.parametrize("matrices, sweeps", [(box_and_oscillator(), [2, 1]),
+                                                  (big_couplings(), [2])],
+                             ids=["box-seeds-oscillator", "couplings-2^500"])
+    def test_seeds_rejected(self, monkeypatch, matrices, sweeps):
+        # inverse iteration at the box's levels finds oscillator levels near
+        # them, not its lowest, so the certificate sends the oscillator to
+        # dstebz and a second sweep; on couplings near 2^500 a quotient is
+        # not finite, which sends the twin to dstebz before any sweep
+        counts = []
+
+        def counted(matrices, shifts):
+            counts.append(len(matrices))
+            return sturm_count(matrices, shifts)
+
+        monkeypatch.setattr(numerics, "sturm_count", counted)
+        with counted_lapack() as calls:
+            got = lowest_eigenvalues(matrices, 3, seeds_from=(None, 0))
+        assert calls == {"dstebz": 2, "dstein": 1} and counts == sweeps
+        assert np.array_equal(got, lowest_eigenvalues(matrices, 3))
+
+    def test_dstein_error(self, break_dstebz):
+        twins = [dirichlet_laplacian(50, 0.1), dirichlet_laplacian(101, 0.05)]
+        want = lowest_eigenvalues(twins, 3)
+        break_dstebz("dstein")
+        assert np.array_equal(lowest_eigenvalues(twins, 3, seeds_from=(None, 0)), want)
+
+    def test_missing_dstein_raises(self, break_dstebz):
+        twins = [dirichlet_laplacian(50, 0.1), dirichlet_laplacian(101, 0.05)]
+        break_dstebz("no-dstein")
+        assert lowest_eigenvalues(twins, 3).shape == (2, 3)
+        with pytest.raises(EigensolverFailure, match="LAPACK dstein not found"):
+            lowest_eigenvalues(twins, 3, seeds_from=(None, 0))
