@@ -83,12 +83,14 @@ def mu_closed_form(gamma: float, u):
     arctan(sqrt(gamma^2-1) sinh u / D) with D = sqrt(gamma^2 + sinh^2 u);
     for gamma < 1 the second term continues to an arctanh with real
     coefficients, and at gamma = 1 it vanishes so mu = u.  Odd and
-    strictly increasing in u for every gamma > 0.
+    strictly increasing in u for every gamma > 0.  Where mu passes the
+    double range, as |u|/gamma^2 does at small gamma, it is +-inf.
     """
     g2 = gamma * gamma
     a, _, w, q = _bounded_terms(gamma, u)
     # arctanh(|sinh u|/D) = ln((D + |sinh u|)/gamma) = |u| + ln((q + w)/(2 gamma))
-    out = (a + np.log((q + w) / (2.0 * gamma))) / g2
+    with np.errstate(over="ignore"):
+        out = (a + np.log((q + w) / (2.0 * gamma))) / g2
     if gamma > 1.0:
         k = math.sqrt(g2 - 1.0)
         out = out + k / g2 * np.arctan(k * w / q)

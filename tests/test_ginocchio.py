@@ -120,6 +120,17 @@ class TestInvertMu:
             for u0 in (-800.0, -400.0, -2.0, -0.8, 0.8, 2.0, 400.0, 800.0):
                 assert abs(invert_mu(g, mu_closed_form(g, u0)) - u0) < 1e-10
 
+    def test_mu_near_the_double_range_at_small_gamma(self):
+        # mu(2 t) ~ 2 t/gamma^2 passes the double range at the bracket's
+        # end: it is inf there, quietly, and u ~ gamma^2 mu is still found
+        g = 1e-8
+        assert mu_closed_form(g, 1e300) == math.inf
+        assert mu_closed_form(g, -1e300) == -math.inf
+        mu = np.array([-1e300, 1e300])
+        u = invert_mu(g, mu)
+        assert np.allclose(u, g * g * mu, rtol=1e-12)
+        assert np.allclose(mu_closed_form(g, u), mu, rtol=1e-12)
+
     def test_bisects_arrays_of_the_unsettled_points_only(self, monkeypatch):
         calls = []
         original = numerics.newton_bisect
