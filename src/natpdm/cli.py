@@ -6,7 +6,10 @@ Reports are regression fixtures: identical configuration (including the
 seed) produces byte-identical output, and CSV numbers carry 17 significant
 digits.  JSON text is exactly what json.dumps(report, sort_keys=True,
 indent=2) would write with nan and +-inf written as null, so it is strict
-JSON (no NaN or Infinity tokens).
+JSON (no NaN or Infinity tokens).  Table columns are written by
+_float_text, a numpy kernel that gives the bytes of "%.17g" % v and
+float.__repr__(v) wherever its error bound certifies them; Python's
+formatter writes the rest.
 """
 
 from __future__ import annotations
@@ -224,12 +227,284 @@ def _emit(text: str, output: str | None) -> None:
         raise ConfigError(f"cannot write output file {output!r}: {exc}") from exc
 
 
+# ---------------------------------------------------------------------------
+# float text
+#
+# _float_text writes a float array as CPython writes each value, "%.17g" % v
+# or float.__repr__(v), in a few dozen numpy passes instead of one dtoa call
+# per value.  Each normal |v| = m 2^e (m in [0.5, 1)) is scaled to
+# y = |v| 10^(16 - k), in [1e16, 1e17) for the right decimal exponent k, as
+# a double-double: m times hi + lo, where 10^(16 - k) = (hi + lo) 2^b, by a
+# Veltkamp/Dekker product, then times 2^(e + b).  Two roundings of the
+# product's tail and the table's own rounding put m (hi + lo) within 2^-105
+# of exact, and 2^(e + b) <= 4 y < 2^59, so y is known to 2^-46.5 units of
+# its 17th digit; the rounding of y to 17 digits, and repr's test of the
+# nearest 16- and 15-digit decimals against the half gap of v in the same
+# units, add at most 2^-46.  A decision is taken only where y clears its
+# threshold by _DIGIT_CERT.  Python's formatter writes the rest: values
+# that near a tie or a round-trip boundary, subnormals, and for repr a
+# significand that is a power of two (its gap below is half its gap above).
+
+_VELTKAMP = 2.0 ** 27 + 1.0
+# decimal exponents of the normal doubles, and the scales 10^(16 - k) that
+# they and one step of correction past either end need
+_K_MIN, _K_MAX = -308, 308
+_Q_MIN, _Q_MAX = 16 - _K_MAX - 1, 16 - _K_MIN + 1
+# 2^-40 units of the 17th digit, over 30 times the bound on a decision's error
+_DIGIT_CERT = 2.0 ** -40
+_SPECIAL_TEXT = {"%.17g": ("0", "-0", "nan", "inf", "-inf"),
+                 "repr": ("0.0", "-0.0", "null", "null", "null")}
+
+
+@lru_cache(maxsize=None)
+def _powers_of_ten():
+    """hi, lo, hi's two Veltkamp halves and b of each 10^q from _Q_MIN, and 10^k as doubles.
+
+    Built from exact integers on first use: hi, in [0.5, 1), is the
+    correctly rounded 10^q 2^-b and lo the correctly rounded remainder.
+    """
+    hi, lo, b = [], [], []
+    for q in range(_Q_MIN, _Q_MAX + 1):
+        num, den = (10 ** q, 1) if q >= 0 else (1, 10 ** -q)
+        shift = num.bit_length() - den.bit_length()
+        if num << max(-shift, 0) >= den << max(shift, 0):
+            shift += 1
+        num, den = num << max(-shift, 0), den << max(shift, 0)
+        hi.append(num / den)
+        lo.append((num * 2 ** 53 - int(hi[-1] * 2.0 ** 53) * den) / (den * 2 ** 53))
+        b.append(shift)
+    hi = np.array(hi)
+    split = _VELTKAMP * hi
+    head = split - (split - hi)
+    ten = np.array([1 / 10 ** -k if k < 0 else float(10 ** k) if k <= _K_MAX else math.inf
+                    for k in range(_K_MIN, _K_MAX + 2)])
+    return hi, np.array(lo), head, hi - head, np.array(b), ten
+
+
+def _scaled(m, e, q):
+    """m 2^e 10^q as a double-double (hi, lo), and v's half gap in the same units."""
+    hi, lo, head, tail, b, _ = _powers_of_ten()
+    i = q - _Q_MIN
+    hi, lo, head, tail = (np.take(t, i, mode="clip") for t in (hi, lo, head, tail))
+    # 2^(e + b), near 2^57, as the bits of a double
+    scale = ((e + np.take(b, i, mode="clip") + 1023).astype(np.int64) << 52).view(np.float64)
+    split = _VELTKAMP * m
+    m_head = split - (split - m)
+    m_tail = m - m_head
+    p = m * hi
+    s = (((m_head * head - p) + m_head * tail + m_tail * head) + m_tail * tail) + m * lo
+    y_hi = p + s
+    return y_hi * scale, (s - (y_hi - p)) * scale, hi * scale * 2.0 ** -54
+
+
+def _certified_digits(a, shortest: bool):
+    """Decimal significands d in [1e16, 1e17) of positive normal doubles, their
+    exponents k (a ~ d 10^(k - 16)), and where the significand is not certain.
+
+    d holds the 17 digits of "%.17g", or, when shortest, the digits of repr
+    padded with zeros.
+    """
+    m, e = np.frexp(a)
+    # floor((e - 1) log10 2) is k or k - 1; the test against 10^(k + 1) as a
+    # double leaves k wrong only next to a power of ten, where the range
+    # check of d below moves it
+    k = ((e - 1) * 78913) >> 18
+    k += a >= np.take(_powers_of_ten()[5], k + 1 - _K_MIN, mode="clip")
+    y_hi, y_lo, half_gap = _scaled(m, e, 16 - k)
+    rounded = np.rint(y_lo)
+    d = y_hi.astype(np.int64) + rounded.astype(np.int64)
+    f = y_lo - rounded  # exact: y = d + f
+    uncertain = np.zeros(a.shape, bool)
+    moved = slice(None)
+    for _ in range(2):
+        # a rounding tie, or the tie of 10 y at the next k down
+        uncertain[moved] |= ((np.abs(np.abs(f[moved]) - 0.5) <= _DIGIT_CERT)
+                             | (np.abs(f[moved] + 0.05) <= _DIGIT_CERT))
+        # y below 1e16 - 0.05 rounds to 17 digits at the next k down, y at
+        # or above 1e17 - 0.5 to 1e16 at the next k up
+        step = (d >= 10 ** 17).astype(np.int32) - (
+            (d < 10 ** 16) | ((d == 10 ** 16) & (f < -0.05)))
+        moved = np.flatnonzero(step)
+        if not moved.size:
+            break
+        k[moved] += step[moved]
+        y_hi, y_lo, half_gap[moved] = _scaled(m[moved], e[moved], 16 - k[moved])
+        rounded = np.rint(y_lo)
+        d[moved] = y_hi.astype(np.int64) + rounded.astype(np.int64)
+        f[moved] = y_lo - rounded
+    else:
+        # k0 is off by at most one, so one move settles every value
+        uncertain[moved] = True
+    if shortest:
+        # the nearest 16- and 15-digit decimals; the shorter one within the
+        # half gap reads back as a, and no other decimal of its length does.
+        # The half gap is below 11.2 units, so of the ties only the 16-digit
+        # one can decide
+        pick = d
+        for unit in (10, 100):
+            r = d - d // unit * unit
+            c = d - r + unit * ((2 * r > unit) | ((2 * r == unit) & (f > 0)))
+            distance = np.abs((c - d) - f)
+            uncertain |= np.abs(distance - half_gap) <= _DIGIT_CERT
+            uncertain |= (2 * r == unit) & (np.abs(f) <= _DIGIT_CERT)
+            pick = np.where(distance < half_gap, c, pick)
+        d = pick
+        carry = d == 10 ** 17
+        d[carry] = 10 ** 16
+        k[carry] += 1
+        uncertain |= (a.view(np.uint64) & np.uint64(2 ** 52 - 1)) == 0
+    return d, k, uncertain
+
+
+def _word(text: str) -> int:
+    """text, at most 8 ASCII characters, as a little-endian uint64."""
+    return int.from_bytes(text.encode().ljust(8, b"\0"), "little")
+
+
+# the first of the 17 digits each digit word holds
+_WORD_STARTS = (1, 5, 9, 13)
+
+
+@lru_cache(maxsize=None)
+def _digit_tables():
+    """Digit words and masks, keyed by 4-digit group or by (printed digits, point).
+
+    A digit word holds four digits at its odd bytes, each after the place
+    of a point.  quad[g] is group g's word, lengths[w][g] the digit count a
+    value has when g is its last nonzero group and word w holds it, and
+    keep[w], dots[w] are word w's AND and OR masks for key 18 L + t: L
+    printed digits and a point after digit t (17: none).
+    """
+    g = np.arange(10000)
+    quad = sum((48 + g // 10 ** (3 - i) % 10).astype(np.uint64) << np.uint64(8 + 16 * i)
+               for i in range(4))
+    tail_zeros = np.zeros(10000, np.int64)
+    for unit in (10, 100, 1000):
+        tail_zeros += g % unit == 0
+    lengths = [np.where(g == 0, 1, start + 4 - tail_zeros) for start in _WORD_STARTS]
+    key = np.arange(18 * 18)
+    printed, point = key // 18, key % 18
+    masks = np.array([0, 2 ** 16 - 1, 2 ** 32 - 1, 2 ** 48 - 1, 2 ** 64 - 1], dtype=np.uint64)
+    keep = [masks[np.clip(printed - start, 0, 4)] for start in _WORD_STARTS]
+    dots = [np.where((point < 17) & (point // 4 == w), 46 << 16 * (point % 4), 0).astype(np.uint64)
+            for w in range(4)]
+    return quad, lengths, keep, dots
+
+
+@lru_cache(maxsize=None)
+def _text_tables(fmt: str):
+    """Per format: the exponent word of each k, the lead words, the special values' words."""
+    sci_from = 16 if fmt == "repr" else 17
+    exp = np.array([_word("\0e%+03d" % k) if not -4 <= k < sci_from else 0
+                    for k in range(_K_MIN, _K_MAX + 1)], dtype=np.uint64)
+    lead = np.array([_word("\0" + sign + zeros) for sign in ("", "-")
+                     for zeros in ("", "0.", "0.0", "0.00", "0.000")], dtype=np.uint64)
+    special = np.array([0] + [_word("\0" + text) for text in _SPECIAL_TEXT[fmt]], dtype=np.uint64)
+    return exp, lead, special, sci_from
+
+
+# values per _float_slots call: its arrays take about 300 bytes a value, so
+# a 2401-row table costs 2 MB at a time, not 6, and no more time
+_CHUNK = 2 ** 13
+
+
+def _float_text(values: np.ndarray, fmt: str, sep: str, row_sep: str) -> str:
+    """row_sep.join(sep.join(text(v) for v in row) for row in values); 1-d values are one row.
+
+    text is "%.17g" % v for fmt "%.17g" and float.__repr__ for "repr",
+    where nan and +-inf are null.
+    """
+    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    flat = values.ravel()
+    return "".join(_float_slots(flat[i:i + _CHUNK], i, values.shape[1], fmt, sep, row_sep)
+                   for i in range(0, flat.size, _CHUNK))
+
+
+def _float_slots(v: np.ndarray, start: int, row: int, fmt: str, sep: str, row_sep: str) -> str:
+    """The text of v, values start on of a table with rows of row values, in one kernel pass.
+
+    Each value is preceded by its separator: none for value 0, row_sep
+    where a row starts, sep elsewhere.  Each value gets a slot of uint64
+    words laid out by its class, the zero bytes of the slots are dropped
+    once and the rest decoded once.  A slot is: the separator (its last
+    byte shares the lead word); the lead word (sign, the "0.000" of a fixed
+    value below 1, the first digit); four digit words, with the place of a
+    point before each digit; and, if any value needs one, the exponent.
+    """
+    n = v.size
+    a = np.abs(v)
+    neg = np.signbit(v)
+    normal = (a >= sys.float_info.min) & (a <= sys.float_info.max)
+    all_normal = normal.all()
+    d, k, uncertain = _certified_digits(a if all_normal else np.where(normal, a, 1.0),
+                                        fmt == "repr")
+    ok = ~uncertain if all_normal else normal & ~uncertain
+    exp, lead, special, sci_from = _text_tables(fmt)
+    quad, lengths, keep, dots = _digit_tables()
+
+    sci = (k < -4) | (k >= sci_from)
+    # words of separator before the lead word, whose first byte ends it
+    lead_at = -(-(max(len(sep), len(row_sep), 1) - 1) // 8)
+    words = np.zeros((lead_at + 5 + bool(sci.any()), n), np.uint64)
+
+    # the 17 digits: the first in the lead word, then four groups of four
+    first = d // 10 ** 16
+    rest = d - first * 10 ** 16
+    upper = rest // 10 ** 8
+    digits = np.ones(n, np.int64)
+    for w, half in ((0, upper), (2, rest - upper * 10 ** 8)):
+        top = half // 10 ** 4
+        for word, group in ((w, top), (w + 1, half - top * 10 ** 4)):
+            np.take(quad, group, out=words[lead_at + 1 + word], mode="clip")
+            np.maximum(digits, np.take(lengths[word], group, mode="clip"), out=digits)
+    below_one = ~sci & (k < 0)
+    # printed digits: trailing zeros up to the point, and a repr integer's ".0"
+    whole = np.where(digits > k + 1, digits, k + 2) if fmt == "repr" else np.maximum(digits, k + 1)
+    printed = np.where(sci | below_one, digits, whole)
+    point = np.where(sci, 0, k)
+    key = printed * 18 + np.where(below_one | (printed <= point + 1), 17, point)
+    for w in range(4):
+        words[lead_at + 1 + w] &= np.take(keep[w], key, mode="clip")
+        words[lead_at + 1 + w] |= np.take(dots[w], key, mode="clip")
+    words[lead_at] = (first.astype(np.uint64) + np.uint64(48)) << np.uint64(56)
+    words[lead_at] |= np.take(lead, neg * 5 + np.where(below_one, -k, 0), mode="clip")
+    if len(words) > lead_at + 5:
+        words[-1] = np.take(exp, k - _K_MIN, mode="clip")
+
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        words[lead_at:, bad] = 0
+        vb, nb = v[bad], neg[bad]
+        words[lead_at, bad] = special[np.where(vb == 0, 1 + nb, np.where(
+            np.isnan(vb), 3, np.where(np.isinf(vb), 4 + nb, 0)))]
+        # Python writes each distinct value the kernel cannot certify once
+        python = bad[(vb != 0) & np.isfinite(vb)]
+        if python.size:
+            distinct, where = np.unique(v[python], return_inverse=True)
+            one = float.__repr__ if fmt == "repr" else "%.17g".__mod__
+            texts = np.array([one(x).encode() for x in distinct.tolist()], dtype="S24")
+            words[lead_at + 1:lead_at + 4, python] = texts.view(np.uint64).reshape(-1, 3)[where].T
+
+    place = np.arange(start, start + n)
+    which = np.where(place % row == 0, 2, 1)
+    which[place == 0] = 0
+    width = 8 * lead_at + 1
+    padded = [("\0" * width + text)[-width:] for text in ("", sep, row_sep)]
+    for i in range(lead_at + 1):
+        sep_words = np.array([_word(text[8 * i:8 * i + 8]) for text in padded], dtype=np.uint64)
+        words[i] |= np.take(sep_words, which)
+    return np.ascontiguousarray(words.T).tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _csv_text(columns: dict) -> str:
-    """The columns as CSV, one per key in order, under a header of their keys."""
-    # "%.17g" % v is the text of "{:.17g}".format(v), nan and inf included
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    rows = np.column_stack(list(columns.values())).tolist()
-    return ",".join(columns) + "\n" + "".join([row % tuple(values) for values in rows])
+    """The columns as CSV, one per key in order, under a header of their keys.
+
+    Each number is "%.17g" % v, nan and inf included, from one _float_text
+    call over the whole table.
+    """
+    table = np.column_stack(list(columns.values()))
+    body = _float_text(table, "%.17g", ",", "\n") + "\n" if len(table) else ""
+    return ",".join(columns) + "\n" + body
 
 
 _json_str = json.encoder.encode_basestring_ascii
@@ -241,9 +516,15 @@ def _json_text(payload) -> str:
     The text is exactly what json.dumps(payload, sort_keys=True, indent=2)
     writes once nan and +-inf are replaced by null, numpy scalars by
     their Python values and arrays by lists, in one pass.  Keys are
-    strings.
+    strings.  Each 1-d float array is written by _float_text, the float
+    columns of one length in a dict by one call; scalars and lists, as in
+    spectrum and verify reports, take float.__repr__.
     """
     return _json_value(payload, "\n") + "\n"
+
+
+def _float_column(obj) -> bool:
+    return isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f" and obj.size > 0
 
 
 def _json_value(obj, newline: str) -> str:
@@ -260,18 +541,24 @@ def _json_value(obj, newline: str) -> str:
     if isinstance(obj, (float, np.floating)):
         value = float(obj)
         return float.__repr__(value) if math.isfinite(value) else "null"
-    if isinstance(obj, np.ndarray) and not (obj.ndim == 1 and obj.dtype.kind == "f"):
+    if _float_column(obj):
+        return _float_columns([obj], newline)[0]
+    if isinstance(obj, np.ndarray):
         return _json_value(obj.tolist(), newline)
     inner = newline + "  "
     if isinstance(obj, dict):
         brackets = "{}"
-        items = [f"{_json_str(key)}: {_json_value(obj[key], inner)}" for key in sorted(obj)]
-    elif isinstance(obj, np.ndarray):
-        # a float column: the float.__repr__ json writes, null where not finite
-        brackets = "[]"
-        items = list(map(float.__repr__, obj.tolist()))
-        for i in np.flatnonzero(~np.isfinite(obj)).tolist():
-            items[i] = "null"
+        keys = sorted(obj)
+        # a dict's float columns of one length share one kernel call
+        by_length = {}
+        for key in keys:
+            if _float_column(obj[key]):
+                by_length.setdefault(obj[key].size, []).append(key)
+        texts = {}
+        for group in by_length.values():
+            texts.update(zip(group, _float_columns([obj[key] for key in group], inner)))
+        items = [f"{_json_str(key)}: {texts[key] if key in texts else _json_value(obj[key], inner)}"
+                 for key in keys]
     elif isinstance(obj, (list, tuple)):
         brackets = "[]"
         items = [_json_value(v, inner) for v in obj]
@@ -280,6 +567,14 @@ def _json_value(obj, newline: str) -> str:
     if not items:
         return brackets
     return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
+def _float_columns(columns: list, newline: str) -> list:
+    """The JSON text of each nonempty float column, all of one length."""
+    inner = newline + "  "
+    # "|" is in no number and no separator, so it splits the columns apart
+    body = _float_text(np.stack(columns), "repr", "," + inner, "|")
+    return [f"[{inner}{text}{newline}]" for text in body.split("|")]
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,24 @@ from natpdm.natanzon import OrderingParams
 from natpdm.numerics import Grid
 
 RANGE_ENDS = [f"{name}:{end!r}" for name, (_, ends) in MASS_REGISTRY.items() for end in ends]
-# every double class: nan, +-inf, -0.0, subnormals, 1e+-300
-DOUBLES = st.floats() | st.sampled_from(
+
+
+def edge(base: float, step: int, sign: float) -> float:
+    """base, or the float next to it above (step 1) or below (step -1), with sign."""
+    return sign * (math.nextafter(base, step * math.inf) if step else base)
+
+
+# powers of two and ten, the floats next to them, and integers at or above
+# 2^53: exact 17-digit ties, repr's narrower gap below a power of two, and
+# the decimal exponent's boundaries
+EDGES = st.builds(
+    edge,
+    st.integers(-1074, 1023).map(lambda e: math.ldexp(1.0, e))
+    | st.integers(-323, 308).map(lambda k: float(f"1e{k}"))
+    | st.integers(2 ** 53, 2 ** 70).map(float),
+    st.sampled_from([0, 1, -1]), st.sampled_from([1.0, -1.0]))
+# every double class: nan, +-inf, -0.0, subnormals, 1e+-300, and the edges
+DOUBLES = st.floats() | EDGES | st.sampled_from(
     [math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.5e-320, 1e-300, -1e300, 1e16, 0.1])
 SINGLES = st.floats(width=32) | st.sampled_from([math.nan, math.inf, -0.0, 1e-45, 3e38])
 
@@ -164,7 +180,10 @@ JSON_LEAVES = (
     | st.lists(SINGLES, max_size=6).map(lambda v: np.array(v, dtype=np.float32))
     | st.lists(st.integers(-2 ** 40, 2 ** 40), max_size=6).map(np.array)
     | st.lists(st.booleans(), max_size=6).map(np.array)
-    | st.lists(DOUBLES, min_size=4, max_size=4).map(lambda v: np.array(v).reshape(2, 2)))
+    | st.lists(DOUBLES, min_size=4, max_size=4).map(lambda v: np.array(v).reshape(2, 2))
+    # a table: float columns of one length, as a potential report holds
+    | st.dictionaries(st.text(), st.lists(DOUBLES, min_size=5, max_size=5).map(np.array),
+                      max_size=4))
 JSON_PAYLOADS = st.recursive(
     JSON_LEAVES,
     lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
@@ -192,6 +211,54 @@ class TestJsonText:
     def test_refuses_what_json_refuses(self):
         with pytest.raises(TypeError):
             cli._json_text({"a": [object()]})
+
+
+# the classes the float-text kernel writes apart, each checked on its own
+FLOAT_TEXT_CASES = {
+    "zero": [0.0, -0.0],
+    "non-finite": [math.nan, math.inf, -math.inf],
+    # subnormals go to Python's formatter; the smallest normal does not
+    "subnormal": [5e-324, -5e-324, 2.5e-320, 6.002953641685533e-309,
+                  math.nextafter(2.2250738585072014e-308, 0.0)],
+    "smallest normal": [2.2250738585072014e-308, -2.2250738585072014e-308],
+    # repr's gap below a power of two is half its gap above
+    "power of two": [2.0 ** -44, 2.0 ** 64, -(2.0 ** -1019)],
+    # fixed below 1 down to 1e-4 in both formats
+    "switch at 1e-4": [math.nextafter(1e-5, 0.0), 1e-05, 1.0000000000000001e-05,
+                       math.nextafter(1e-4, 0.0), 0.0001],
+    # repr is fixed below 1e16, "%.17g" below 1e17
+    "switch at 1e16": [math.nextafter(1e16, 0.0), 1e16, math.nextafter(1e16, math.inf)],
+    "switch at 1e17": [math.nextafter(1e17, 0.0), 1e17, math.nextafter(1e17, math.inf)],
+    # values whose 17-digit rounding is an exact tie, half to even:
+    # 2^-25 = 2.98023223876953125e-08 and 1921923241181859.25
+    "17-digit tie": [2.0 ** -25, -(2.0 ** -25), 1921923241181859.2],
+    # 701566106482029.25 and 773472867159172.75: both 16-digit neighbours
+    # read back, equally near, and repr takes the even one
+    "16-digit tie": [701566106482029.2, 773472867159172.8],
+}
+
+
+def python_text(value: float, fmt: str) -> str:
+    if fmt == "repr":
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    return "%.17g" % value
+
+
+class TestFloatText:
+    @pytest.mark.parametrize("fmt", ["%.17g", "repr"])
+    @pytest.mark.parametrize("case", FLOAT_TEXT_CASES)
+    def test_matches_python_on_each_class(self, case, fmt):
+        values = FLOAT_TEXT_CASES[case]
+        assert [cli._float_text(np.array([v]), fmt, ",", "\n") for v in values] \
+            == [python_text(v, fmt) for v in values]
+
+    @pytest.mark.parametrize("fmt", ["%.17g", "repr"])
+    def test_every_class_in_one_table(self, fmt):
+        values = [v for case in FLOAT_TEXT_CASES.values() for v in case]
+        values += [0.1, 100.0, 1e23, 123456789012345678.0, -1.5e300]
+        table = np.array(values + values[:len(values) % 2]).reshape(-1, 2)
+        want = "\n".join(",".join(python_text(v, fmt) for v in row) for row in table.tolist())
+        assert cli._float_text(table, fmt, ",", "\n") == want
 
 
 class TestSpectrum:

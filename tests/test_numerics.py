@@ -513,7 +513,37 @@ def level_loop_cases(draw):
             draw(st.sampled_from(tols)), budget)
 
 
+def gauss_legendre(f, a, b, panels=16, order=20):
+    """int_a^b f on each interval: order-point Gauss-Legendre on equal panels."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    edges = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, panels + 1)
+    mid, half = 0.5 * (edges[:, 1:] + edges[:, :-1]), 0.5 * (edges[:, 1:] - edges[:, :-1])
+    return np.sum(half[..., None] * weights * f(mid[..., None] + half[..., None] * nodes),
+                  axis=(1, 2))
+
+
+CLI_MASSES = [constant_mass(), rational_mass(1.5), rational_mass(2.0), rational_mass(3.0),
+              exponential_well_mass(0.25), exponential_well_mass(0.5), exponential_well_mass(1.0)]
+
+
 class TestIntegrate:
+    @pytest.mark.parametrize("mass", CLI_MASSES, ids=lambda mass: mass.label)
+    def test_travel_coordinate_cells_of_cli_grids_meet_the_acceptance_bound(self, mass):
+        # the intervals masses.travel_coordinate integrates for a potential
+        # or spectrum table: every cell of the 1201- and 2401-point [-12, 12]
+        # grids and the anchor interval [-12, 0], at the CLI's tol.  A smooth
+        # integrand whose first five samples miss its shape can pass the
+        # first-level test far from its value; on these grids none does
+        def f(t):
+            return np.sqrt(2.0 * mass.require_positive(t))
+
+        tol = cli.DEFAULT_TOLERANCES["quad"]
+        for n in (1201, 2401):
+            x = Grid(-12.0, 12.0, n).points
+            a, b = np.append(x[:-1], x[0]), np.append(x[1:], 0.0)
+            got = integrate(f, a, b, tol)
+            assert np.all(np.abs(got - gauss_legendre(f, a, b)) <= 15.0 * tol * (1.0 + np.abs(got)))
+
     def test_monomial(self):
         assert integrate(lambda x: x * x, 0.0, 1.0, 1e-12) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -793,6 +823,17 @@ class TestEigensolver:
         exact = np.array([(2.0 / h ** 2) * (1.0 - math.cos(k * math.pi * h / length))
                           for k in range(1, 6)])
         assert np.max(np.abs(got - exact)) < 1e-9
+
+    @pytest.mark.parametrize("n", [100, 755, 2399])
+    def test_laplacian_levels_lie_within_the_certificate_delta(self, n):
+        # dstebz bisects to EIG_ATOL, but its Sturm counts round by about
+        # eps ||T||: at 2399 rows (||T|| = 2.3e7) it is off by 4.5e-10, which
+        # the certificate's delta allows and EIG_ATOL does not
+        h = 1.0 / (n + 1)
+        t = dirichlet_laplacian(n, h)
+        got, = lowest_eigenvalues([t], 6)
+        exact = (4.0 / h ** 2) * np.sin(np.arange(1, 7) * math.pi * h / 2.0) ** 2
+        assert np.max(np.abs(got - exact)) <= certificate_delta(t)
 
     def test_against_dense_solver(self):
         rng = np.random.default_rng(3)
