@@ -6,8 +6,10 @@ start from the dimensionless travel coordinate mu = int sqrt(2m) dx and
 invert it:
 
   1. against the closed-form Ginocchio mu(u), with z = tanh^2 u;
-  2. against G(s) = int sqrt(R(sigma))/2 ds, the general Natanzon form of
-     z'^2 = 2 m S(z) in the logit s = ln(z/(1 - z)).
+  2. against G(s) = int sqrt(R(sigma(s)))/2 ds, the general Natanzon form
+     of z'^2 = 2 m S(z) in the logit s = ln(z/(1 - z)).  G is elementary
+     for every parameter set, one logarithm per end of [0, 1] and one
+     term for R's leading coefficient, so the only quadrature left is mu.
 
 Both are exercised here and checked against each other and against the
 closed form available at gamma = 1.
@@ -35,7 +37,7 @@ for gamma in (0.5, 1.3, 2.0):
                 for u in (-2.0, -0.5, 0.5, 2.0))
     print(f"  gamma = {gamma}:  max round-trip error {worst:.2e}")
 
-print("\nG(s) route at gamma = 1, unit mass: z(x) = tanh^2(sqrt(2) x + 1/2)")
+print("\nClosed-form G(s) route at gamma = 1, unit mass: z(x) = tanh^2(sqrt(2) x + 1/2)")
 params = ginocchio.params_for(1.0, 2.0)
 cmap = natanzon.solve_coordinate_map(params, constant_mass(), x0=0.0,
                                      z0=math.tanh(0.5) ** 2)

@@ -10,12 +10,11 @@ in E are the bound-state energies: every level is scanned in one array
 and polished in one numerics.newton_bisect call.
 
 The map separates in the logit s = ln(z/(1 - z)): with mu = int sqrt(2 m)
-dx it reads dmu = sqrt(R(sigma(s)))/2 ds, sigma(s) = 1/(1 + e^-s), a
-bounded right side.  So z(x) needs mu(x) from masses.travel_coordinate
-(one quadrature over the cells between sorted points, whose work grows
-with the number of points), one table of G(s), the integral of the right
-side, and one newton_bisect solve of G(s) = mu(x), with G' the right side.
-When q0 = 0, G is bounded below: z reaches 0 at a finite x, the fold.
+dx it reads dmu = sqrt(R(sigma(s)))/2 ds, sigma(s) = 1/(1 + e^-s), whose
+right side integrates in closed form to G(s).  So z(x) takes mu(x) from
+masses.travel_coordinate, the one quadrature, and one newton_bisect solve
+of G(s) = G(s0) + mu(x).  When q0 = 0, G is bounded below: z reaches 0 at
+a finite x, the fold.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 
 from .algebra import GroupLabels
 from .masses import MassProfile, travel_coordinate
-from .numerics import integrate, newton_bisect
+from .numerics import newton_bisect
 
 __all__ = [
     "NatanzonParams",
@@ -265,11 +264,7 @@ def labels_for_level(params: NatanzonParams, energy: float, n: int) -> GroupLabe
     )
 
 
-#: logit range tabulated for the map, where the logistic z is neither 0
-#: nor 1 in double, and its step, the width of one inversion cell
-_S_MIN, _S_MAX = -710.0, 37.0
-_S_STEP = 0.0625
-#: quadrature tolerance of the map, for both mu(x) and G(s)
+#: quadrature tolerance of mu(x)
 _MAP_TOL = 1e-12
 
 
@@ -279,29 +274,50 @@ def _logistic(s):
         return 1.0 / (1.0 + np.exp(-s))
 
 
-def _half_root_r(params: NatanzonParams, s):
-    """dmu/ds = sqrt(R(sigma(s)))/2, bounded on the whole line."""
-    r = r_polynomial(params, _logistic(s))
-    if np.any(r < 0.0):
-        raise ZeroDivisionError("R(z) < 0 inside [0, 1]: invalid parameter set")
-    return 0.5 * np.sqrt(r)
+def _log_term(k: float, t, log_w, r, delta: float):
+    """sqrt(k)/2 ln|2 sqrt(k R) + t| / w, 0 at k = 0, where (2 sqrt(k R))^2 - t^2 = -w^2 Delta.
+
+    A negative t cancels the sum, so there it is w^2 |Delta| / (2 sqrt(k R) + |t|); t
+    changes sign on (0, 1) only where Delta < 0, so only there is ln|Delta| kept.
+    """
+    if k == 0.0:
+        return 0.0
+    far = np.log(2.0 * np.sqrt(k * r) + np.abs(t))
+    near = log_w - far + (math.log(-delta) if delta < 0.0 else 0.0)
+    return 0.5 * math.sqrt(k) * np.where(t < 0.0, near, far - log_w)
+
+
+def _map_integral(params: NatanzonParams, s):
+    """G(s) = int sqrt(R(sigma(s)))/2 ds in closed form, up to a constant.
+
+    ds = dz/(z(1 - z)) splits G into one logarithm per end of [0, 1] and
+    one for R's leading term (Gradshteyn & Ryzhik 2.26), b = 4 c0 - p0 - q0:
+        G =   sqrt(c0)   ln|4 sqrt(c0 R) + 8 c0 - (2 p0 + b)(1 - z)| / (1 - z)
+            - sqrt(q0)/2 ln|2 sqrt(q0 R) + 2 q0 + b z| / z
+            - sqrt(p0)/2 ln|2 sqrt(p0 R) + 2 p0 z + b|,
+    the last -sqrt(-p0)/2 arctan2(2 p0 z + b, 2 sqrt(-p0 R)) for p0 < 0.
+    z, 1 - z and their logarithms are each taken from s, so neither end
+    rounds away; G(-inf) is finite where q0 = 0 and G(inf) where c0 = 0.
+    """
+    z, w = _logistic(s), _logistic(-s)
+    c0, p0, q0, delta = params.c0, params.p0, params.q0, params.discriminant
+    r = q0 * w + 4.0 * c0 * z - p0 * z * w  # R, precise at both ends
+    b = 4.0 * c0 - p0 - q0
+    g = _log_term(4.0 * c0, 8.0 * c0 - (2.0 * p0 + b) * w, -np.logaddexp(0.0, s), r, delta) \
+        - _log_term(q0, 2.0 * q0 + b * z, -np.logaddexp(0.0, -s), r, delta)
+    if p0 < 0.0:
+        return g - 0.5 * math.sqrt(-p0) * np.arctan2(2.0 * p0 * z + b, 2.0 * np.sqrt(-p0 * r))
+    return g - _log_term(p0, 2.0 * p0 * z + b, 0.0, r, delta)
 
 
 @dataclass(frozen=True)
 class CoordinateMap:
-    """Monotone coordinate map z(x) in [0, 1] through z(x0) = z0.
-
-    The logit s = ln(z/(1 - z)) obeys dmu = sqrt(R(sigma(s)))/2 ds with
-    mu = int_x0^x sqrt(2 m) dx.  G, the integral of the right side from
-    s0 = logit(z0), is tabulated at the nodes s; z(x) solves G(s) = mu(x).
-    """
+    """Monotone z(x) = sigma(s) in [0, 1], G(s) = G(s0) + int_x0^x sqrt(2 m) dx, z0 = sigma(s0)."""
 
     params: NatanzonParams
     mass: MassProfile
     x0: float
-    s: np.ndarray
-    g: np.ndarray
-    anchor: int
+    s0: float
 
     def z(self, x):
         """z at every x, from one travel_coordinate tabulation of mu(x); a scalar x gives a float.
@@ -312,24 +328,23 @@ class CoordinateMap:
         return float(z[0]) if np.ndim(x) == 0 else z.reshape(np.shape(x))
 
     def z_at_mu(self, mu: np.ndarray) -> np.ndarray:
-        """z with G(logit z) = mu for every mu of a 1-d array, in one newton_bisect call.
+        """z with G(logit z) = G(s0) + mu for every mu of a 1-d array, in one newton_bisect call.
 
-        A mu below the table, left of the fold where R(0) = 0 bounds G
-        below, gives z = 0; one above it gives z = 1.
+        Each bracket ends at s0 +- w, w doubled from 1 until G passes its target,
+        and starts at s0 +- w/2, or s0.  A mu that reaches a fold, where G is
+        finite, gives that end.
         """
-        cell = np.searchsorted(self.g, mu, side="right") - 1
-        inside = (cell >= 0) & (cell < self.s.size - 1)
-        k = cell[inside]
-        # G was summed outward from the anchor node, so each cell's table
-        # values are its near end plus or minus one cell integral: f starts
-        # from that end and gives both ends the exact floats of the table
-        near = np.where(k >= self.anchor, k, k + 1)
-        g_near, s_near, target = self.g[near], self.s[near], mu[inside]
-        s = newton_bisect(
-            lambda v, i: g_near[i] + integrate(lambda t: _half_root_r(self.params, t),
-                                               s_near[i], v, _MAP_TOL) - target[i],
-            lambda v, i: _half_root_r(self.params, v), self.s[k], self.s[k + 1])
-        z = np.where(cell < 0, 0.0, 1.0)
+        g0, g_min, g_max = _map_integral(self.params, np.array([self.s0, -np.inf, np.inf]))
+        target = g0 + mu
+        inside = (g_min < target) & (target < g_max)
+        g, side = target[inside], np.sign(mu[inside])
+        near, far = np.full_like(g, self.s0), self.s0 + side
+        while np.any(short := side * (_map_integral(self.params, far) - g) < 0.0):
+            near[short], far[short] = far[short], self.s0 + 2.0 * (far[short] - self.s0)
+        s = newton_bisect(lambda v, i: _map_integral(self.params, v) - g[i],
+                          lambda v, i: 0.5 * np.sqrt(r_polynomial(self.params, _logistic(v))),
+                          np.minimum(near, far), np.maximum(near, far))
+        z = np.where(target <= g_min, 0.0, 1.0)
         z[inside] = _logistic(s)
         return z
 
@@ -338,18 +353,16 @@ def solve_coordinate_map(params: NatanzonParams, mass: MassProfile,
                          x0: float, z0: float) -> CoordinateMap:
     """The map with z'(x)^2 = 2 m(x) S(z(x)), z' >= 0, through (x0, z0).
 
-    G is tabulated once, by one quadrature over cells of width _S_STEP
-    that start at s0 = logit(z0) and cover [_S_MIN, _S_MAX].  z0 must lie
-    in the open interval (0, 1): z = 0 and z = 1 are fixed points of the
-    equation and define no map.
+    z0 must lie in (0, 1): z = 0 and z = 1 are fixed points of the equation.
+    A set with R < 0 somewhere in [0, 1], or with a double root of R there,
+    where G jumps, raises ZeroDivisionError.
     """
     if not 0.0 < z0 < 1.0:
         raise ValueError(f"z0 must lie in the open interval (0, 1), got {z0}")
-    s0 = math.log(z0) - math.log1p(-z0)
-    # a z0 below sigma(_S_MIN) starts the table at s0 itself
-    anchor = max(math.ceil((s0 - _S_MIN) / _S_STEP), 0)
-    s = s0 + _S_STEP * np.arange(-anchor, math.ceil((_S_MAX - s0) / _S_STEP) + 1)
-    cells = integrate(lambda t: _half_root_r(params, t), s[:-1], s[1:], _MAP_TOL)
-    g = np.concatenate([-np.cumsum(cells[:anchor][::-1])[::-1], [0.0],
-                        np.cumsum(cells[anchor:])])
-    return CoordinateMap(params=params, mass=mass, x0=float(x0), s=s, g=g, anchor=anchor)
+    c0, p0, q0 = params.c0, params.p0, params.q0
+    # R's least value on [0, 1] is q0, 4 c0, or -Delta/(4 p0) at a convex R's vertex
+    vertex_inside = p0 > 0.0 and 0.0 <= p0 + q0 - 4.0 * c0 <= 2.0 * p0
+    if min(c0, q0) < 0.0 or (vertex_inside and params.discriminant >= 0.0) \
+            or c0 == p0 == q0 == 0.0:
+        raise ZeroDivisionError("R(z) < 0 or a double root of R in [0, 1]: invalid parameter set")
+    return CoordinateMap(params, mass, float(x0), math.log(z0) - math.log1p(-z0))

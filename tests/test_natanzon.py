@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from natpdm import ginocchio, natanzon, numerics
 from natpdm.masses import (
@@ -297,6 +299,76 @@ def rk4_map(params, mass, x0, z0, x_end, step):
     return np.array(xs), np.array(zs)
 
 
+def tabulated_map_integral(params, s0, s):
+    """Test oracle: G(s) - G(s0) by quadrature, the route the map once took.
+
+    sqrt(R(sigma(t)))/2 is summed over cells of width 1/16 that start at
+    s0 and cover [-710, 37], and each s adds the integral from the node
+    below it.
+    """
+    def half_root_r(t):
+        return 0.5 * np.sqrt(r_polynomial(params, natanzon._logistic(t)))
+
+    step = 0.0625
+    anchor = max(math.ceil((s0 + 710.0) / step), 0)
+    nodes = s0 + step * np.arange(-anchor, math.ceil((37.0 - s0) / step) + 1)
+    cells = numerics.integrate(half_root_r, nodes[:-1], nodes[1:], 1e-12)
+    g = np.concatenate([-np.cumsum(cells[:anchor][::-1])[::-1], [0.0], np.cumsum(cells[anchor:])])
+    k = np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, nodes.size - 1)
+    return g[k] + numerics.integrate(half_root_r, nodes[k], s, 1e-12)
+
+
+def _r_positive_inside(params):
+    # the least value of R on (0, 1): at its vertex, if a convex R has one there
+    b = 4.0 * params.c0 - params.p0 - params.q0
+    if params.p0 > 0.0 and 0.0 < -b < 2.0 * params.p0:
+        return params.discriminant < 0.0
+    return min(params.q0, 4.0 * params.c0) >= 0.0
+
+
+class TestMapIntegral:
+    """The closed form G of _map_integral against the quadrature oracle.
+
+    The oracle's error dominates.  Its running sum adds 16 cells per unit
+    of |s - s0|, each rounding by up to half an ulp of the sum, all the
+    same way where the cells are equal (R = q0 far left): up to 0.9e-15
+    |s - s0| |G|, 3.6e-11 at s = -700 for q0 = 0.022.  So the tolerance is
+    (1e-12 + 2e-15 |s - s0|)(1 + |G|), 1e-12 for the cells' quadrature.
+    Over 3,000 random sets the worst difference was 0.18 of it, and a
+    wrong branch is off by 1e-9 or more.
+    """
+
+    S = np.concatenate([[-700.0, -300.0, -100.0], np.linspace(-40.0, 36.0, 77)])
+
+    @staticmethod
+    def _assert_matches_oracle(params, s0, s):
+        closed = natanzon._map_integral(params, s) - natanzon._map_integral(params, s0)
+        oracle = tabulated_map_integral(params, s0, s)
+        tol = (1e-12 + 2e-15 * np.abs(s - s0)) * (1.0 + np.abs(oracle))
+        assert np.all(np.abs(closed - oracle) <= tol)
+
+    @settings(max_examples=100, deadline=None)
+    @given(c0=st.floats(0.01, 3.0),
+           p0=st.one_of(st.floats(-3.0, -0.01), st.just(0.0), st.floats(0.01, 12.0)),
+           q0=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
+           s0=st.floats(-20.0, 20.0))
+    def test_matches_quadrature(self, c0, p0, q0, s0):
+        params = NatanzonParams(c0, p0, q0, 0.0, 0.0, 0.0)
+        assume(_r_positive_inside(params))
+        self._assert_matches_oracle(params, s0, self.S)
+
+    @pytest.mark.parametrize("params", [
+        # Delta > 0 with the vertex past 1: 2 p0 z + b < 0 makes ln(2 sqrt(p0 R) + 2 p0 z + b) NaN
+        NatanzonParams(0.125, 1.0, 3.0, 0.0, 0.0, 0.0),  # R = (z - 1.5)(z - 2)
+        # Delta = 0: a constant ln|Delta| would be -inf
+        NatanzonParams(0.25, 1.0, 4.0, 0.0, 0.0, 0.0),   # R = (z - 2)^2
+        # p0 < 0 with a fold at z = 0, where arcsin(t/sqrt(Delta)) loses 2.7e-9
+        ginocchio.params_for(1.5, 2.0),
+    ], ids=["vertex-past-1", "double-root-at-2", "gamma-1.5-fold"])
+    def test_named_sets(self, params):
+        self._assert_matches_oracle(params, 0.3, self.S)
+
+
 class TestCoordinateMap:
     def test_gamma_one_closed_form(self):
         # oracle: dz/dx = 2 sqrt(2) sqrt(z)(1-z) for m = 1 integrates to
@@ -331,31 +403,38 @@ class TestCoordinateMap:
             solve_coordinate_map(GINOCCHIO_12, constant_mass(), x0=0.0, z0=z0)
 
     @pytest.mark.parametrize("params", [GINOCCHIO_12, Q0_POSITIVE[1]], ids=["fold", "q0>0"])
-    def test_inverts_just_below_every_table_value(self, params):
-        # mu one float below G at node k + 1 lies in cell k; a bracket whose
-        # far end is not the table's own float for node k + 1 can lose its
-        # sign change there
-        cmap = solve_coordinate_map(params, rational_mass(2.0), x0=0.0, z0=0.3)
-        mu = np.nextafter(cmap.g[1:], -np.inf)
-        zs = cmap.z_at_mu(mu)
-        assert np.all(np.diff(zs) >= 0.0)
-        assert np.all(zs <= natanzon._logistic(cmap.s[1:]))
-        # where G is flat to the last bit, mu falls in an earlier cell
-        in_cell = cmap.g[:-1] <= mu
-        assert np.all(zs[in_cell] >= natanzon._logistic(cmap.s[:-1][in_cell]))
-
-    @pytest.mark.parametrize("params", [GINOCCHIO_12, Q0_POSITIVE[1]], ids=["fold", "q0>0"])
     def test_each_mu_alone_gets_its_batch_value(self, params):
+        # the fold set reaches z = 0 at mu = -arctanh(sqrt(0.3)) = -0.62, inside the range
         cmap = solve_coordinate_map(params, rational_mass(2.0), x0=0.0, z0=0.3)
-        mu = np.linspace(cmap.g[0] - 1.0, cmap.g[-1] + 1.0, 23)
+        mu = np.linspace(-20.0, 20.0, 23)
         mu = np.concatenate([mu, np.random.default_rng(5).uniform(-3.0, 3.0, 12)])
         together = cmap.z_at_mu(mu)
         for i in range(mu.size):
             assert together[i] == cmap.z_at_mu(mu[i:i + 1])[0]
 
+    def test_two_folds(self):
+        # R = z (1 - z): G = arcsin(2 z - 1)/2, so from z0 = 1/2 the map is
+        # z = (1 + sin 2 mu)/2 up to the folds at mu = -+pi/4, and 0 or 1 past them
+        params = NatanzonParams(0.0, -1.0, 0.0, 0.0, 0.0, 0.0)
+        cmap = solve_coordinate_map(params, constant_mass(), x0=0.0, z0=0.5)
+        mu = np.linspace(-0.78, 0.78, 41)
+        assert np.max(np.abs(cmap.z_at_mu(mu) - 0.5 * (1.0 + np.sin(2.0 * mu)))) < 1e-14
+        assert np.array_equal(cmap.z_at_mu(np.array([-0.8, -1e6, 0.8, 1e6])), [0, 0, 1, 1])
+
+    @pytest.mark.parametrize("params", [
+        NatanzonParams(0.25, 4.0, 0.3, 0.0, 0.0, 0.0),  # min R = -0.38 at z = 0.41
+        NatanzonParams(0.25, 4.0, 1.0, 0.0, 0.0, 0.0),  # R = 4 (z - 1/2)^2
+        NatanzonParams(0.25, 1.0, 0.0, 0.0, 0.0, 0.0),  # R = z^2
+        NatanzonParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),   # R = 0
+    ], ids=["negative", "double-root", "double-root-at-0", "zero"])
+    def test_nonpositive_r_refused(self, params):
+        # G jumps across a double root of R, and is not real where R < 0
+        with pytest.raises(ZeroDivisionError):
+            solve_coordinate_map(params, constant_mass(), x0=0.0, z0=0.5)
+
     def test_anchor_below_the_table(self):
-        # z0 = 1e-310 puts s0 = logit(z0) below the tabulated range; there
-        # R(z) = q0 to every digit, so s grows linearly, by 2 sqrt(2/q0) per unit x
+        # z0 = 1e-310 puts s0 = logit(z0) where the logistic rounds to 0;
+        # there R(z) = q0 to every digit, so s grows linearly, by 2 sqrt(2/q0) per unit x
         params = Q0_POSITIVE[0]
         cmap = solve_coordinate_map(params, constant_mass(), x0=0.0, z0=1e-310)
         expected = math.log(1e-310) + 10.0 * 2.0 * math.sqrt(2.0 / params.q0)
