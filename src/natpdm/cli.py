@@ -628,24 +628,20 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
 
     tol = cfg.tol
     fit = report["best_fit_index_map"]
-    matched = fit["pairs"] if fit.get("status") == "MATCHED" else []
-    gates = []
-    if matched:
-        gates.append(("index_map_mismatch", fit["max_mismatch"], tol["spectrum_gate"]))
+    matched = len(fit["pairs"]) if fit["status"] == "MATCHED" else 0
     finite_qc = [r for r in report["residuals"]["eq27_vs_eq34"] if math.isfinite(r)]
-    if finite_qc:
-        gates.append(("eq27_vs_eq34", max(finite_qc), tol["eq27_vs_eq34_gate"]))
-    mi = report["mass_independence"]["max_diff"]
-    if mi is not None:
-        gates.append(("mass_independence", mi, tol["mass_independence_gate"]))
-
-    # coverage is the one lower bound: a run that compares no analytic
-    # level with a numeric one fails instead of passing on no evidence
-    report["gates"] = [{"name": "coverage", "measured": len(matched), "threshold": 1,
-                        "passed": bool(matched)}] + [
+    # coverage is the one lower bound, and a gate with nothing to measure
+    # fails, so a run that compares no level fails instead of passing on
+    # no evidence
+    report["gates"] = [{"name": "coverage", "measured": matched, "threshold": 1,
+                        "passed": matched >= 1}] + [
         {"name": name, "measured": measured, "threshold": threshold,
-         "passed": bool(measured <= threshold)}
-        for name, measured, threshold in gates
+         "passed": measured is not None and measured <= threshold}
+        for name, measured, threshold in (
+            ("index_map_mismatch", fit["max_mismatch"], tol["spectrum_gate"]),
+            ("eq27_vs_eq34", max(finite_qc, default=None), tol["eq27_vs_eq34_gate"]),
+            ("mass_independence", report["mass_independence"]["max_diff"],
+             tol["mass_independence_gate"]))
     ]
     _emit(_json_text(report), cfg.output)
     return EXIT_OK if all(g["passed"] for g in report["gates"]) else EXIT_GATE_FAILURE

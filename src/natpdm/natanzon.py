@@ -40,15 +40,13 @@ __all__ = [
     "natanzon_potential",
     "mass_correction_terms",
     "quantization_residual",
-    "default_energy_bracket",
     "solve_spectrum",
     "solve_coordinate_map",
     "labels_for_level",
 ]
 
 
-#: |residual| that counts as an exact root at a scan node, and the gap
-#: kept below E = 0
+#: the gap kept below E = 0
 _ROOT_TOL = 1e-12
 
 
@@ -159,19 +157,26 @@ def mass_correction_terms(mass: MassProfile, ordering: OrderingParams, x):
     return vm, um
 
 
-def _radicands(params: NatanzonParams, energy: float):
-    co = coeffs_at_energy(params, energy)
-    return co.q + 2.0, co.p + 1.0, 4.0 * co.c + 1.0
+def _radicand_lines(params: NatanzonParams) -> tuple:
+    """(k0, k1) of each radicand -k0 E + k1: q + 2, p + 1 and 4c + 1."""
+    return ((params.q0, params.a_q + 2.0), (params.p0, params.a_p + 1.0),
+            (4.0 * params.c0, 4.0 * params.a_c + 1.0))
+
+
+def _radicands(params: NatanzonParams, energy):
+    # each from its own line: taken through c, 4c + 1 near its zero keeps
+    # only the digits of c0 E that survive the sum with a_c
+    return tuple(-k0 * energy + k1 for k0, k1 in _radicand_lines(params))
 
 
 def quantization_residual(params: NatanzonParams, energy, n):
     """Residual of the quantization identity at (E, n), elementwise.
 
     Evaluates the branch rule sqrt(p+1) + sqrt(q+2) - sqrt(4c+1) - (2n+1),
-    the sign assignment under which the identity is monotone in E and
-    reproduces the closed-form spectrum; each square root is taken
-    nonnegative.  energy and n may be arrays that broadcast against each
-    other.
+    the sign assignment that reproduces the closed-form spectrum on the
+    Ginocchio slice, where the residual is monotone in E for E < 0; each
+    square root is taken nonnegative.  energy and n may be arrays that
+    broadcast against each other.
     """
     rad_q, rad_p, rad_c = _radicands(params, energy)
     if np.any((rad_q < 0.0) | (rad_p < 0.0) | (rad_c < 0.0)):
@@ -181,54 +186,49 @@ def quantization_residual(params: NatanzonParams, energy, n):
     return np.sqrt(rad_p) + np.sqrt(rad_q) - np.sqrt(rad_c) - (2.0 * n + 1.0)
 
 
-def default_energy_bracket(params: NatanzonParams) -> tuple:
-    """Bound-state search window: negative energies bounded by the p-scale."""
-    span = (math.sqrt(max(params.a_p + 1.0, 0.0)) + 1.0) ** 2
-    return (-span, -_ROOT_TOL)
+def _root_window(params: NatanzonParams) -> tuple | None:
+    """Bound-state window below E = 0 where no radicand is negative; None where it is empty.
 
-
-def _feasible_bracket(params: NatanzonParams, bracket) -> tuple | None:
-    # each radicand is affine in E: -k0 E + k1 >= 0 caps the interval
-    lo, hi = float(bracket[0]), float(bracket[1])
-    for k0, k1 in ((params.q0, params.a_q + 2.0),
-                   (params.p0, params.a_p + 1.0),
-                   (4.0 * params.c0, 4.0 * params.a_c + 1.0)):
+    Each radicand is affine in E, -k0 E + k1 >= 0.  One with k0 > 0 caps
+    the top; the window starts at the highest zero of one with k0 < 0, or
+    where none has one, (sqrt(a_p + 1) + 1)^2 below E = 0.  Each end moves
+    inwards by 1e-12 of its own size, so a radicand zero there rounds to
+    no negative value and a wide window keeps its top.
+    """
+    hi, zeros = -_ROOT_TOL, []
+    for k0, k1 in _radicand_lines(params):
         if k0 > 0.0:
             hi = min(hi, k1 / k0)
         elif k0 < 0.0:
-            lo = max(lo, k1 / k0)
+            zeros.append(k1 / k0)
         elif k1 < 0.0:
             return None
-    if lo >= hi:
-        return None
-    pad = 1e-12 * (hi - lo)
-    return lo + pad, hi - pad
+    lo = max(zeros) if zeros else -(math.sqrt(max(params.a_p + 1.0, 0.0)) + 1.0) ** 2
+    lo, hi = lo + 1e-12 * abs(lo), hi - 1e-12 * abs(hi)
+    return (lo, hi) if lo < hi else None
 
 
 def solve_spectrum(params: NatanzonParams, n_max: int) -> np.ndarray:
     """Roots E_n of the branch-rule quantization identity for n = 0..n_max.
 
-    The default bracket is scanned on a uniform 64-cell subdivision, all
-    levels in one array.  A level takes the first scan node where its
-    residual is within _ROOT_TOL of zero; failing that, its lowest sign
-    change is polished by one newton_bisect call shared by all levels,
-    with the residual's exact E-derivative (each radicand is affine in E).
-    Levels with no root inside the bracket are reported as NaN; the
-    identity itself contains no mass profile, so neither does this
-    function.
+    The root window is scanned on a uniform 64-cell subdivision, all
+    levels in one array.  Each level's lowest cell whose ends do not share
+    a sign, a zero at a node included, is polished by one newton_bisect
+    call shared by all levels, with the residual's exact E-derivative
+    (each radicand is affine in E); a root on a node comes back as the
+    lowest float of the run of zeros through it.  Levels with no root
+    inside the window are reported as NaN; the identity itself contains no
+    mass profile, so neither does this function.
     """
     energies = np.full(n_max + 1, np.nan)
-    feasible = _feasible_bracket(params, default_energy_bracket(params))
-    if feasible is None:
+    window = _root_window(params)
+    if window is None:
         return energies
-    grid = np.linspace(*feasible, 65)
+    grid = np.linspace(*window, 65)
     levels = np.arange(n_max + 1)
     vals = quantization_residual(params, grid, levels[:, None])
-    hit = np.abs(vals) <= _ROOT_TOL
-    change = vals[:, :-1] * vals[:, 1:] < 0.0
-    exact = hit.any(axis=1)
-    energies[exact] = grid[hit.argmax(axis=1)[exact]]
-    polish = ~exact & change.any(axis=1)
+    change = vals[:, :-1] * vals[:, 1:] <= 0.0
+    polish = change.any(axis=1)
     cell, n = change.argmax(axis=1)[polish], levels[polish]
 
     def slope(e, _):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import natpdm
 from natpdm import cli, ginocchio, numerics, pdmsolver
-from natpdm.masses import MASS_REGISTRY, parse_mass
+from natpdm.masses import MASS_REGISTRY, constant_mass, parse_mass
 from natpdm.natanzon import OrderingParams
 from natpdm.numerics import Grid
 
@@ -261,6 +261,9 @@ class TestFloatText:
         assert cli._float_text(table, fmt, ",", "\n") == want
 
 
+SPECTRUM_GATES = ["coverage", "index_map_mismatch", "eq27_vs_eq34", "mass_independence"]
+
+
 class TestSpectrum:
     def test_report_and_gates(self, capsys):
         code, out, _ = run_cli(
@@ -290,6 +293,44 @@ class TestSpectrum:
         assert None in printed["energies_eq27"]  # a nan of the report prints as null
         assert printed == json.loads(cli._json_text(report))
 
+    def test_four_gates_in_order(self, capsys):
+        # gamma > 1.6: eq. 27's ground level lies below the p-scale span,
+        # where the p + 1 radicand's zero now starts the root window
+        code, out, _ = run_cli(["spectrum", "--gamma=1.789", "--j=1.889",
+                                "--mass=exponential-well:0.426"], capsys)
+        assert code == 0
+        gates = json.loads(out)["gates"]
+        assert [g["name"] for g in gates] == SPECTRUM_GATES
+        assert all(g["passed"] and g["measured"] is not None for g in gates)
+
+    def test_no_quantization_root_fails_eq27(self, monkeypatch, capsys):
+        monkeypatch.setattr(pdmsolver, "solve_spectrum",
+                            lambda params, n_max: np.full(n_max + 1, np.nan))
+        code, out, _ = run_cli(["spectrum", "--grid=-12,12,401"], capsys)
+        assert code == 1
+        gates = json.loads(out)["gates"]
+        assert [g["name"] for g in gates] == SPECTRUM_GATES
+        assert gates[2] == {"name": "eq27_vs_eq34", "measured": None,
+                            "threshold": cli.DEFAULT_TOLERANCES["eq27_vs_eq34_gate"],
+                            "passed": False}
+        assert all(g["passed"] for g in gates[:2] + gates[3:])
+
+    def test_partner_with_no_bound_level_fails_mass_independence(self, monkeypatch, capsys):
+        # so light a partner stretches the well past the box: it has no
+        # bound level to compare
+        monkeypatch.setattr(pdmsolver, "constant_mass", lambda: constant_mass(1e-4))
+        code, out, _ = run_cli(["spectrum", "--gamma=0.8", "--j=2", "--mass=rational:2",
+                                "--grid=-12,12,401"], capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert report["mass_independence"]["partner_energies"] == []
+        gates = report["gates"]
+        assert [g["name"] for g in gates] == SPECTRUM_GATES
+        assert gates[3] == {"name": "mass_independence", "measured": None,
+                            "threshold": cli.DEFAULT_TOLERANCES["mass_independence_gate"],
+                            "passed": False}
+        assert all(g["passed"] for g in gates[:3])
+
     @pytest.mark.parametrize("args", [
         ["spectrum", "--gamma=1e-8", "--grid=-12,12,201"],
         ["spectrum", "--gamma=0.05", "--j=2"],
@@ -299,8 +340,9 @@ class TestSpectrum:
         # judges a level: the run must fail, not pass on no evidence
         code, out, _ = run_cli(args, capsys)
         assert code == 1
-        coverage = json.loads(out)["gates"][0]
-        assert coverage["name"] == "coverage"
+        gates = json.loads(out)["gates"]
+        assert [g["name"] for g in gates] == SPECTRUM_GATES
+        coverage = gates[0]
         assert coverage["measured"] == 0
         assert coverage["passed"] is False
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from natpdm import ginocchio, natanzon, numerics
@@ -19,7 +19,6 @@ from natpdm.natanzon import (
     NatanzonParams,
     OrderingParams,
     coeffs_at_energy,
-    default_energy_bracket,
     generating_function,
     labels_for_level,
     mass_correction_terms,
@@ -32,6 +31,18 @@ from natpdm.natanzon import (
 from natpdm.numerics import Grid
 
 GINOCCHIO_12 = ginocchio.params_for(1.0, 2.0)
+EPS = np.finfo(float).eps
+
+
+def _bound_levels(gamma, j):
+    """{n: E_n} of eq. 34 where sqrt(radicand) > 2n + 1/2: the levels below the continuum."""
+    levels = {}
+    for n in range(int(j) + 1):
+        half_odd = 2.0 * n + 0.5
+        radicand = (1.0 - gamma * gamma) * half_odd ** 2 + gamma * gamma * (j + 0.5) ** 2
+        if radicand >= 0.0 and math.sqrt(radicand) > half_odd:
+            levels[n] = ginocchio.spectrum_closed_form(gamma, j, n)
+    return levels
 
 
 class TestCoeffs:
@@ -223,18 +234,60 @@ class TestSolveSpectrum:
             return original(f, fprime, lo, hi, x0)
 
         monkeypatch.setattr(natanzon, "newton_bisect", counting)
-        # the 5.25 case holds the largest levels of a gamma-j sweep, the
-        # 0.05 case the smallest, ~1e-6 in size
+        # the 5.25 case holds the largest levels of a gamma-j sweep, its
+        # ground level below the p-scale span; the 0.05 case the smallest,
+        # ~1e-6 in size
         found = []
         for gamma, j in ((1.669, 5.25), (0.05, 2.5)):
             roots = solve_spectrum(ginocchio.params_for(gamma, j), int(j))
-            found.append((np.count_nonzero(~np.isnan(roots)),))
-            for n in np.flatnonzero(~np.isnan(roots)):
-                closed = ginocchio.spectrum_closed_form(gamma, j, int(n))
+            bound = _bound_levels(gamma, j)
+            assert np.flatnonzero(~np.isnan(roots)).tolist() == list(bound)
+            found.append((len(bound),))
+            for n, closed in bound.items():
                 assert roots[n] == pytest.approx(closed, rel=1e-11)
-        # no level hits a scan node exactly, so each solve polishes all of
-        # its levels in one call
+        # each solve polishes all of its levels in one call
         assert calls == found
+
+    @settings(max_examples=200, deadline=None)
+    @given(gamma=st.one_of(st.floats(math.log(0.3), math.log(5.0)).map(math.exp),
+                           st.just(1.0 + 1e-6)),
+           j=st.floats(0.5, 6.0))
+    # E_2 = -9.41e-9, where 4c + 1 formed through c keeps only ~8 digits
+    @example(gamma=2.0353041491524357, j=4.000023418370656)
+    def test_every_bound_level_is_a_root(self, gamma, j):
+        # eq. 34's bound levels are eq. 27's roots, and no other n has one;
+        # a level within 1e-9 of the continuum may lie above the window
+        roots = solve_spectrum(ginocchio.params_for(gamma, j), int(j))
+        bound = _bound_levels(gamma, j)
+        for n, root in enumerate(roots):
+            closed = bound.get(n)
+            if closed is None:
+                assert math.isnan(root), n
+            elif closed < -1e-9 or not math.isnan(root):
+                # near the continuum both forms lose digits: a rounding of
+                # eps (2n + 1) in eq. 27's residual, or of eps (2n + 1/2) in
+                # eq. 34's root, moves E by about that times 2 max(1, gamma^2)
+                # sqrt(-E)
+                floor = 8.0 * EPS * (2 * n + 1) * max(1.0, gamma * gamma) * math.sqrt(-closed)
+                assert root == pytest.approx(closed, rel=1e-11, abs=floor), n
+
+    def test_root_on_a_scan_node(self):
+        # q + 2 = 1, p + 1 = 4 and 4c + 1 = 4 + e - E make the n = 0
+        # residual 2 - sqrt(4 + e - E), exactly 0 at E = e; e is a node,
+        # and the window does not depend on a_c while 4 + e > 0
+        lo, hi = natanzon._root_window(NatanzonParams(0.25, 0.0, 0.0, 0.75, 3.0, -1.0))
+        node = np.linspace(lo, hi, 65)[40]
+        params = NatanzonParams(0.25, 0.0, 0.0, (3.0 + node) / 4.0, 3.0, -1.0)
+        assert natanzon._root_window(params) == (lo, hi)
+        assert quantization_residual(params, node, 0) == 0.0
+        # both cells at the node count as sign changes; the keep rule
+        # returns the lowest float of the run of zeros through the node
+        root = solve_spectrum(params, 0)[0]
+        assert quantization_residual(params, np.nextafter(root, -np.inf), 0) < 0.0
+        e = root
+        while e <= node:
+            assert quantization_residual(params, e, 0) == 0.0
+            e = np.nextafter(e, np.inf)
 
     @pytest.mark.parametrize("gamma, j", [(1.669, 5.25), (0.8, 2.0), (0.05, 2.5)])
     def test_each_level_its_own_root(self, gamma, j):
@@ -245,9 +298,18 @@ class TestSolveSpectrum:
         for n in range(int(j)):
             assert np.array_equal(solve_spectrum(params, n), roots[:n + 1], equal_nan=True)
 
-    def test_default_bracket_is_negative(self):
-        lo, hi = default_energy_bracket(GINOCCHIO_12)
+    def test_root_window_is_negative(self):
+        lo, hi = natanzon._root_window(GINOCCHIO_12)
         assert lo < hi < 0.0
+
+    def test_window_starts_at_the_p_radicand_zero(self):
+        # for gamma > 1, p + 1 = 0 at E = (j + 1/2)^2 gamma^4/(1 - gamma^2),
+        # below the p-scale span -(j + 3/2)^2
+        gamma, j = 1.669, 5.25
+        lo, _ = natanzon._root_window(ginocchio.params_for(gamma, j))
+        zero = (j + 0.5) ** 2 * gamma ** 4 / (1.0 - gamma ** 2)
+        assert zero < -(j + 1.5) ** 2
+        assert lo == pytest.approx(zero, rel=1e-11)
 
 
 class TestLabelsForLevel:
