@@ -41,6 +41,8 @@ GAMMA_MAX = 1e6
 # potential tables stay finite for j up to here at the gamma and mass
 # range ends; far beyond it gamma^4 j(j + 1) overflows to -inf or nan
 J_MAX = 1e6
+# spectrum's closed-form lists, root-finding and residuals grow as j on any grid
+SPECTRUM_J_MAX = 1e3
 
 # bound on the von Roos eta and epsilon: the ordering terms scale as
 # eta^2 m'^2/m^3, which stays finite over the registry masses up to here
@@ -208,10 +210,8 @@ def _build_config(args: argparse.Namespace) -> argparse.Namespace:
     if args.command == "spectrum" and 0.5 * cfg.grid.spacing < SPACING_MIN:
         raise ConfigError(f"grid spacing {cfg.grid.spacing:g} is too fine to discretize: "
                           f"its half must be at least {SPACING_MIN:.3g}")
-    # spectrum solves for floor(j) + 2 levels on the interior nodes
-    if args.command == "spectrum" and cfg.grid.n_points - 2 < math.floor(cfg.j) + 2:
-        raise ConfigError(f"grid has {cfg.grid.n_points - 2} interior nodes; spectrum "
-                          f"at j = {cfg.j} needs at least {math.floor(cfg.j) + 2}")
+    if args.command == "spectrum" and cfg.j > SPECTRUM_J_MAX:
+        raise ConfigError(f"spectrum takes j in [0, {SPECTRUM_J_MAX:g}], got {cfg.j}")
     return cfg
 
 

@@ -246,20 +246,17 @@ def labels_for_level(params: NatanzonParams, energy: float, n: int) -> GroupLabe
 
     Under the branch rule the radicals identify delta = sqrt(q+2) -
     sqrt(p+1) and 2 j0 = sqrt(q+2) + sqrt(p+1); the Casimir eigenvalue
-    is the energy-linear c, and j solves c = j(j+1).
+    is the energy-linear c, and j solves c = j(j+1): 2j + 1 = sqrt(4c + 1).
     """
     rad_q, rad_p, rad_c = _radicands(params, energy)
-    if rad_q < 0.0 or rad_p < 0.0:
+    if rad_q < 0.0 or rad_p < 0.0 or rad_c < 0.0:
         raise ValueError(f"negative radicand at E={energy}")
     sq, sp = math.sqrt(rad_q), math.sqrt(rad_p)
-    c = coeffs_at_energy(params, energy).c
-    if c + 0.25 < 0.0:
-        raise ValueError(f"c + 1/4 < 0 at E={energy}")
     return GroupLabels(
-        j=-0.5 + math.sqrt(c + 0.25),
+        j=-0.5 + math.sqrt(rad_c / 4.0),
         j0=0.5 * (sq + sp),
         n=n,
-        c=c,
+        c=coeffs_at_energy(params, energy).c,
         delta=sq - sp,
     )
 

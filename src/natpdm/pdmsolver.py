@@ -11,11 +11,11 @@ The kinetic part is discretized in its exactly equivalent flux form
 matrix symmetric (real eigenvalues guaranteed) and is second order in
 the spacing.  Bound-state energies from LAPACK bisection (dstebz) on each
 coarse grid and inverse iteration (dstein) from those levels on its
-refined twin, every matrix of a request certified by one Sturm count
-(numerics.lowest_eigenvalues), then adjudicate every closed-form
-spectrum claim.  verify_spectrum returns its report as the plain dict
-that `natpdm spectrum` prints, under the same keys; the CLI adds only the
-gates and the JSON encoding.
+refined twin, as many as a Sturm count finds below the thresholds, each
+certified by a second (numerics.lowest_eigenvalues), then adjudicate
+every closed-form spectrum claim.  verify_spectrum returns its report
+as the plain dict that `natpdm spectrum` prints, under the same keys;
+the CLI adds only the gates and the JSON encoding.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .ginocchio import params_for, potential_on_x_grid, spectrum_closed_form
 from .masses import MassProfile, constant_mass, rational_mass
 from .natanzon import OrderingParams, solve_spectrum
-from .numerics import Grid, TridiagonalSymmetric, lowest_eigenvalues
+from .numerics import Grid, TridiagonalSymmetric, lowest_eigenvalues, sturm_count
 
 __all__ = [
     "assemble_hamiltonian",
@@ -115,10 +115,11 @@ def verify_spectrum(gamma: float, j: float, mass: MassProfile, ordering: Orderin
     fits the analytic-n to numeric-n index map, and repeats the numerics
     with a second mass profile to measure mass independence of the bound
     levels: rational:2 beside a constant mass, the unit mass beside
-    any other.  The four matrices (two grids, two masses) are solved in one
-    lowest_eigenvalues call, so one Sturm count certifies them, the coarse
-    grid's levels seeding the fine grid's, and each mass's two grids are
-    Richardson extrapolated.
+    any other.  One Sturm count finds how many levels each of the four
+    matrices (two grids, two masses) has below its threshold min(V(x_min),
+    V(x_max)); one lowest_eigenvalues call solves and certifies that many,
+    the largest count clipped to 1..coarse rows, coarse levels seeding fine
+    ones, and each mass's two grids are Richardson extrapolated.
 
     Returns the report under the keys `natpdm spectrum` prints:
     energies_eq27 are the quantization roots, energies_eq34 the closed-form
@@ -131,7 +132,6 @@ def verify_spectrum(gamma: float, j: float, mass: MassProfile, ordering: Orderin
     if j < 0.0:
         raise ValueError(f"j must be non-negative, got {j}")
     n_top = int(math.floor(j))
-    k = n_top + 2
 
     partner_mass = rational_mass(2.0) if mass.label.startswith("constant") \
         else constant_mass()
@@ -143,6 +143,8 @@ def verify_spectrum(gamma: float, j: float, mass: MassProfile, ordering: Orderin
         matrices += [assemble_hamiltonian(m, v_fine[::2], ordering, grid),
                      assemble_hamiltonian(m, v_fine, ordering, fine_grid)]
         thresholds.append(float(min(v_fine[0], v_fine[-1])))
+    below = sturm_count(matrices, np.repeat(thresholds, 2)[:, None])
+    k = max(1, min(int(below.max()), matrices[0].size))
     # each coarse grid's levels seed its refined twin's
     levels = lowest_eigenvalues(matrices, k, seeds_from=(None, 0, None, 2))
     energies, changes = richardson(levels[0::2], levels[1::2])

@@ -346,6 +346,18 @@ class TestSpectrum:
         assert coverage["measured"] == 0
         assert coverage["passed"] is False
 
+    @pytest.mark.parametrize("args", [
+        ["spectrum", "--grid=-12,12,4"],
+        ["spectrum", "--grid=-12,12,3", "--j=5"],
+    ], ids=["two-rows", "one-row"])
+    def test_grid_with_fewer_rows_than_levels_fails_its_gates(self, args, capsys):
+        # a grid of fewer interior nodes than the closed form has levels is
+        # solved for the levels its matrices bind, and the run ends on its gates
+        code, out, err = run_cli(args, capsys)
+        assert code == 1
+        assert err == ""
+        assert [g["name"] for g in json.loads(out)["gates"]] == SPECTRUM_GATES
+
     @pytest.mark.parametrize("ordering", ["1,1,1", "0,-1,0"])
     def test_three_ordering_values_refused(self, ordering, capsys):
         # rho follows from eta and epsilon; a third value is refused even
@@ -511,7 +523,6 @@ class TestConfigErrors:
         ["spectrum", "--tol", "quad=-1"],
         ["spectrum", "--tol", "eig=1e-3"],
         ["spectrum", "--grid=1,12,201"],
-        ["spectrum", "--grid=-12,12,4"],
         ["spectrum", "--j", "1e6"],
         ["potential", "--grid=-inf,12,11"],
         ["spectrum", "--ordering", "nan,0"],
@@ -537,11 +548,20 @@ class TestConfigErrors:
         ["potential", "--ordering=1e300,0"],
         ["spectrum", "--ordering=-1e300,0", "--mass=exponential-well:1"],
         ["potential", "--j=1000000.5"],
+        ["spectrum", "--j=1000.5"],
     ])
     def test_exit_code_two(self, args, capsys):
         code, _, err = run_cli(args, capsys)
         assert code == 2
         assert err.strip()
+
+    def test_spectrum_takes_j_up_to_its_bound(self):
+        def read(j):
+            return cli._build_config(cli.build_parser().parse_args(["spectrum", f"--j={j!r}"]))
+
+        assert read(cli.SPECTRUM_J_MAX).j == cli.SPECTRUM_J_MAX
+        with pytest.raises(cli.ConfigError, match="spectrum takes j in"):
+            read(math.nextafter(cli.SPECTRUM_J_MAX, math.inf))
 
     def test_removed_assembly_flag_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,7 @@
 import dataclasses
+import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -326,6 +328,19 @@ class TestLabelsForLevel:
         assert (lab.delta - 2.0 * lab.j0) ** 2 / 4.0 - 1.0 == pytest.approx(co.p, abs=1e-12)
         assert (lab.delta + 2.0 * lab.j0) ** 2 / 4.0 - 2.0 == pytest.approx(co.q, abs=1e-12)
         assert lab.j0 == pytest.approx(lab.n + 0.5 + math.sqrt(co.c + 0.25), abs=1e-12)
+
+    def test_j_keeps_its_digits_near_the_continuum(self):
+        # c + 1/4 = -c0 E there: formed as (-c0 E + a_c) + 1/4 with a_c = -1/4
+        # it keeps only the digits of c0 E that survive the sum
+        params, energy = ginocchio.params_for(0.8, 2.0), -3e-12
+        square = -Fraction(params.c0) * Fraction(energy) + Fraction(params.a_c) + Fraction(1, 4)
+        with decimal.localcontext(decimal.Context(prec=40)):
+            exact = (decimal.Decimal(square.numerator) / square.denominator).sqrt()
+        lab = labels_for_level(params, energy, 0)
+        assert abs(Fraction(lab.j) + Fraction(1, 2) - Fraction(exact)) <= 1.2e-16
+        # above the continuum c + 1/4 < 0: no real j
+        with pytest.raises(ValueError, match="negative radicand"):
+            labels_for_level(params, -energy, 0)
 
 
 #: three parameter sets (c0, p0, q0, a_c, a_p, a_q) with q0 > 0, so R(0) > 0

@@ -255,7 +255,7 @@ class TestVerifySpectrum:
         assert report["energies_numeric"][1] == pytest.approx(-1.0, abs=1e-3)
 
     def test_one_estimate_per_reported_level(self, report):
-        # k = 4 levels are solved, two of them bound
+        # the two bound levels are solved, and one estimate kept for each
         assert len(report["convergence_estimates"]) == len(report["energies_numeric"])
 
     def test_closed_form_verbatim(self, report):
@@ -342,3 +342,57 @@ class TestVerifySpectrum:
         from natpdm.natanzon import solve_spectrum
         params = inspect.signature(solve_spectrum).parameters
         assert "mass" not in params
+
+
+
+@pytest.fixture
+def asked(monkeypatch):
+    """The k of each pdmsolver.lowest_eigenvalues call."""
+    ks = []
+    solve = pdmsolver.lowest_eigenvalues
+
+    def solving(matrices, k, **kwargs):
+        ks.append(k)
+        return solve(matrices, k, **kwargs)
+
+    monkeypatch.setattr(pdmsolver, "lowest_eigenvalues", solving)
+    return ks
+
+
+class TestLevelCount:
+    """verify_spectrum solves for the levels its matrices bind below their thresholds."""
+
+    @pytest.mark.parametrize("gamma, j, mass, k", [(1.0, 2.0, "constant", 2),
+                                                   (0.8, 2.5, "rational:2", 3)])
+    def test_default_grid_asks_for_its_bound_levels(self, asked, gamma, j, mass, k):
+        report = verify_spectrum(gamma, j, parse_mass(mass), BEN_DANIEL_DUKE,
+                                 Grid(-12.0, 12.0, 1201))
+        assert asked == [k]
+        assert len(report["energies_numeric"]) == k
+
+    def test_grid_with_fewer_rows_than_levels_is_solved(self, asked):
+        # two interior nodes, three closed-form levels
+        report = verify_spectrum(1.0, 2.0, constant_mass(), BEN_DANIEL_DUKE,
+                                 Grid(-12.0, 12.0, 4))
+        assert asked == [1]
+        assert len(report["energies_eq34"]) == len(report["energies_eq27"]) == 3
+
+    def test_count_is_clipped_to_the_coarse_rows(self, asked, monkeypatch):
+        counts, count = [], pdmsolver.sturm_count
+
+        def counting(matrices, shifts):
+            counts.append(count(matrices, shifts))
+            return counts[-1]
+
+        monkeypatch.setattr(pdmsolver, "sturm_count", counting)
+        verify_spectrum(1.0, 2.0, constant_mass(), BEN_DANIEL_DUKE, Grid(-1e300, 1e300, 11))
+        # one count over the four matrices: the fine ones bind more levels
+        # than the coarse ones have rows
+        assert len(counts) == 1 and counts[0].max() > 9
+        assert asked == [9]
+
+    def test_a_box_with_no_bound_level_asks_for_one(self, asked):
+        report = verify_spectrum(1.0, 2.0, constant_mass(), BEN_DANIEL_DUKE,
+                                 Grid(-1e-70, 1e-70, 11))
+        assert asked == [1]
+        assert report["energies_numeric"] == report["convergence_estimates"] == []
