@@ -55,13 +55,6 @@ ORDERING_MAX = 1e6
 # which it reaches sqrt(DBL_MAX)
 SPACING_MIN = 1.0 / math.sqrt(1e-6 * math.sqrt(sys.float_info.max))
 
-DEFAULT_TOLERANCES = {
-    "quad": 1e-10,
-    "spectrum_gate": 5e-3,
-    "eq27_vs_eq34_gate": 1e-9,
-    "mass_independence_gate": 2e-3,
-}
-
 
 # library exceptions that end potential, spectrum and verify: 3 when the
 # x -> mu -> u coordinate map fails (mu quadrature or its inversion),
@@ -139,26 +132,6 @@ def _one_of(text: str, name: str, choices) -> str:
     return text
 
 
-def _parse_tols(items, command: str) -> dict:
-    """The command's tolerances: its defaults, overridden by name=value items in order."""
-    out = {name: DEFAULT_TOLERANCES[name] for name in COMMANDS[command].tols}
-    for item in items:
-        name, sep, value = item.partition("=")
-        if not sep:
-            raise ConfigError(f"--tol takes name=value, got {item!r}")
-        name = name.strip()
-        if name not in COMMANDS[command].tols:
-            known = ", ".join(COMMANDS[command].tols)
-            raise ConfigError(f"{command} reads no tolerance {name!r} (it reads: {known})")
-        try:
-            out[name] = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"invalid tolerance value in {item!r}: {exc}") from exc
-        if not 0.0 < out[name] < math.inf:
-            raise ConfigError(f"tolerance {name} must be positive and finite, got {value!r}")
-    return out
-
-
 def _build_config(args: argparse.Namespace) -> argparse.Namespace:
     """Each flag of the command, read from the command line, else the file, else its default."""
     file_values = {}
@@ -181,17 +154,9 @@ def _build_config(args: argparse.Namespace) -> argparse.Namespace:
             raise ConfigError(f"config file keys {unknown} name no flag of {args.command} "
                               f"(known: {', '.join(sorted(flags))})")
 
-    file_tols = file_values.get("tol", {})
-    if not isinstance(file_tols, dict):
-        raise ConfigError(f"config file tol must be a JSON object of name: value, "
-                          f"got {file_tols!r}")
-    file_tols = [f"{k}={v}" for k, v in file_tols.items()]
     cfg = argparse.Namespace()
     for name in COMMANDS[args.command].flags:
         flag, text = _FLAGS[name], getattr(args, name)
-        if name == "tol":
-            cfg.tol = _parse_tols([*file_tols, *(text or [])], args.command)
-            continue
         if text is None:
             text = file_values.get(name, flag.default)
             # a JSON number stands for its JSON text; true and false are bools, not numbers
@@ -602,9 +567,7 @@ def cmd_map(cfg: argparse.Namespace) -> int:
 def cmd_potential(cfg: argparse.Namespace) -> int:
     try:
         table = ginocchio.potential_on_x_grid(
-            cfg.gamma, cfg.j, parse_mass(cfg.mass), cfg.ordering, cfg.grid,
-            tol=cfg.tol["quad"],
-        )
+            cfg.gamma, cfg.j, parse_mass(cfg.mass), cfg.ordering, cfg.grid)
     except _FAILURES as exc:
         return _failure_exit(exc)
     text = _json_text({**table, "gamma": cfg.gamma, "j": cfg.j, "mass": cfg.mass}) \
@@ -620,28 +583,24 @@ def cmd_potential(cfg: argparse.Namespace) -> int:
 def cmd_spectrum(cfg: argparse.Namespace) -> int:
     try:
         report = pdmsolver.verify_spectrum(
-            cfg.gamma, cfg.j, parse_mass(cfg.mass), cfg.ordering, cfg.grid,
-            quad_tol=cfg.tol["quad"],
-        )
+            cfg.gamma, cfg.j, parse_mass(cfg.mass), cfg.ordering, cfg.grid)
     except _FAILURES as exc:
         return _failure_exit(exc)
 
-    tol = cfg.tol
     fit = report["best_fit_index_map"]
-    matched = len(fit["pairs"]) if fit["status"] == "MATCHED" else 0
+    compared = len(fit["pairs"])
     finite_qc = [r for r in report["residuals"]["eq27_vs_eq34"] if math.isfinite(r)]
     # coverage is the one lower bound, and a gate with nothing to measure
     # fails, so a run that compares no level fails instead of passing on
     # no evidence
-    report["gates"] = [{"name": "coverage", "measured": matched, "threshold": 1,
-                        "passed": matched >= 1}] + [
-        {"name": name, "measured": measured, "threshold": threshold,
-         "passed": measured is not None and measured <= threshold}
-        for name, measured, threshold in (
-            ("index_map_mismatch", fit["max_mismatch"], tol["spectrum_gate"]),
-            ("eq27_vs_eq34", max(finite_qc, default=None), tol["eq27_vs_eq34_gate"]),
-            ("mass_independence", report["mass_independence"]["max_diff"],
-             tol["mass_independence_gate"]))
+    report["gates"] = [{"name": "coverage", "measured": compared, "threshold": 1,
+                        "passed": compared >= 1}] + [
+        {"name": name, "measured": measured, "threshold": pdmsolver.GATES[name],
+         "passed": measured is not None and measured <= pdmsolver.GATES[name]}
+        for name, measured in (
+            ("index_map_mismatch", fit["max_mismatch"]),
+            ("eq27_vs_eq34", max(finite_qc, default=None)),
+            ("mass_independence", report["mass_independence"]["max_diff"]))
     ]
     _emit(_json_text(report), cfg.output)
     return EXIT_OK if all(g["passed"] for g in report["gates"]) else EXIT_GATE_FAILURE
@@ -658,7 +617,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     for name in modules:
         rng = np.random.default_rng(cfg.seed)
         try:
-            checks = verify.SUITES[name](cfg.tol, rng)
+            checks = verify.SUITES[name](rng)
         except _FAILURES as exc:
             return _failure_exit(exc, f" in the {name} suite")
         hard_ok = all(c["passed"] for c in checks if c["kind"] == "hard")
@@ -698,7 +657,6 @@ _FLAGS = {
     "grid": Flag(("--grid",), "grid 'xmin,xmax,N'", "-12,12,1201", _parse_grid),
     "format": Flag(("--format",), "output format: csv or json", None,
                    lambda text: _one_of(text, "format", ("csv", "json"))),
-    "tol": Flag(("--tol",), "tolerance override, repeatable", None),
     "only": Flag(("--only",), f"restrict verify to one module suite: {', '.join(verify.SUITES)}",
                  None, lambda text: _one_of(text, "only", verify.SUITES)),
     # numpy seeds its generators from non-negative integers only
@@ -713,23 +671,20 @@ class Command(NamedTuple):
     run: Callable[[argparse.Namespace], int]
     help: str
     flags: tuple
-    tols: tuple = ()
 
 
-# the one declaration of what each command reads: it takes no other flag,
-# and a --tol name or config-file key outside it exits 2
+# the one declaration of what each command reads: a flag or config-file
+# key outside it exits 2
 COMMANDS = {
     "map": Command(cmd_map, "tabulate the band-to-disk conformal map with residuals",
                    ("config", "output")),
     "potential": Command(cmd_potential, "tabulate the potential V_hyp + Um on the physical grid",
-                         ("gamma", "j", "ordering", "mass", "grid", "format", "tol",
-                          "config", "output"), ("quad",)),
+                         ("gamma", "j", "ordering", "mass", "grid", "format", "config",
+                          "output")),
     "spectrum": Command(cmd_spectrum, "numeric vs analytic bound-state spectra as JSON",
-                        ("gamma", "j", "ordering", "mass", "grid", "tol", "config",
-                         "output"), tuple(DEFAULT_TOLERANCES)),
+                        ("gamma", "j", "ordering", "mass", "grid", "config", "output")),
     "verify": Command(cmd_verify, "run the module property suites and report residuals",
-                      ("tol", "only", "seed", "config", "output"),
-                      ("quad", "mass_independence_gate")),
+                      ("only", "seed", "config", "output")),
 }
 
 
@@ -747,11 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help)
         for name in command.flags:
             flag = _FLAGS[name]
-            if name == "tol":
-                p.add_argument(*flag.options, action="append", metavar="NAME=VALUE",
-                               help=f"{flag.help}; names: {', '.join(command.tols)}")
-            else:
-                p.add_argument(*flag.options, help=flag.help)
+            p.add_argument(*flag.options, help=flag.help)
     return parser
 
 

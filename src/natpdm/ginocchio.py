@@ -28,6 +28,7 @@ from .natanzon import NatanzonParams, OrderingParams, mass_correction_terms
 from .numerics import Grid
 
 __all__ = [
+    "QUAD_TOL",
     "InversionFailure",
     "params_for",
     "mu_closed_form",
@@ -39,6 +40,10 @@ __all__ = [
     "spectrum_closed_form",
     "potential_on_x_grid",
 ]
+
+#: quadrature tolerance of a table's mu column (masses.travel_coordinate)
+QUAD_TOL = 1e-10
+
 
 class InversionFailure(ValueError):
     """No finite u solves mu_closed_form(gamma, u) = mu."""
@@ -209,11 +214,10 @@ def spectrum_closed_form(gamma: float, j: float, n: int) -> float:
 
 
 def potential_on_x_grid(gamma: float, j: float, mass: MassProfile,
-                        ordering: OrderingParams, grid: Grid,
-                        tol: float = 1e-10) -> dict:
+                        ordering: OrderingParams, grid: Grid) -> dict:
     """Tabulate the full position-dependent-mass potential on a grid.
 
-    mu from travel_coordinate, anchored at x = 0, to tolerance tol; u
+    mu from travel_coordinate, anchored at x = 0, to tolerance QUAD_TOL; u
     from one inversion of the whole mu column; then the total V_hyp + Um,
     the hyperbolic form plus the von Roos mass term Um, whose bound
     levels do not depend on the mass.  Returns the columns `natpdm
@@ -222,7 +226,7 @@ def potential_on_x_grid(gamma: float, j: float, mass: MassProfile,
     """
     pts = grid.points
     # a mu past the double range comes out inf or nan; invert_mu rejects it
-    mu = travel_coordinate(mass, pts, 0.0, tol)
+    mu = travel_coordinate(mass, pts, 0.0, QUAD_TOL)
     u = invert_mu(gamma, mu)
     # tanh^2 rounds to 1.0 for |u| beyond ~19; the exact value is < 1,
     # so round toward the open interval instead

@@ -30,10 +30,15 @@ from .natanzon import OrderingParams, solve_spectrum
 from .numerics import Grid, TridiagonalSymmetric, lowest_eigenvalues, sturm_count
 
 __all__ = [
+    "GATES",
     "assemble_hamiltonian",
     "richardson",
     "verify_spectrum",
 ]
+
+#: the one threshold of each upper-bound gate `natpdm spectrum` applies to
+#: a report; verify's mass_independence check takes the same threshold
+GATES = {"index_map_mismatch": 5e-3, "eq27_vs_eq34": 1e-9, "mass_independence": 2e-3}
 
 
 def assemble_hamiltonian(mass: MassProfile, potential: np.ndarray,
@@ -83,36 +88,28 @@ def richardson(coarse, fine):
             np.take_along_axis(np.abs(fine - coarse), order, axis=-1))
 
 
-def _best_fit_index_map(mismatch: np.ndarray) -> dict:
-    """Index map analytic-n -> alpha * n minimizing the worst mismatch.
+def _index_map(mismatch: np.ndarray) -> dict:
+    """Eq. 34's own pairing: closed-form level n against numeric level 2n.
 
     mismatch[i, n] is |numeric level i - closed-form level n|, nan where
-    the closed form gives no level n.  Only alpha in {1, 2} is searched;
-    anything that still mismatches badly is reported as UNMATCHED rather
-    than forced.
+    the closed form gives no level n.  Eq. 34's 2n + 1/2 is the derived
+    level h = n' + 1/2 at n' = 2n, so the closed form names the even
+    numeric levels; each pair both sides give is reported with its mismatch.
     """
-    best = {"alpha": None, "max_mismatch": None, "pairs": [], "status": "UNMATCHED"}
     n_numeric, n_closed = mismatch.shape
-    for alpha in (1, 2):
-        pairs = [{"analytic_n": n, "numeric_n": alpha * n,
-                  "mismatch": float(mismatch[alpha * n, n])} for n in range(n_closed)
-                 if alpha * n < n_numeric and math.isfinite(mismatch[alpha * n, n])]
-        if not pairs:
-            continue
-        worst = max(p["mismatch"] for p in pairs)
-        if best["max_mismatch"] is None or worst < best["max_mismatch"]:
-            best = {"alpha": alpha, "max_mismatch": worst, "pairs": pairs,
-                    "status": "MATCHED" if worst <= 0.05 else "UNMATCHED"}
-    return best
+    pairs = [{"analytic_n": n, "numeric_n": 2 * n, "mismatch": float(mismatch[2 * n, n])}
+             for n in range(n_closed)
+             if 2 * n < n_numeric and math.isfinite(mismatch[2 * n, n])]
+    return {"max_mismatch": max((p["mismatch"] for p in pairs), default=None), "pairs": pairs}
 
 
 def verify_spectrum(gamma: float, j: float, mass: MassProfile, ordering: OrderingParams,
-                    grid: Grid, quad_tol: float = 1e-10) -> dict:
+                    grid: Grid) -> dict:
     """Adjudicate the quantization roots and the closed-form levels numerically.
 
     Runs the Hamiltonian with the potential V_hyp + Um on the grid and
     its half-spacing refinement, lists the three spectra side by side,
-    fits the analytic-n to numeric-n index map, and repeats the numerics
+    pairs closed-form level n with numeric level 2n, and repeats the numerics
     with a second mass profile to measure mass independence of the bound
     levels: rational:2 beside a constant mass, the unit mass beside
     any other.  One Sturm count finds how many levels each of the four
@@ -138,7 +135,7 @@ def verify_spectrum(gamma: float, j: float, mass: MassProfile, ordering: Orderin
     fine_grid = grid.refined()
     matrices, thresholds = [], []
     for m in (mass, partner_mass):
-        v_fine = potential_on_x_grid(gamma, j, m, ordering, fine_grid, tol=quad_tol)["V_total"]
+        v_fine = potential_on_x_grid(gamma, j, m, ordering, fine_grid)["V_total"]
         # refined() nests its nodes, so every other fine node is a coarse node
         matrices += [assemble_hamiltonian(m, v_fine[::2], ordering, grid),
                      assemble_hamiltonian(m, v_fine, ordering, fine_grid)]
@@ -174,7 +171,7 @@ def verify_spectrum(gamma: float, j: float, mass: MassProfile, ordering: Orderin
             "numeric_vs_eq34_matrix": mismatch.tolist(),
             "eq27_vs_eq34": np.abs(quant - closed).tolist(),
         },
-        "best_fit_index_map": _best_fit_index_map(mismatch),
+        "best_fit_index_map": _index_map(mismatch),
         "mass_independence": {
             "mass": mass.label,
             "partner_mass": partner_mass.label,

@@ -204,7 +204,7 @@ class TestJsonText:
                                capsys)
         assert code == 0
         table = ginocchio.potential_on_x_grid(0.8, 2.0, parse_mass("rational:2"),
-                                              OrderingParams(-0.5, 0.0), grid, tol=1e-10)
+                                              OrderingParams(-0.5, 0.0), grid)
         payload = {**table, "gamma": 0.8, "j": 2.0, "mass": "rational:2"}
         assert out == oracle_json_text(payload)
 
@@ -277,7 +277,8 @@ class TestSpectrum:
         assert nums[0] == pytest.approx(-4.0, abs=1e-3)
         assert nums[1] == pytest.approx(-1.0, abs=1e-3)
         assert payload["energies_eq34"][0] == -4.0
-        assert payload["best_fit_index_map"]["alpha"] == 2
+        pairs = payload["best_fit_index_map"]["pairs"]
+        assert pairs and all(p["numeric_n"] == 2 * p["analytic_n"] for p in pairs)
         gates = {g["name"]: g for g in payload["gates"]}
         assert gates["coverage"]["passed"] and gates["coverage"]["measured"] >= 1
 
@@ -311,7 +312,7 @@ class TestSpectrum:
         gates = json.loads(out)["gates"]
         assert [g["name"] for g in gates] == SPECTRUM_GATES
         assert gates[2] == {"name": "eq27_vs_eq34", "measured": None,
-                            "threshold": cli.DEFAULT_TOLERANCES["eq27_vs_eq34_gate"],
+                            "threshold": pdmsolver.GATES["eq27_vs_eq34"],
                             "passed": False}
         assert all(g["passed"] for g in gates[:2] + gates[3:])
 
@@ -327,7 +328,7 @@ class TestSpectrum:
         gates = report["gates"]
         assert [g["name"] for g in gates] == SPECTRUM_GATES
         assert gates[3] == {"name": "mass_independence", "measured": None,
-                            "threshold": cli.DEFAULT_TOLERANCES["mass_independence_gate"],
+                            "threshold": pdmsolver.GATES["mass_independence"],
                             "passed": False}
         assert all(g["passed"] for g in gates[:3])
 
@@ -358,6 +359,23 @@ class TestSpectrum:
         assert err == ""
         assert [g["name"] for g in json.loads(out)["gates"]] == SPECTRUM_GATES
 
+    @pytest.mark.parametrize("flag", ["--grid=-12,12,4", "--gamma=1e6",
+                                      "--grid=-1e300,1e300,11"])
+    def test_far_off_ground_pair_passes_coverage_and_fails_the_mismatch(self, flag, capsys):
+        # one numeric level below the threshold: closed-form level 0 is
+        # paired with it, so coverage counts one pair and passes, and the
+        # mismatch gate fails that far-off pair
+        code, out, err = run_cli(["spectrum", flag], capsys)
+        assert code == 1 and err == ""
+        report = json.loads(out)
+        assert [(p["analytic_n"], p["numeric_n"]) for p in
+                report["best_fit_index_map"]["pairs"]] == [(0, 0)]
+        gates = {g["name"]: g for g in report["gates"]}
+        assert gates["coverage"] == {"name": "coverage", "measured": 1, "threshold": 1,
+                                     "passed": True}
+        mismatch = gates["index_map_mismatch"]
+        assert mismatch["measured"] > mismatch["threshold"] and mismatch["passed"] is False
+
     @pytest.mark.parametrize("ordering", ["1,1,1", "0,-1,0"])
     def test_three_ordering_values_refused(self, ordering, capsys):
         # rho follows from eta and epsilon; a third value is refused even
@@ -377,6 +395,13 @@ class TestVerify:
         assert list(payload["modules"]) == ["conformal"]
         assert payload["hard_gates_passed"] is True
         assert payload["seed"] == 5
+
+    def test_pdmsolver_suite_takes_the_spectrum_gate(self, capsys):
+        code, out, _ = run_cli(["verify", "--only", "pdmsolver"], capsys)
+        assert code == 0
+        checks = {c["name"]: c for c in json.loads(out)["modules"]["pdmsolver"]["checks"]}
+        assert checks["mass_independence"]["threshold"] == pdmsolver.GATES["mass_independence"]
+        assert "index_map_doubling" not in checks
 
     def test_reports_informational_findings(self, capsys):
         code, out, _ = run_cli(["verify", "--only", "algebra"], capsys)
@@ -512,16 +537,12 @@ class TestConfigErrors:
         ["potential", "--grid", "5,1,100"],
         ["potential", "--grid", "0,1"],
         ["potential", "--mass", "nosuch"],
-        ["spectrum", "--tol", "nosuch=1"],
-        ["spectrum", "--tol", "quad"],
         ["verify", "--only", "nosuch"],
         ["spectrum", "--j", "-2"],
         ["potential", "--gamma", "nan"],
         ["potential", "--gamma", "inf"],
         ["spectrum", "--j", "inf"],
         ["potential", "--j", "nan"],
-        ["spectrum", "--tol", "quad=-1"],
-        ["spectrum", "--tol", "eig=1e-3"],
         ["spectrum", "--grid=1,12,201"],
         ["spectrum", "--j", "1e6"],
         ["potential", "--grid=-inf,12,11"],
@@ -554,6 +575,20 @@ class TestConfigErrors:
         code, _, err = run_cli(args, capsys)
         assert code == 2
         assert err.strip()
+
+    def test_tolerances_are_not_settable(self, tmp_path, capsys):
+        # every threshold is fixed in the module that applies it: no command
+        # takes --tol, and a config file's tol key names no flag
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"tol": {"quad": 1e-9}}))
+        for command in cli.COMMANDS:
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "--tol", "quad=1e-9"])
+            assert exc.value.code == 2
+            assert "--tol" in capsys.readouterr().err
+            code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+            assert code == 2 and out == ""
+            assert "'tol'" in err
 
     def test_spectrum_takes_j_up_to_its_bound(self):
         def read(j):
@@ -663,26 +698,22 @@ class TestConfigErrors:
         assert target.read_text().startswith("x,m,mu,u,z")
 
 
-# the flags each command takes and the --tol names it reads, written out
-# here apart from cli.COMMANDS so the tests check that declaration
+# the flags each command takes, written out here apart from cli.COMMANDS
+# so the tests check that declaration
 SURFACE = {
-    "map": ({"config", "output"}, set()),
-    "potential": ({"gamma", "j", "ordering", "mass", "grid", "format", "tol", "config",
-                   "output"}, {"quad"}),
-    "spectrum": ({"gamma", "j", "ordering", "mass", "grid", "tol", "config", "output"},
-                 {"quad", "spectrum_gate", "eq27_vs_eq34_gate", "mass_independence_gate"}),
-    "verify": ({"tol", "only", "seed", "config", "output"}, {"quad", "mass_independence_gate"}),
+    "map": {"config", "output"},
+    "potential": {"gamma", "j", "ordering", "mass", "grid", "format", "config", "output"},
+    "spectrum": {"gamma", "j", "ordering", "mass", "grid", "config", "output"},
+    "verify": {"only", "seed", "config", "output"},
 }
-ALL_FLAGS = sorted(set().union(*(flags for flags, _ in SURFACE.values())))
-ALL_TOLS = sorted(SURFACE["spectrum"][1])
+# every flag some command takes, and the removed --tol, which none takes
+ALL_FLAGS = sorted(set().union({"tol"}, *SURFACE.values()))
 # a value each flag takes wherever it is legal; the format is one the
 # command emits, so only the flag itself is foreign
 LEGAL_VALUES = {"gamma": "1", "j": "2", "ordering": "0,-1", "mass": "constant",
                 "grid": "-1,1,5", "tol": "quad=1e-9", "only": "conformal", "seed": "3"}
-FOREIGN_FLAGS = [(command, flag) for command, (flags, _) in SURFACE.items()
+FOREIGN_FLAGS = [(command, flag) for command, flags in SURFACE.items()
                  for flag in ALL_FLAGS if flag not in flags]
-FOREIGN_TOLS = [(command, tol) for command, (flags, tols) in SURFACE.items() if "tol" in flags
-                for tol in ALL_TOLS if tol not in tols]
 
 
 class TestCommandSurface:
@@ -691,15 +722,12 @@ class TestCommandSurface:
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         flags = {name: {a.dest for a in p._actions if a.dest != "help"}
                  for name, p in sub.choices.items()}
-        assert flags == {name: own for name, (own, _) in SURFACE.items()}
-        assert sum(map(len, flags.values())) == 24
-        tols = {name: set(command.tols) for name, command in cli.COMMANDS.items()}
-        assert tols == {name: own for name, (_, own) in SURFACE.items()}
-        assert sum(map(len, tols.values())) == 7
+        assert flags == SURFACE
+        assert sum(map(len, flags.values())) == 21
 
     def test_two_calls_in_a_row_share_nothing(self, monkeypatch, capsys):
-        # the parser is built once per process; --tol appends to a list, so
-        # a list kept in the parser would carry into the next call
+        # the parser is built once per process; a value kept in the parser
+        # would carry into the next call
         seen = []
         real = cli._build_config
 
@@ -709,13 +737,11 @@ class TestCommandSurface:
 
         monkeypatch.setattr(cli, "_build_config", spy)
         grid = "--grid=-1,1,5"
-        assert cli.main(["potential", "--gamma=0.8", "--tol", "quad=1e-9", grid]) == 0
+        assert cli.main(["potential", "--gamma=0.8", grid]) == 0
         assert cli.main(["potential", grid]) == 0
         capsys.readouterr()
         (first, first_cfg), (second, second_cfg) = seen
-        assert first.tol == ["quad=1e-9"] and first_cfg.tol == {"quad": 1e-9}
         assert first.gamma == "0.8" and first_cfg.gamma == 0.8
-        assert second.tol is None and second_cfg.tol == {"quad": cli.DEFAULT_TOLERANCES["quad"]}
         assert second.gamma is None and second_cfg.gamma == 1.0
         assert cli.build_parser() is cli.build_parser()
 
@@ -742,18 +768,6 @@ class TestCommandSurface:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"--{flag}" in captured.err
-
-    @pytest.mark.parametrize("command,tol", FOREIGN_TOLS,
-                             ids=[f"{c}-{t}" for c, t in FOREIGN_TOLS])
-    def test_foreign_tolerance_refused(self, command, tol, tmp_path, capsys):
-        code, out, err = run_cli([command, "--tol", f"{tol}=1"], capsys)
-        assert code == 2 and out == ""
-        assert repr(tol) in err
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"tol": {tol: 1}}))
-        code, out, err = run_cli([command, "--config", str(cfg)], capsys)
-        assert code == 2 and out == ""
-        assert repr(tol) in err
 
     @pytest.mark.parametrize("command,flag", [("map", "gamma"), ("map", "tol"),
                                               ("verify", "grid"), ("potential", "seed")])
@@ -832,6 +846,7 @@ FUZZ_VALUES = {
     "grid": ["-12,12,201", "-2,2,41", "-1,1,5", "-1,1,3", "1,12,101", "-12,12,4", "0,0,5",
              "-1e300,1e300,11", "-1e-100,1e-100,11", "-1.7e308,0,3", "a,b,c", "-1,1"],
     "format": ["csv", "json", "xml"],
+    # no command takes --tol or a config file's tol key: refused input
     "tol": ["quad=1e-9", "quad=1e-3", "spectrum_gate=1e-12", "eq27_vs_eq34_gate=1",
             "mass_independence_gate=1e-12", "quad=-1", "quad=nan", "nosuch=1", "quad"],
     "only": ["conformal", "algebra", "ginocchio", "natanzon", "pdmsolver", "nosuch"],
@@ -865,7 +880,7 @@ FUZZ_FILES = {
 def fuzz_argv(draw):
     command = draw(st.sampled_from(sorted(SURFACE)))
     # mostly the command's own flags, now and then any flag at all
-    flag = st.one_of(st.sampled_from(sorted(SURFACE[command][0])), st.sampled_from(ALL_FLAGS))
+    flag = st.one_of(st.sampled_from(sorted(SURFACE[command])), st.sampled_from(ALL_FLAGS))
     pairs = draw(st.lists(flag.flatmap(
         lambda f: st.tuples(st.just(f), st.sampled_from(FUZZ_VALUES[f]))), max_size=4))
     return [command, *(f"--{f}={v}" for f, v in pairs)]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from natpdm import cli, numerics, pdmsolver
+from natpdm import cli, ginocchio, numerics, pdmsolver
 from natpdm.masses import constant_mass, exponential_well_mass, rational_mass
 from natpdm.natanzon import BEN_DANIEL_DUKE, OrderingParams
 from natpdm.numerics import (
@@ -531,13 +531,13 @@ class TestIntegrate:
     def test_travel_coordinate_cells_of_cli_grids_meet_the_acceptance_bound(self, mass):
         # the intervals masses.travel_coordinate integrates for a potential
         # or spectrum table: every cell of the 1201- and 2401-point [-12, 12]
-        # grids and the anchor interval [-12, 0], at the CLI's tol.  A smooth
+        # grids and the anchor interval [-12, 0], at QUAD_TOL.  A smooth
         # integrand whose first five samples miss its shape can pass the
         # first-level test far from its value; on these grids none does
         def f(t):
             return np.sqrt(2.0 * mass.require_positive(t))
 
-        tol = cli.DEFAULT_TOLERANCES["quad"]
+        tol = ginocchio.QUAD_TOL
         for n in (1201, 2401):
             x = Grid(-12.0, 12.0, n).points
             a, b = np.append(x[:-1], x[0]), np.append(x[1:], 0.0)

@@ -243,6 +243,24 @@ class TestRichardson:
             assert np.array_equal(alone[1], changes[r])
 
 
+class TestIndexMap:
+    def test_pairs_n_with_2n_where_n_with_n_fits_better(self):
+        # n -> n fits within 1e-6 and n -> 2n is off by 1; eq. 34 names the
+        # even numeric levels, so the 2n pairs and their mismatch are reported
+        mismatch = np.ones((5, 3))
+        mismatch[np.arange(3), np.arange(3)] = 1e-7
+        assert pdmsolver._index_map(mismatch) == {"max_mismatch": 1.0, "pairs": [
+            {"analytic_n": 0, "numeric_n": 0, "mismatch": 1e-7},
+            {"analytic_n": 1, "numeric_n": 2, "mismatch": 1.0},
+            {"analytic_n": 2, "numeric_n": 4, "mismatch": 1.0}]}
+
+    def test_no_pair_measures_nothing(self):
+        # closed-form level 0 missing (nan), and level 1's numeric level 2
+        # past the two solved rows
+        mismatch = np.array([[np.nan, 0.1, 0.2], [np.nan, 0.3, 0.4]])
+        assert pdmsolver._index_map(mismatch) == {"max_mismatch": None, "pairs": []}
+
+
 @pytest.fixture(scope="module")
 def report():
     return verify_spectrum(1.0, 2.0, constant_mass(), BEN_DANIEL_DUKE, Grid(-10.0, 10.0, 1001))
@@ -267,8 +285,7 @@ class TestVerifySpectrum:
 
     def test_index_map_doubles(self, report):
         fit = report["best_fit_index_map"]
-        assert fit["status"] == "MATCHED"
-        assert fit["alpha"] == 2
+        assert [(p["analytic_n"], p["numeric_n"]) for p in fit["pairs"]] == [(0, 0)]
         assert fit["max_mismatch"] < 1e-3
 
     def test_index_map_reads_the_residual_matrix(self):
@@ -276,7 +293,7 @@ class TestVerifySpectrum:
         report = verify_spectrum(0.5, 3.3, constant_mass(), BEN_DANIEL_DUKE,
                                  Grid(-12.0, 12.0, 1201))
         fit, matrix = report["best_fit_index_map"], report["residuals"]["numeric_vs_eq34_matrix"]
-        assert fit["alpha"] == 2 and len(fit["pairs"]) == 2
+        assert [(p["analytic_n"], p["numeric_n"]) for p in fit["pairs"]] == [(0, 0), (1, 2)]
         for pair in fit["pairs"]:
             assert pair["mismatch"] == matrix[pair["numeric_n"]][pair["analytic_n"]]
         assert fit["max_mismatch"] == max(p["mismatch"] for p in fit["pairs"])
