@@ -537,12 +537,16 @@ class TestConfigErrors:
         ["potential", "--grid", "5,1,100"],
         ["potential", "--grid", "0,1"],
         ["potential", "--mass", "nosuch"],
+        ["spectrum", "--mass", "constant:-1"],
+        ["potential", "--grid=-1,1,abc"],
         ["verify", "--only", "nosuch"],
         ["spectrum", "--j", "-2"],
         ["potential", "--gamma", "nan"],
         ["potential", "--gamma", "inf"],
         ["spectrum", "--j", "inf"],
         ["potential", "--j", "nan"],
+        ["spectrum", "--gamma", "0"],
+        ["potential", "--ordering", "1"],
         ["spectrum", "--grid=1,12,201"],
         ["spectrum", "--j", "1e6"],
         ["potential", "--grid=-inf,12,11"],
